@@ -204,8 +204,8 @@ def _cmd_lp_sweep(args) -> int:
     def unit(seed: int):
         rng = np.random.default_rng(seed)
         f = maximal.random_signal(rng, args.support)
-        return [(seed, p, maximal.lp_maximal_ratio(f, p, args.n_max, table))
-                for p in args.p_list]
+        ratios = maximal.lp_maximal_ratios(f, args.p_list, args.n_max, table)
+        return [(seed, p, r) for p, r in zip(args.p_list, ratios)]
 
     results = _parallel(unit, list(range(args.seed, args.seed + args.seeds)),
                         args.threads)

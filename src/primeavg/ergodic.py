@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .maximal import Signal, prime_scale_counts
 from .ntheory import DomainError, PrimeTable
 
 _DEN_MIN = 1 << 33
@@ -223,8 +224,9 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
     """Sample F = {0 <= n <= R : T^n x0 in A} and compare maximal averages.
 
     The orbit side accumulates integer sums sum over p <= N of 1_A(T^(n+p) x0)
-    by shifted-slice addition; the integer side convolves 1_F against the
-    prime indicator (FFT, rounded back to exact integers).  The identity
+    by shifted-slice addition; the integer side takes the exact prime counts
+    of 1_F from maximal.prime_scale_counts (FFT correlation rounded back to
+    integers, with a residual check).  The identity
     A_N(1_A)(T^n x0) = A_N(1_F)(n) for n <= R - L, N <= L makes the two
     integer arrays equal entry for entry, so superlevel counts agree exactly.
     """
@@ -250,15 +252,12 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
         prev = table.count(int(N))
         orbit_sums[i] = acc
 
-    # integer side: convolution of the sampled set against prime indicators
-    Z = 1 << max(1, (R + 1 + int(scales[-1])).bit_length())
-    fhat = np.fft.rfft(member.astype(np.float64), Z)
+    # integer side: exact prime counts of the sampled set
+    F = Signal(offset=0, values=member.astype(np.float64))
     signal_sums = np.zeros_like(orbit_sums)
-    for i, N in enumerate(scales):
-        dense = np.zeros(Z)
-        dense[table.primes_upto(int(N))] = 1.0
-        conv = np.fft.irfft(fhat * np.conj(np.fft.rfft(dense)), Z)
-        signal_sums[i] = np.rint(conv[:W]).astype(np.int64)
+    for i, (_, k) in enumerate(prime_scale_counts(F, n_top, table)):
+        N = int(scales[i])
+        signal_sums[i] = k[N: N + W]  # k[0] is the count at n = -N
 
     discrepancy = int(np.max(np.abs(orbit_sums - signal_sums)))
     counts = np.asarray([table.count(int(N)) for N in scales], dtype=np.int64)

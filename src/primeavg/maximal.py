@@ -16,21 +16,26 @@ and partial summation dominates |A_N f| pointwise by sup_N' |M_N' f|.
 maximal_dyadic forms sup over n of |op_{2^n} f| for one of four families:
 the prime averages ('averages', 'weighted'), the Cesaro kernels applied to
 an eta_s-filtered signal ('mbeta-filtered'), the truncated glued multiplier
-('pi'), and a single arc level of it ('nu-s').  Kernel families are computed
-by zero-padded FFT correlation (next power of two at least support +
-2^n_max, cross-validated against direct correlation); multiplier families
-sample the multiplier on the same grid, which realizes the operator on a
-circle of that circumference.
+('pi'), and a single arc level of it ('nu-s').  Kernel families correlate
+each scale 2^n by FFT on its own circle, the next power of two at least
+support + 2^n + 1, which is the smallest one on which that scale does not
+wrap (cross-validated against direct correlation); multiplier families
+sample the multiplier on one grid, the next power of two at least
+support + 2^n_max, which realizes the operator on a circle of that
+circumference.
 
 weak_type_sweep measures lambda * |{sup_n A_{2^n} 1_F > lambda}| normalized
-by log^2(e/lambda) |F| on a geometric lambda grid.  weak_norm implements the
-discrete weak-ell^1 norm max_k k * v_(k) over the sorted magnitudes.
+by log^2(e/lambda) |F| on a lambda grid.  Since A_N 1_F = k/pi(N) with an
+integer count k, the counts are rounded to integers and compared exactly
+(prime_scale_counts).  weak_norm implements the discrete weak-ell^1 norm
+max_k k * v_(k) over the sorted magnitudes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -190,6 +195,47 @@ def _embed(f: Signal, Z: int, pad: int) -> np.ndarray:
     return arr
 
 
+def _prime_scales(f: Signal, n_max: int, table: PrimeTable, weighted: bool):
+    """Yield (kernel, out) for N = 2^n, n = 1..n_max: out[i] = (op_N f)(x) at
+    x = f.offset - N + i, over [f.offset - N, f.support_end).
+
+    Scale n is correlated on its own circle Z_n = next_pow2(len f + N + 1),
+    the smallest one on which the correlation does not wrap.  f sits at index
+    0, so the outputs left of f.offset land at the top of the circle.  Z_n
+    never decreases in n, so only the current circle's transform of f is kept.
+    """
+    real_in = not np.iscomplexobj(f.values)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real_in else (np.fft.fft, np.fft.ifft)
+    L = len(f.values)
+    Z = 0
+    for n in range(1, n_max + 1):
+        N = 1 << n
+        k = prime_kernel(N, table, weighted)
+        if _grid_size(f, N) != Z:
+            Z = _grid_size(f, N)
+            fhat = fft(f.values, Z)
+        dense = np.zeros(k.max_site + 1)
+        dense[k.sites] = k.weights
+        out = ifft(fhat * np.conj(fft(dense, Z)), Z)
+        yield k, np.concatenate((out[Z - N:], out[:L]))
+
+
+def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
+    """Yield (pi(N), counts) for N = 2^n, n = 1..n_max, where counts[i] is
+    the exact number of primes p <= N with x + p in F, at x = F.offset - N + i.
+
+    F must be a 0/1 indicator.  The FFT correlation pi(N) * A_N 1_F is rounded
+    to int64; a rounding residual of 1/4 or more means roundoff could have
+    changed a count, and raises ArithmeticError.
+    """
+    for k, out in _prime_scales(F, n_max, table, weighted=False):
+        scaled = out * k.sites.size
+        counts = np.rint(scaled)
+        if np.max(np.abs(scaled - counts)) >= 0.25:
+            raise ArithmeticError("FFT roundoff too large to round to exact counts")
+        yield k.sites.size, counts.astype(np.int64)
+
+
 def _apply_multiplier_circular(arr: np.ndarray, mult_values: np.ndarray) -> np.ndarray:
     """out = F^{-1}(mult * arr_hat) on the circle of length len(arr).
 
@@ -218,34 +264,24 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
       'pi'             F^{-1}(Pi_n^t f_hat), n = ceil(t)..n_max (needs t)
       'nu-s'           F^{-1}(nu_n^s f_hat), n = 0..n_max (needs s)
 
-    Kernel families return the exact maximal function on the support of the
-    outputs.  Multiplier families realize the operators on a circle of
+    Kernel families (n_max >= 1) return the exact maximal function on
+    [f.offset - 2^n_max, f.support_end), each scale correlated on its own
+    circle.  Multiplier families realize the operators on a circle of
     power-of-two circumference >= support + 2^n_max (or `resolution`), and
     return the full circular window.
     """
-    reach = 1 << n_max
     if family in ("averages", "weighted"):
         if table is None:
             raise DomainError("prime averaging families need a sieve table")
-        Z = _grid_size(f, reach)
-        pad = reach
-        arr = _embed(f, Z, pad)
-        real_in = not np.iscomplexobj(arr)
-        fhat = np.fft.rfft(arr) if real_in else np.fft.fft(arr)
-        run = None
-        for n in range(1, n_max + 1):
-            k = prime_kernel(1 << n, table, weighted=(family == "weighted"))
-            dense = np.zeros(Z)
-            dense[k.sites] = k.weights
-            if real_in:
-                out = np.fft.irfft(fhat * np.conj(np.fft.rfft(dense)), Z)
-            else:
-                out = np.fft.ifft(fhat * np.conj(np.fft.fft(dense)))
-            out = np.abs(out)
-            run = out if run is None else np.maximum(run, out)
-        vals = run[: pad + len(f.values)]
-        return Signal(offset=f.offset - pad, values=vals)
+        if n_max < 1:
+            raise DomainError("prime averaging families need n_max >= 1")
+        run = np.zeros((1 << n_max) + len(f.values))
+        for _, out in _prime_scales(f, n_max, table, weighted=(family == "weighted")):
+            tail = run[run.size - out.size:]
+            np.maximum(tail, np.abs(out), out=tail)
+        return Signal(offset=f.offset - (1 << n_max), values=run)
 
+    reach = 1 << n_max
     if family == "mbeta-filtered":
         if beta is None or s is None:
             raise DomainError("mbeta-filtered needs beta and s")
@@ -347,8 +383,11 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
                     table: PrimeTable) -> WeakTypeReport:
     """Counts |{sup_{n <= n_max} A_{2^n} 1_F > lambda}| over the lambda grid.
 
-    F must be a 0/1 indicator signal.  Counts are nonincreasing in lambda
-    and zero for lambda >= 1.
+    F must be a 0/1 indicator signal and n_max >= 1.  The counts are exact:
+    A_{2^n} 1_F(x) = k_n(x) / pi(2^n) with integer k_n (prime_scale_counts),
+    and x counts for lambda when k_n(x) > floor(lambda * pi(2^n)) for some n.
+    Every float lambda is a dyadic rational, so that floor is exact too.
+    Counts are nonincreasing in lambda and zero for lambda >= 1.
     """
     vals = np.asarray(F.values)
     if not np.all((vals == 0) | (vals == 1)):
@@ -357,11 +396,19 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
     if size == 0:
         raise DomainError("weak_type_sweep needs a nonempty set")
     lam = np.asarray(lambda_grid, dtype=np.float64)
-    if np.any(lam <= 0) or np.any(lam >= 1):
-        raise DomainError("lambda grid must lie in (0, 1)")
-    g = maximal_dyadic(F, "averages", n_max, table)
-    absg = np.abs(g.values)
-    counts = np.array([(absg > l).sum() for l in lam], dtype=np.int64)
+    if lam.size == 0 or not np.all((lam > 0) & (lam < 1)):
+        raise DomainError("lambda grid must be nonempty and lie in (0, 1)")
+    if n_max < 1:
+        raise DomainError("weak_type_sweep needs n_max >= 1")
+    # level[x] = how many of the smallest lambdas x exceeds at some scale
+    ascending = np.sort(lam)
+    level = np.zeros((1 << n_max) + len(vals), dtype=np.int64)
+    for pi_N, k in prime_scale_counts(F, n_max, table):
+        floors = [math.floor(Fraction(l) * pi_N) for l in ascending]
+        tail = level[level.size - k.size:]
+        np.maximum(tail, np.searchsorted(floors, k, side="left"), out=tail)
+    above = np.bincount(level, minlength=lam.size + 1)[::-1].cumsum()[::-1]
+    counts = above[1 + np.searchsorted(ascending, lam)]
     normalized = lam * counts / (np.log(np.e / lam) ** 2 * size)
     return WeakTypeReport(lambda_grid=lam, counts=counts, normalized=normalized,
                           set_size=size, n_max=n_max)
@@ -471,9 +518,17 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     return float(np.linalg.norm(run) / f.lp_norm(2.0))
 
 
+def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:
+    """|| sup_n |M_{2^n} f| ||_p / ||f||_p for each p in ps, each in (1, 2],
+    all taken from one maximal function.  f must be nonzero."""
+    if not all(1.0 < p <= 2.0 for p in ps):
+        raise DomainError("p must lie in (1, 2]")
+    if not np.any(f.values):
+        raise DomainError("ell^p ratios need a nonzero signal")
+    g = maximal_dyadic(f, "weighted", n_max, table)
+    return [float(g.lp_norm(p) / f.lp_norm(p)) for p in ps]
+
+
 def lp_maximal_ratio(f: Signal, p: float, n_max: int, table: PrimeTable) -> float:
     """|| sup_n |M_{2^n} f| ||_p / ||f||_p for p in (1, 2]."""
-    if not 1.0 < p <= 2.0:
-        raise DomainError("p must lie in (1, 2]")
-    g = maximal_dyadic(f, "weighted", n_max, table)
-    return float(g.lp_norm(p) / f.lp_norm(p))
+    return lp_maximal_ratios(f, [p], n_max, table)[0]

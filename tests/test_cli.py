@@ -37,6 +37,18 @@ def test_missing_input_file_is_reported(tmp_path):
     assert _run("orlicz-norm", "--input", str(tmp_path / "absent.csv")) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["weak-type-sweep", "--size", "64", "--n-max", "0"],
+    ["weak-type-sweep", "--size", "64", "--n-max", "6", "--lambda-grid", "nan"],
+    ["lp-sweep", "--support", "0", "--seeds", "1", "--n-max", "4"],
+])
+def test_degenerate_input_is_one_line_error(tmp_path, capsys, argv):
+    assert _run(*argv, "--out", str(tmp_path / "r.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("primeavg: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_gauss_verify_small_run(tmp_path, capsys):
     out = tmp_path / "gauss.csv"
     assert _run("gauss-verify", "--q-max", "12", "--out", str(out)) == 0
@@ -70,6 +82,14 @@ def test_reports_byte_identical_across_threads(tmp_path):
     assert _run(*args, "--threads", "1", "--out", str(a)) == 0
     assert _run(*args, "--threads", "4", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+    # every p of a seed comes from that seed's one maximal function
+    table = cli.sieve_primes((1 << 6) + 1)
+    rows = _read_json(a)["rows"]
+    for seed in (0, 1, 2):
+        f = cli.maximal.random_signal(np.random.default_rng(seed), 64)
+        want = cli.maximal.lp_maximal_ratios(f, [1.5, 2.0], 6, table)
+        got = [float(r[2]) for r in rows if int(r[0]) == seed]
+        assert got == want
 
 
 def test_multiplier_error_trend_and_injection(tmp_path):

@@ -99,15 +99,22 @@ def test_maximal_dyadic_delta_hand_case(table_small):
 
 
 def test_maximal_matches_per_scale_loop(table_small, rng):
-    f = mx.random_signal(rng, 64, complex_values=True, offset=-9)
-    n_max = 6
-    g = mx.maximal_dyadic(f, "weighted", n_max, table_small)
-    xs = np.arange(g.offset, g.support_end)
-    brute = np.zeros(xs.size)
-    for n in range(1, n_max + 1):
-        out = mx.average_primes_weighted(1 << n, f, table_small, method="direct")
-        brute = np.maximum(brute, np.abs(out.at(xs)))
-    assert np.allclose(np.abs(g.values), brute, atol=1e-10)
+    for family in ("averages", "weighted"):
+        for complex_values in (False, True):
+            for length, n_max in ((64, 6), (300, 12)):
+                f = mx.random_signal(rng, length, complex_values=complex_values,
+                                     offset=-9)
+                g = mx.maximal_dyadic(f, family, n_max, table_small)
+                assert g.offset == f.offset - (1 << n_max)
+                assert g.support_end == f.support_end
+                xs = np.arange(g.offset, g.support_end)
+                brute = np.zeros(xs.size)
+                for n in range(1, n_max + 1):
+                    k = mx.prime_kernel(1 << n, table_small,
+                                        weighted=(family == "weighted"))
+                    out = mx.apply_kernel(k, f, method="direct")
+                    brute = np.maximum(brute, np.abs(out.at(xs)))
+                assert np.allclose(g.values, brute, rtol=0, atol=1e-12)
 
 
 def test_maximal_sublinearity_and_translation(table_small, rng):
@@ -138,10 +145,14 @@ def test_pointwise_domination_by_weighted_sup(table_small, rng):
             assert np.all(np.abs(rows_u[k]) <= sup_w + 1e-10)
 
 
-def test_maximal_requires_table_and_knows_families(rng):
+def test_maximal_requires_table_and_knows_families(rng, table_small):
     f = mx.random_signal(rng, 8, complex_values=False)
     with pytest.raises(DomainError):
         mx.maximal_dyadic(f, "averages", 3)
+    for family in ("averages", "weighted"):
+        for n_max in (0, -1):
+            with pytest.raises(DomainError):
+                mx.maximal_dyadic(f, family, n_max, table_small)
     with pytest.raises(DomainError):
         mx.maximal_dyadic(f, "mbeta-filtered", 3)
     with pytest.raises(DomainError):
@@ -199,9 +210,102 @@ def test_weak_type_sweep_validation(table_small):
     with pytest.raises(DomainError):
         mx.weak_type_sweep(mx.Signal(offset=0, values=np.zeros(4)),
                            mx.default_lambda_grid(3), 4, table_small)
-    with pytest.raises(DomainError):
-        mx.weak_type_sweep(mx.Signal.interval(0, 4), np.array([1.5]), 4,
-                           table_small)
+    for bad in ([1.5], [np.nan], [0.5, np.inf], [-np.inf], []):
+        with pytest.raises(DomainError):
+            mx.weak_type_sweep(mx.Signal.interval(0, 4), np.array(bad), 4,
+                               table_small)
+    for n_max in (0, -2):
+        with pytest.raises(DomainError):
+            mx.weak_type_sweep(mx.Signal.interval(0, 4),
+                               mx.default_lambda_grid(3), n_max, table_small)
+
+
+# --- exact superlevel counts against integer oracles ---
+
+
+def _weak_counts_from_scales(scale_counts, lam):
+    """Superlevel counts from exact per-scale counts k_n on a common window:
+    x counts for lam = 2^-j when k_n(x) * 2^j > pi(2^n) for some n."""
+    js = [int(round(-math.log2(l))) for l in lam]
+    assert all(0.5 ** j == l for j, l in zip(js, lam))
+    hit = np.zeros((len(js), scale_counts[-1][1].size), dtype=bool)
+    for pi_N, k in scale_counts:
+        for i, j in enumerate(js):
+            hit[i, hit.shape[1] - k.size:] |= k * (1 << j) > pi_N
+    return hit.sum(axis=1)
+
+
+def test_interval_counts_match_closed_form(table_big):
+    # F = [0, L): the count at x is #{p <= N : -x <= p <= L - 1 - x}
+    L, n_max = 1000, 14
+    primes = table_big.prime_list
+    scale_counts = list(mx.prime_scale_counts(mx.Signal.interval(0, L), n_max,
+                                              table_big))
+    oracle = []
+    for n, (pi_N, k) in enumerate(scale_counts, start=1):
+        N = 1 << n
+        x = np.arange(-N, L)
+        hi = np.searchsorted(primes, np.minimum(N, L - 1 - x), side="right")
+        lo = np.searchsorted(primes, np.maximum(0, -x - 1), side="right")
+        want = np.maximum(hi - lo, 0)
+        assert pi_N == table_big.count(N)
+        assert k.dtype == np.int64 and np.array_equal(k, want), n
+        oracle.append((pi_N, want))
+    lam = mx.default_lambda_grid(10)
+    rep = mx.weak_type_sweep(mx.Signal.interval(0, L), lam, n_max, table_big)
+    assert rep.counts.tolist() == _weak_counts_from_scales(oracle, lam).tolist()
+
+
+def _oracle_scale_counts(F: mx.Signal, n_max: int, table):
+    """Brute force: bincount of y - p over y in F and primes p <= 2^n, on
+    the window [F.offset - 2^n_max, F.support_end)."""
+    ys = F.offset + np.flatnonzero(F.values)
+    lo = F.offset - (1 << n_max)
+    acc = np.zeros(F.support_end - lo, dtype=np.int64)
+    out, done = [], 0
+    for n in range(1, n_max + 1):
+        ps = table.primes_upto(1 << n)
+        for i in range(done, ps.size, 256):
+            pairs = ys[None, :] - ps[i: i + 256, None] - lo
+            acc += np.bincount(pairs.ravel(), minlength=acc.size)
+        done = ps.size
+        out.append((ps.size, acc.copy()))
+    return out
+
+
+def _random_set(size: int) -> mx.Signal:
+    rng = np.random.default_rng(0)
+    return mx.Signal(offset=0,
+                     values=(rng.random(8 * size) < 0.125).astype(np.float64))
+
+
+@pytest.mark.parametrize("family, size, n_max", [
+    ("random", 1024, 18), ("primes", 4096, 18), ("ap", 1024, 18),
+    ("random", 256, 12), ("primes", 512, 11)])
+def test_weak_counts_match_bruteforce_oracle(table_big, family, size, n_max):
+    if family == "random":
+        F = _random_set(size)
+    elif family == "primes":
+        F = mx.Signal.indicator(table_big.primes_upto(size))
+    else:
+        F = mx.Signal.indicator(1 + 3 * np.arange(size))
+    lam = mx.default_lambda_grid(10)
+    oracle = _oracle_scale_counts(F, n_max, table_big)
+    rep = mx.weak_type_sweep(F, lam, n_max, table_big)
+    assert rep.counts.tolist() == _weak_counts_from_scales(oracle, lam).tolist()
+    if (family, size, n_max) == ("primes", 4096, 18):
+        # a known tie: FFT roundoff used to decide it (2384)
+        assert rep.counts[1] == 2376
+
+
+def test_weak_type_sweep_any_lambda_order(table_small):
+    # unsorted, repeated and non-dyadic lambdas: same counts as one at a time
+    F = mx.Signal.indicator(1 + 3 * np.arange(200))
+    lam = np.array([0.1, 0.5, 0.25, 0.1, 1 / 3, 0.75, 0.01])
+    rep = mx.weak_type_sweep(F, lam, 10, table_small)
+    single = [mx.weak_type_sweep(F, [l], 10, table_small).counts[0] for l in lam]
+    assert rep.counts.tolist() == single
+    assert rep.counts[0] == rep.counts[3]
 
 
 # --- residue sampling, arc decay, A/B split ---
@@ -257,3 +361,18 @@ def test_lp_maximal_ratio_domain(table_small, rng):
         mx.lp_maximal_ratio(f, 2.5, 4, table_small)
     r = mx.lp_maximal_ratio(f, 2.0, 6, table_small)
     assert 0 < r < 10
+    with pytest.raises(DomainError):
+        mx.lp_maximal_ratio(mx.Signal(offset=0, values=np.zeros(4)), 2.0, 4,
+                            table_small)
+    with pytest.raises(DomainError):
+        mx.lp_maximal_ratios(mx.Signal(offset=0, values=np.zeros(0)), [1.5], 4,
+                             table_small)
+    with pytest.raises(DomainError):
+        mx.lp_maximal_ratios(f, [1.5, np.nan], 4, table_small)
+
+
+def test_lp_maximal_ratios_share_one_maximal_function(table_small, rng):
+    f = mx.random_signal(rng, 40, complex_values=True)
+    ps = [1.25, 1.5, 2.0]
+    ratios = mx.lp_maximal_ratios(f, ps, 7, table_small)
+    assert ratios == [mx.lp_maximal_ratio(f, p, 7, table_small) for p in ps]
