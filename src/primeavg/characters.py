@@ -66,10 +66,7 @@ class DirichletCharacter:
 
     @property
     def is_real(self) -> bool:
-        on_units = self.phases[self.phases >= 0]
-        half = self.order // 2
-        return bool(np.all(on_units == 0) or
-                    (self.order % 2 == 0 and np.all((on_units == 0) | (on_units == half))))
+        return self.kind != "other"
 
     def unit_residues(self) -> np.ndarray:
         return np.flatnonzero(self.phases >= 0)

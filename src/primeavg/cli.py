@@ -4,7 +4,8 @@ Every subcommand validates its flags, computes a report, and writes it as
 CSV or JSON.  Reports are byte-identical across reruns and thread counts:
 work units are mapped in a fixed order, floats are printed with 17
 significant digits, and JSON keys are sorted.  Exit codes: 0 success,
-1 usage or input error, 2 measured-constant drift or verification failure.
+1 usage or input error (one stderr line, no report), 2 measured-constant
+drift or verification failure.
 
 Frozen constants live in a JSON fixture (--fixtures); a measured value
 drifting more than 25% from its frozen counterpart fails the run, and
@@ -48,10 +49,10 @@ def _fmt(x) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the exit-code contract: usage errors exit 1."""
+    """argparse with the error contract: a usage error is one stderr line
+    and exits 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
@@ -91,9 +92,6 @@ def _write_report(args, meta: dict, columns: list[str], rows: list[list],
 def _check_frozen(args, key: str, value: float) -> int:
     """Compare a measured constant against the fixture; 0 ok, 2 on drift."""
     if not args.fixtures:
-        if args.refreeze:
-            sys.stderr.write("--refreeze needs --fixtures\n")
-            return 1
         return 0
     path = Path(args.fixtures)
     data = {}
@@ -116,14 +114,12 @@ def _check_frozen(args, key: str, value: float) -> int:
     return 0
 
 
-def _table(limit: int, args):
-    return sieve_primes(limit, cache_dir=args.cache_dir)
-
-
 # --- subcommands ---
 
 
 def _cmd_gauss_verify(args) -> int:
+    if args.q_max < 1:
+        raise DomainError("gauss-verify needs --q-max >= 1")
     qs = list(range(1, args.q_max + 1))
     parts = _parallel(lambda q: list(verify_quadratic_rows(q, q_min=q)), qs,
                       args.threads)
@@ -145,7 +141,7 @@ def _cmd_multiplier_error(args) -> int:
     if args.inject_beta is not None:
         chi, beta = synthetic_exceptional(args.inject_q, args.inject_beta)
         injection = {args.inject_q: (chi, beta)}
-    table = _table((1 << args.n_max) + 1, args)
+    table = sieve_primes((1 << args.n_max) + 1)
     vals = _parallel(
         lambda n: approximation_error(n, args.grid, table, s_max=args.s_max,
                                       injection=injection),
@@ -182,7 +178,7 @@ def _build_set(family: str, size: int, seed: int) -> maximal.Signal:
 
 def _cmd_weak_type(args) -> int:
     F = _build_set(args.family, args.size, args.seed)
-    table = _table((1 << args.n_max) + 1, args)
+    table = sieve_primes((1 << args.n_max) + 1)
     lam = np.asarray(args.lambda_grid, dtype=np.float64)
     report = maximal.weak_type_sweep(F, lam, args.n_max, table)
     columns = ["lambda", "count", "normalized"]
@@ -199,7 +195,9 @@ def _cmd_weak_type(args) -> int:
 
 
 def _cmd_lp_sweep(args) -> int:
-    table = _table((1 << args.n_max) + 1, args)
+    if args.seeds < 1:
+        raise DomainError("lp-sweep needs --seeds >= 1")
+    table = sieve_primes((1 << args.n_max) + 1)
 
     def unit(seed: int):
         rng = np.random.default_rng(seed)
@@ -222,6 +220,8 @@ def _cmd_lp_sweep(args) -> int:
 
 
 def _cmd_residue(args) -> int:
+    if args.q < 1:
+        raise DomainError("residue sampling needs --q >= 1")
     rng = np.random.default_rng(args.seed)
     f = maximal.random_signal(rng, args.support)
 
@@ -259,7 +259,7 @@ def _cmd_ergodic(args) -> int:
             return circle_f(np.asarray(x, dtype=np.float64) / m)
 
     reference = (b - a) % 1.0 if args.system == "rotation" else None
-    table = _table((1 << args.n_max) + 1, args)
+    table = sieve_primes((1 << args.n_max) + 1)
     if args.seeds > 0:
         rng = np.random.default_rng(args.seed)
         starts = list(rng.random(args.seeds)) if args.system == "rotation" \
@@ -345,7 +345,6 @@ def build_parser() -> _Parser:
     common.add_argument("--refreeze", action="store_true",
                         help="record measured constants into --fixtures")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cache-dir", help="sieve disk cache directory")
 
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -426,6 +425,10 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.threads < 1:
+            raise DomainError("--threads must be >= 1")
+        if args.refreeze and not args.fixtures:
+            raise DomainError("--refreeze needs --fixtures")
         return args.fn(args)
     except (DomainError, CapacityError, OSError, ValueError) as e:
         sys.stderr.write(f"primeavg: error: {e}\n")

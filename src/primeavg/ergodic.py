@@ -36,7 +36,7 @@ _DEN_MAX = 1 << 38
 _ORBIT_CAP = 1 << 25
 
 
-def _convergent_in_range(cf: list[int], terminated: bool) -> tuple[int, int]:
+def _convergent_in_range(cf: list[int]) -> tuple[int, int]:
     """num/den from the continued fraction [0; a1, a2, ...] with den targeted
     to [2^33, 2^38).
 
@@ -56,8 +56,6 @@ def _convergent_in_range(cf: list[int], terminated: bool) -> tuple[int, int]:
         k_prev, k = k, k_next
         if k >= _DEN_MIN:
             return h, k
-    if terminated or k >= _DEN_MIN:
-        return h, k
     return h, k
 
 
@@ -91,9 +89,9 @@ class DynamicalSystem:
         fractions are all 1s and all 2s.  cf_depth caps the number of
         partial quotients kept before the convergent is chosen."""
         if alpha == "golden":
-            cf, term = [1] * 64, False
+            cf = [1] * 64
         elif alpha == "silver":
-            cf, term = [2] * 48, False
+            cf = [2] * 48
         else:
             a = float(alpha)
             if not 0.0 <= a < 1.0:
@@ -101,12 +99,12 @@ class DynamicalSystem:
             if a == 0.0:
                 return cls(kind="rotation", num=0, den=1)
             frac = Fraction(a)
-            cf, term = _cf_of_fraction(frac), True
+            cf = _cf_of_fraction(frac)
         if cf_depth is not None:
             if cf_depth < 1:
                 raise DomainError("cf_depth must be positive")
-            cf, term = cf[:cf_depth], True
-        num, den = _convergent_in_range(cf, term)
+            cf = cf[:cf_depth]
+        num, den = _convergent_in_range(cf)
         return cls(kind="rotation", num=num, den=den)
 
     @classmethod
@@ -130,6 +128,8 @@ class DynamicalSystem:
             raise DomainError("orbit indices must lie in [0, 2^25)")
         if self.kind == "shift":
             return np.mod(int(x0) + ks, self.modulus)
+        if not math.isfinite(x0):
+            raise DomainError("starting point must be finite")
         # k * alpha mod 1 in exact integer arithmetic; x0 enters once, as a
         # float, so rational alphas (including the identity) keep it intact.
         rot = np.mod(ks * self.num, self.den).astype(np.float64) / self.den
@@ -137,7 +137,9 @@ class DynamicalSystem:
 
 
 def interval_indicator(a: float, b: float):
-    """1_{[a,b)} on the circle, wrapping when a > b."""
+    """1_{[a,b)} on the circle, wrapping when a > b; a and b must be finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("interval endpoints must be finite")
     if a <= b:
         return lambda x: ((np.asarray(x) >= a) & (np.asarray(x) < b)).astype(np.float64)
     return lambda x: ((np.asarray(x) >= a) | (np.asarray(x) < b)).astype(np.float64)

@@ -162,6 +162,60 @@ def gauss_bound_ratio(chi: DirichletCharacter) -> float:
     return float(np.max(np.abs(g_all[units])) * euler_phi(chi.modulus) / math.sqrt(q0))
 
 
+# record field of each comparison kind, in record order; 'vanish' is an
+# exponential-sum check whose closed form is structurally zero, and
+# 'principal' (the Ramanujan evaluation) is added by verify_quadratic_range
+_ERR_FIELD = {"gauss": "gauss_err", "twisted": "twisted_err",
+              "expsum": "expsum_err", "vanish": "expsum_err",
+              "tau": "tau_mod_err", "tau^2": "tau_sq_err",
+              "principal": "principal_err"}
+_POINT = {"gauss": "a={}", "twisted": "S x={}", "expsum": "E x={}",
+          "vanish": "E x={}", "tau": "tau", "tau^2": "tau^2"}
+
+
+def _quadratic_audit(q_min: int, q_max: int):
+    """The one comparison loop behind verify_quadratic_range and _rows.
+
+    For every modulus q_min <= q <= q_max and every character with chi^2
+    principal (the principal character first), yields
+    (q, index, chi, q0, g_brute, checks).  checks lists one
+    (kind, n, abs_err) per closed-form vs brute-force comparison, in report
+    order: 'gauss' at each unit a = n; 'twisted', then 'expsum' or 'vanish',
+    at each x = n in [0, q); then 'tau' and 'tau^2' (n is None) for the laws
+    of the induced primitive character.
+    """
+    from .characters import enumerate_quadratic_characters, principal_character
+
+    if q_min < 1 or q_max < q_min:
+        raise DomainError("the quadratic audit needs 1 <= q_min <= q_max")
+    for q in range(q_min, q_max + 1):
+        roots = roots_of_unity(q)
+        mat = roots[np.outer(np.arange(q), np.arange(q)) % q]
+        chars = [principal_character(q)] + enumerate_quadratic_characters(q)
+        for index, chi in enumerate(chars):
+            units = chi.unit_residues()
+            g_brute = gauss_sum_bruteforce_all(chi)
+            checks = [("gauss", a, abs(gauss_sum_closed(chi, a) - g_brute[a]))
+                      for a in units.tolist()]
+            twisted_brute = mat @ chi.values
+            gvec = np.zeros(q, dtype=np.complex128)
+            gvec[units] = g_brute[units]
+            exp_brute = mat @ gvec
+            for x in range(q):
+                checks.append(("twisted", x, abs(
+                    twisted_character_sum_closed(chi, x) - twisted_brute[x])))
+                closed = gauss_exponential_sum(chi, x)
+                checks.append(("vanish" if closed == 0 else "expsum", x,
+                               abs(closed - exp_brute[x])))
+            dec = conductor(chi)
+            q0 = dec.conductor
+            t = tau(dec.primitive_char)
+            checks.append(("tau", None, abs(abs(t) - math.sqrt(q0))))
+            checks.append(("tau^2", None,
+                           abs(t * t - q0 * complex(dec.primitive_char(-1)))))
+            yield q, index, chi, q0, g_brute, checks
+
+
 def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
                            q_min: int = 1) -> list[dict]:
     """Exhaustive closed-form vs brute-force audit over all quadratic characters.
@@ -178,68 +232,30 @@ def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
     Returns one record per (q, character) with the maximum errors, the
     modulus bound ratio, and check/failure counts.
     """
-    from .characters import enumerate_quadratic_characters, principal_character
-
     records = []
-    for q in range(q_min, q_max + 1):
-        roots = roots_of_unity(q)
-        mat = roots[np.outer(np.arange(q), np.arange(q)) % q]
+    for q, index, chi, _, g_brute, checks in _quadratic_audit(q_min, q_max):
+        if chi.kind == "principal":
+            checks = checks + [
+                ("principal", a, abs(ramanujan_gauss_principal(q, a) - g_brute[a]))
+                for a in range(q)]
         tol = tol_scale * q
-        chars = [principal_character(q)] + enumerate_quadratic_characters(q)
-        for idx, chi in enumerate(chars):
-            units = chi.unit_residues()
-            checks = failures = 0
-            vanish_checks = vanish_failures = 0
-
-            g_brute = gauss_sum_bruteforce_all(chi)
-            g_err = 0.0
-            for a in units:
-                g_err = max(g_err, abs(gauss_sum_closed(chi, int(a)) - g_brute[a]))
-                checks += 1
-
-            twisted_brute = mat @ chi.values
-            t_err = 0.0
-            e_err = 0.0
-            gvec = np.zeros(q, dtype=np.complex128)
-            gvec[units] = g_brute[units]
-            exp_brute = mat @ gvec
-            for x in range(q):
-                closed_t = twisted_character_sum_closed(chi, x)
-                closed_e = gauss_exponential_sum(chi, x)
-                t_err = max(t_err, abs(closed_t - twisted_brute[x]))
-                e_err = max(e_err, abs(closed_e - exp_brute[x]))
-                checks += 2
-                if closed_e == 0:
-                    vanish_checks += 1
-                    if abs(exp_brute[x]) > tol:
-                        vanish_failures += 1
-
-            dec = conductor(chi)
-            star = dec.primitive_char
-            t = tau(star)
-            tau_mod_err = abs(abs(t) - math.sqrt(dec.conductor))
-            tau_sq_err = abs(t * t - dec.conductor * complex(star(-1)))
-            checks += 2
-
-            principal_err = 0.0
-            if chi.kind == "principal":
-                for a in range(q):
-                    principal_err = max(
-                        principal_err,
-                        abs(ramanujan_gauss_principal(q, a) - g_brute[a]))
-                    checks += 1
-
-            errs = (g_err, t_err, e_err, tau_mod_err, tau_sq_err, principal_err)
-            failures = sum(e > tol for e in errs) + vanish_failures
-            records.append({
-                "q": q, "index": idx, "kind": chi.kind,
-                "gauss_err": g_err, "twisted_err": t_err, "expsum_err": e_err,
-                "tau_mod_err": tau_mod_err, "tau_sq_err": tau_sq_err,
-                "principal_err": principal_err,
-                "bound_ratio": gauss_bound_ratio(chi),
-                "vanish_checks": vanish_checks, "vanish_failures": vanish_failures,
-                "checks": checks, "failures": failures,
-            })
+        errs = dict.fromkeys(_ERR_FIELD.values(), 0.0)
+        vanish_checks = vanish_failures = 0
+        for kind, _, err in checks:
+            field = _ERR_FIELD[kind]
+            if err > errs[field]:
+                errs[field] = err
+            if kind == "vanish":
+                vanish_checks += 1
+                if err > tol:  # the closed form is 0, so err = |brute|
+                    vanish_failures += 1
+        records.append({
+            "q": q, "index": index, "kind": chi.kind, **errs,
+            "bound_ratio": gauss_bound_ratio(chi),
+            "vanish_checks": vanish_checks, "vanish_failures": vanish_failures,
+            "checks": len(checks),
+            "failures": sum(e > tol for e in errs.values()) + vanish_failures,
+        })
     return records
 
 
@@ -252,31 +268,7 @@ def verify_quadratic_rows(q_max: int, tol_scale: float = 1e-9,
     'E x=<n>' for the exponential sum, and 'tau'/'tau^2' for the primitive
     laws.  ok means abs_err <= tol_scale * q.
     """
-    from .characters import enumerate_quadratic_characters, principal_character
-
-    for q in range(q_min, q_max + 1):
-        roots = roots_of_unity(q)
-        mat = roots[np.outer(np.arange(q), np.arange(q)) % q]
+    for q, _, _, q0, _, checks in _quadratic_audit(q_min, q_max):
         tol = tol_scale * q
-        for chi in [principal_character(q)] + enumerate_quadratic_characters(q):
-            units = chi.unit_residues()
-            dec = conductor(chi)
-            q0 = dec.conductor
-            g_brute = gauss_sum_bruteforce_all(chi)
-            for a in units:
-                err = abs(gauss_sum_closed(chi, int(a)) - g_brute[a])
-                yield q, q0, f"a={int(a)}", err, err <= tol
-            twisted_brute = mat @ chi.values
-            gvec = np.zeros(q, dtype=np.complex128)
-            gvec[units] = g_brute[units]
-            exp_brute = mat @ gvec
-            for x in range(q):
-                err = abs(twisted_character_sum_closed(chi, x) - twisted_brute[x])
-                yield q, q0, f"S x={x}", err, err <= tol
-                err = abs(gauss_exponential_sum(chi, x) - exp_brute[x])
-                yield q, q0, f"E x={x}", err, err <= tol
-            t = tau(dec.primitive_char)
-            err = abs(abs(t) - math.sqrt(q0))
-            yield q, q0, "tau", err, err <= tol
-            err = abs(t * t - q0 * complex(dec.primitive_char(-1)))
-            yield q, q0, "tau^2", err, err <= tol
+        for kind, n, err in checks:
+            yield q, q0, _POINT[kind].format(n), err, err <= tol

@@ -460,28 +460,15 @@ def l2_arc_maximal_decay(s: int, f: Signal, n_max: int,
     return float(np.linalg.norm(g.values) / denom)
 
 
-@dataclass(frozen=True)
-class ABSplit:
-    """The low/high frequency split at threshold t.
+def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
+                   injection: Injection | None = None,
+                   resolution: int | None = None) -> tuple[Signal, Signal]:
+    """The low/high frequency split of M_{2^n} f at threshold t.
 
     For n >= t: A = F^{-1}(Pi_n^t f_hat) and B = M_{2^n} f - A, realized on a
     common grid.  For n < t: A = M_{2^n} f and B = 0.  A + B reconstructs
     M_{2^n} f exactly.
     """
-
-    t: float
-
-    def apply(self, n: int, f: Signal, table: PrimeTable,
-              injection: Injection | None = None,
-              resolution: int | None = None) -> tuple[Signal, Signal]:
-        return ab_split_apply(self.t, n, f, table, injection=injection,
-                              resolution=resolution)
-
-
-def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
-                   injection: Injection | None = None,
-                   resolution: int | None = None) -> tuple[Signal, Signal]:
-    """One scale of the A/B split; see ABSplit."""
     if n < t:
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
@@ -521,8 +508,8 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:
     """|| sup_n |M_{2^n} f| ||_p / ||f||_p for each p in ps, each in (1, 2],
     all taken from one maximal function.  f must be nonzero."""
-    if not all(1.0 < p <= 2.0 for p in ps):
-        raise DomainError("p must lie in (1, 2]")
+    if not ps or not all(1.0 < p <= 2.0 for p in ps):
+        raise DomainError("need at least one p, each in (1, 2]")
     if not np.any(f.values):
         raise DomainError("ell^p ratios need a nonzero signal")
     g = maximal_dyadic(f, "weighted", n_max, table)

@@ -462,6 +462,8 @@ def nu_n_s_grid(n: int, s: int, resolution: int,
 
 def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
               injection: Injection | None = None) -> np.ndarray:
+    if s_max < 0:
+        raise DomainError("s_max must be >= 0")
     out = np.zeros(resolution, dtype=np.complex128)
     for s in range(s_max + 1):
         out = out + nu_n_s_grid(n, s, resolution, injection)

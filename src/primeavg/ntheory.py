@@ -1,6 +1,6 @@
 """Prime sieves, Chebyshev-type counting, and multiplicative functions.
 
-Provides the bit-packed sieve of Eratosthenes with an optional disk cache,
+Provides the sieve of Eratosthenes (memoized per limit in the process),
 prime counting pi(N) and the log-weighted count theta(N) = sum of log p over
 primes p <= N (together with its restriction to arithmetic progressions),
 the classical multiplicative functions (mobius, euler_phi, factorize,
@@ -12,21 +12,11 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
-import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 SIEVE_CAP = 1 << 30
-
-_CACHE_ENV = "PRIMEAVG_CACHE_DIR"
-_CACHE_MAGIC = b"PAVS"
-_CACHE_VERSION = 2
-_CACHE_HEADER = struct.Struct("<4sIQI")
 
 
 class CapacityError(ValueError):
@@ -86,69 +76,21 @@ class PrimeTable:
 _TABLES: dict[int, PrimeTable] = {}
 
 
-def _cache_dir() -> Path | None:
-    env = os.environ.get(_CACHE_ENV)
-    if env:
-        return Path(env)
-    home = Path.home()
-    if home.exists():
-        return home / ".cache" / "primeavg"
-    return None
+def _eratosthenes(limit: int) -> np.ndarray:
+    """Boolean flags over [0, limit]; flags[n] is True iff n is prime."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i:: i] = False
+    return flags
 
 
-def _cache_path(limit: int, cache_dir: Path | None) -> Path | None:
-    base = cache_dir if cache_dir is not None else _cache_dir()
-    if base is None:
-        return None
-    return base / f"sieve_{limit}.bits"
-
-
-def _read_cache(path: Path, limit: int) -> np.ndarray | None:
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return None
-    if len(raw) < _CACHE_HEADER.size:
-        return None
-    magic, version, lim, crc = _CACHE_HEADER.unpack_from(raw)
-    if magic != _CACHE_MAGIC or version != _CACHE_VERSION or lim != limit:
-        return None
-    body = raw[_CACHE_HEADER.size:]
-    if len(body) != (limit + 1 + 7) // 8 or zlib.crc32(body) != crc:
-        return None
-    packed = np.frombuffer(body, dtype=np.uint8)
-    return np.unpackbits(packed, count=limit + 1).astype(bool)
-
-
-def _write_cache(path: Path, limit: int, flags: np.ndarray) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        packed = np.packbits(flags.astype(np.uint8))
-        body = packed.tobytes()
-        payload = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, limit,
-                                     zlib.crc32(body))
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-            fh.write(body)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best-effort; the in-memory table is authoritative
-
-
-def sieve_primes(limit: int, cache_dir: str | Path | None = None,
-                 use_disk: bool = True) -> PrimeTable:
-    """Sieve of Eratosthenes over [0, limit], bit-packed on disk.
-
-    Tables are memoized per limit within the process.  On disk the sieve is
-    stored as a little-endian header (magic, version, limit) followed by the
-    raw bitset; a file that fails any header check is regenerated.
+def sieve_primes(limit: int) -> PrimeTable:
+    """Sieve of Eratosthenes over [0, limit], memoized per limit in the process.
 
     Args:
         limit: Inclusive sieve bound, 2 <= limit <= SIEVE_CAP.
-        cache_dir: Overrides the cache directory (else PRIMEAVG_CACHE_DIR or
-            ~/.cache/primeavg).
-        use_disk: Disable to keep the table purely in memory.
 
     Returns:
         PrimeTable with flags and the ascending prime list.
@@ -158,25 +100,11 @@ def sieve_primes(limit: int, cache_dir: str | Path | None = None,
     if limit > SIEVE_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
     table = _TABLES.get(limit)
-    if table is not None:
-        return table
-
-    flags = None
-    path = _cache_path(limit, Path(cache_dir) if cache_dir else None) if use_disk else None
-    if path is not None:
-        flags = _read_cache(path, limit)
-    fresh = flags is None
-    if fresh:
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[:2] = False
-        for i in range(2, math.isqrt(limit) + 1):
-            if flags[i]:
-                flags[i * i:: i] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
-    table = PrimeTable(limit=limit, flags=flags, prime_list=primes)
-    _TABLES[limit] = table
-    if fresh and path is not None:
-        _write_cache(path, limit, flags)
+    if table is None:
+        flags = _eratosthenes(limit)
+        primes = np.flatnonzero(flags).astype(np.int64)
+        table = _TABLES[limit] = PrimeTable(limit=limit, flags=flags,
+                                            prime_list=primes)
     return table
 
 
@@ -210,12 +138,7 @@ _SMALL_PRIMES: np.ndarray | None = None
 def _small_primes() -> np.ndarray:
     global _SMALL_PRIMES
     if _SMALL_PRIMES is None:
-        flags = np.ones(_SMALL_LIMIT + 1, dtype=bool)
-        flags[:2] = False
-        for i in range(2, math.isqrt(_SMALL_LIMIT) + 1):
-            if flags[i]:
-                flags[i * i:: i] = False
-        _SMALL_PRIMES = np.flatnonzero(flags).astype(np.int64)
+        _SMALL_PRIMES = np.flatnonzero(_eratosthenes(_SMALL_LIMIT)).astype(np.int64)
     return _SMALL_PRIMES
 
 

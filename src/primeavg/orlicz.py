@@ -65,6 +65,8 @@ class StepRearrangement:
         m = np.asarray(self.measures, dtype=np.float64)
         if v.shape != m.shape or v.ndim != 1:
             raise DomainError("values and measures must be matching 1-d arrays")
+        if not (np.isfinite(v).all() and np.isfinite(m).all()):
+            raise DomainError("values and measures must be finite")
         if v.size:
             if np.any(m <= 0):
                 raise DomainError("measures must be positive")
@@ -110,14 +112,17 @@ def decreasing_rearrangement(pairs) -> StepRearrangement:
     """Rearrange (magnitude, measure) pairs into a step function on [0, 1).
 
     Magnitudes are taken in absolute value; zero-magnitude mass joins the
-    tail where f* vanishes.  Equal magnitudes merge.  Total measure above 1
-    is a domain error: the underlying space is a probability space.
+    tail where f* vanishes.  Equal magnitudes merge.  Non-finite input, and
+    total measure above 1, are domain errors: the underlying space is a
+    probability space.
     """
     vals = []
     meas = []
     total = 0.0
     for v, m in pairs:
         m = float(m)
+        if not (math.isfinite(m) and math.isfinite(abs(v))):
+            raise DomainError("magnitudes and measures must be finite")
         if m < 0:
             raise DomainError("measures must be nonnegative")
         if m == 0:

@@ -28,6 +28,7 @@ import pytest
 from scipy.integrate import quad
 
 import primeavg.characters as ch
+import primeavg.cli as cli
 import primeavg.ergodic as er
 import primeavg.maximal as mx
 import primeavg.multipliers as mu
@@ -170,20 +171,6 @@ def test_criterion_07_ab_split_reconstruction_and_decay(table_big):
     assert norms[16.0] < norms[9.0]
 
 
-def _acceptance_set(family: str, size: int) -> mx.Signal:
-    """The four audited set families, matching the CLI construction."""
-    if family == "interval":
-        return mx.Signal.interval(0, size)
-    if family == "random":
-        rng = np.random.default_rng(0)
-        return mx.Signal(offset=0,
-                         values=(rng.random(8 * size) < 0.125).astype(np.float64))
-    if family == "primes":
-        from primeavg.ntheory import sieve_primes
-        return mx.Signal.indicator(sieve_primes(size).primes_upto(size))
-    raise ValueError(family)
-
-
 def test_criterion_08_weak_type_constants(table_big):
     frozen = json.loads(FIXTURE_PATH.read_text())
     lam = mx.default_lambda_grid(10)
@@ -193,7 +180,7 @@ def test_criterion_08_weak_type_constants(table_big):
     t0 = time.perf_counter()
     measured = {}
     for family, size in configs:
-        F = _acceptance_set(family, size)
+        F = cli._build_set(family, size, 0)
         report = mx.weak_type_sweep(F, lam, 20, table_big)
         assert np.all(np.isfinite(report.normalized)), (family, size)
         measured[(family, size)] = report.max_normalized

@@ -4,10 +4,14 @@ Everything runs in-process with small parameter choices; reports land in
 tmp_path and are parsed back to check structure and determinism.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import primeavg.cli as cli
 import primeavg.orlicz as oz
@@ -41,8 +45,28 @@ def test_missing_input_file_is_reported(tmp_path):
     ["weak-type-sweep", "--size", "64", "--n-max", "0"],
     ["weak-type-sweep", "--size", "64", "--n-max", "6", "--lambda-grid", "nan"],
     ["lp-sweep", "--support", "0", "--seeds", "1", "--n-max", "4"],
+    ["multiplier-error", "--n-min", "6", "--n-max", "6", "--grid", "4096",
+     "--s-max", "-1"],
+    ["gauss-verify", "--q-max", "4", "--threads", "-3"],
+    ["gauss-verify", "--q-max", "4", "--threads", "0"],
+    ["gauss-verify", "--q-max", "0"],
+    ["gauss-verify", "--q-max", "-5"],
+    ["lp-sweep", "--seeds", "0", "--support", "16", "--n-max", "4"],
+    ["lp-sweep", "--p-list", "", "--seeds", "1", "--support", "16",
+     "--n-max", "4"],
+    ["residue-equidist", "--q", "0", "--n-max", "4", "--support", "16"],
+    ["ergodic-demo", "--set", "nan,0.5", "--n-max", "4"],
+    ["ergodic-demo", "--x0", "nan", "--n-max", "4"],
+    ["weak-type-sweep", "--size", "64", "--n-max", "6", "--refreeze"],
+    # orlicz-norm: the third entry is the text of the input CSV
+    ["orlicz-norm", "--input", "1,nan"],
+    ["orlicz-norm", "--input", "nan,0.5"],
+    ["orlicz-norm", "--input", "inf,0.5"],
 ])
 def test_degenerate_input_is_one_line_error(tmp_path, capsys, argv):
+    if argv[0] == "orlicz-norm":
+        (tmp_path / "in.csv").write_text(argv[2] + "\n")
+        argv = [*argv[:2], str(tmp_path / "in.csv")]
     assert _run(*argv, "--out", str(tmp_path / "r.csv")) == 1
     err = capsys.readouterr().err
     assert err.startswith("primeavg: error: ") and err.count("\n") == 1
@@ -211,3 +235,87 @@ def test_stdout_report_when_no_out(capsys):
     assert _run("orlicz-norm", "--input", "/dev/null") == 0
     text = capsys.readouterr().out
     assert "# command,orlicz-norm" in text
+
+
+# --- fuzzed argv ---
+
+
+def _ints(lo, hi):
+    return st.sampled_from([str(i) for i in range(lo, hi + 1)] + ["x"])
+
+
+def _texts(*choices):
+    return st.sampled_from(choices)
+
+
+# Per command: flags always passed, so that no large default size runs
+# (n_max <= 8, q_max <= 30, support <= 64), and flags drawn optionally.
+_FLAGS = {
+    "gauss-verify": ({"--q-max": _ints(-5, 30)}, {}),
+    "multiplier-error": (
+        {"--n-min": _ints(-2, 8), "--n-max": _ints(-2, 8),
+         "--grid": _texts("0", "3", "64", "1024", "4096")},
+        {"--s-max": _ints(-1, 4),
+         "--inject-beta": _texts("0.4", "0.5", "0.9", "1", "nan", "inf"),
+         "--inject-q": _ints(-1, 7)}),
+    "weak-type-sweep": (
+        {"--size": _ints(-1, 64), "--n-max": _ints(-1, 8)},
+        {"--family": _texts("interval", "random", "primes", "ap", "bogus"),
+         "--lambda-grid": _texts("0.5", "0.5,0.25", "", "0", "2", "-1", "nan",
+                                 "inf")}),
+    "lp-sweep": (
+        {"--seeds": _ints(-1, 3), "--support": _ints(-1, 64),
+         "--n-max": _ints(-1, 8)},
+        {"--p-list": _texts("1.5", "1.25,2", "", "1", "3", "nan")}),
+    "residue-equidist": (
+        {"--n-max": _ints(-1, 8), "--support": _ints(-1, 64),
+         "--resolution": _texts("0", "3", "256", "1024", "4096")},
+        {"--q": _ints(-1, 5), "--s": _ints(-1, 3),
+         "--beta": _texts("0.3", "0.5", "0.75", "1", "nan")}),
+    "ergodic-demo": (
+        {"--n-max": _ints(-1, 8), "--seeds": _ints(-1, 3)},
+        {"--system": _texts("rotation", "shift", "bogus"),
+         "--alpha": _texts("golden", "silver", "0.3", "0", "1", "-0.5", "nan",
+                           "x"),
+         "--alpha-cf-depth": _ints(-1, 5), "--modulus": _ints(-1, 20),
+         "--set": _texts("0,0.5", "0.5,0.1", "nan,0.5", "0,inf", "1"),
+         "--x0": _texts("0", "0.3", "5", "nan")}),
+    "orlicz-norm": ({}, {"--j-max": _ints(-1, 10)}),
+}
+_COMMON = {"--threads": _texts("-3", "0", "1", "2"),
+           "--format": _texts("csv", "json", "xml"),
+           "--seed": _ints(0, 3)}
+_CSV_FIELD = _texts("0", "1", "2.5", "-1", "0.25", "0.75", "nan", "inf", "")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    optional = {**optional, **_COMMON}
+    argv = [command]
+    for flag in sorted(required):
+        argv += [flag, draw(required[flag])]
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        argv += [flag, draw(optional[flag])]
+    lines = draw(st.lists(st.tuples(_CSV_FIELD, _CSV_FIELD), max_size=4))
+    return argv, "".join(f"{v},{m}\n" for v, m in lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_argv())
+def test_fuzzed_argv_exits_cleanly(tmp_path_factory, case):
+    argv, csv_text = case
+    if argv[0] == "orlicz-norm":
+        path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+        path.write_text(csv_text)
+        argv += ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _run(*argv)  # an uncaught exception fails the test
+    text = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in text and text.count("\n") <= 1, (argv, text)
+    if code == 1:  # an input error is one stderr line and no report
+        assert text.endswith("\n") and out.getvalue() == "", (argv, text)

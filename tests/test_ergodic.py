@@ -70,6 +70,8 @@ def test_orbit_positions_match_fraction_oracle():
         sys.orbit_positions(0.0, np.array([1 << 25]))
     with pytest.raises(DomainError):
         sys.orbit_positions(0.0, np.array([-1]))
+    with pytest.raises(DomainError):
+        sys.orbit_positions(math.nan, ks)
 
 
 def test_identity_rotation_keeps_x0():
@@ -83,6 +85,12 @@ def test_interval_indicator_wraps():
     assert f(np.array([0.0, 0.49, 0.5, 0.9])).tolist() == [1.0, 1.0, 0.0, 0.0]
     wrap = er.interval_indicator(0.9, 0.1)
     assert wrap(np.array([0.95, 0.05, 0.5])).tolist() == [1.0, 1.0, 0.0]
+
+
+def test_interval_indicator_rejects_non_finite_endpoints():
+    for a, b in ((math.nan, 0.5), (0.0, math.inf), (-math.inf, 0.5)):
+        with pytest.raises(DomainError):
+            er.interval_indicator(a, b)
 
 
 # --- orbit averages ---

@@ -130,3 +130,28 @@ def test_verify_rows_stream_covers_every_comparison_point():
     assert len(rows) == expect
     q_set = {r[0] for r in rows}
     assert q_set == set(range(1, 41))
+
+
+def test_range_records_reduce_the_rows():
+    # the per-character maxima and check counts are the rows of the same
+    # characters, plus q Ramanujan checks for each principal character
+    records = gs.verify_quadratic_range(24)
+    rows = list(gs.verify_quadratic_rows(24))
+    field = {"a": "gauss_err", "S x": "twisted_err", "E x": "expsum_err",
+             "tau": "tau_mod_err", "tau^2": "tau_sq_err"}
+    for q in range(1, 25):
+        recs = [r for r in records if r["q"] == q]
+        q_rows = [r for r in rows if r[0] == q]
+        assert sum(r["checks"] for r in recs) == len(q_rows) + q
+        for label, name in field.items():
+            want = max(r[3] for r in q_rows if r[2].split("=")[0] == label)
+            assert max(r[name] for r in recs) == want, (q, name)
+
+
+def test_audit_rejects_empty_ranges():
+    with pytest.raises(DomainError):
+        gs.verify_quadratic_range(0)
+    with pytest.raises(DomainError):
+        gs.verify_quadratic_range(5, q_min=6)
+    with pytest.raises(DomainError):
+        list(gs.verify_quadratic_rows(-5))

@@ -331,15 +331,14 @@ def test_l2_arc_decay_decreases_in_s(rng):
 
 def test_ab_split_reconstructs_weighted_average(table_small, rng):
     f = mx.random_signal(rng, 100, complex_values=False, offset=3)
-    split = mx.ABSplit(t=4.0)
-    a, b = split.apply(6, f, table_small)
+    a, b = mx.ab_split_apply(4.0, 6, f, table_small)
     assert a.offset == b.offset
     direct = mx.average_primes_weighted(1 << 6, f, table_small)
     xs = np.arange(direct.offset, direct.support_end)
     recon = mx.Signal(offset=a.offset, values=a.values + b.values)
     assert np.allclose(recon.at(xs).real, direct.values, atol=1e-8)
     # below threshold the B part is identically zero
-    a2, b2 = split.apply(3, f, table_small)
+    a2, b2 = mx.ab_split_apply(4.0, 3, f, table_small)
     assert not b2.values.any()
     assert np.allclose(a2.values, mx.average_primes_weighted(8, f, table_small).values)
 
@@ -359,6 +358,8 @@ def test_lp_maximal_ratio_domain(table_small, rng):
         mx.lp_maximal_ratio(f, 1.0, 4, table_small)
     with pytest.raises(DomainError):
         mx.lp_maximal_ratio(f, 2.5, 4, table_small)
+    with pytest.raises(DomainError):
+        mx.lp_maximal_ratios(f, [], 4, table_small)
     r = mx.lp_maximal_ratio(f, 2.0, 6, table_small)
     assert 0 < r < 10
     with pytest.raises(DomainError):

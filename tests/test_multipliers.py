@@ -240,6 +240,10 @@ def test_approximation_error_domain(table_small):
         mp.approximation_error(8, 1000, table_small)  # not a power of two
     with pytest.raises(DomainError):
         mp.approximation_error(30, 1 << 10, table_small)  # grid too coarse
+    with pytest.raises(DomainError):
+        mp.approximation_error(8, 1 << 10, table_small, s_max=-1)
+    with pytest.raises(DomainError):
+        mp.nu_n_grid(8, 1 << 10, s_max=-1)
 
 
 def test_partial_summation_bracket_equals_prime_count(table_small):

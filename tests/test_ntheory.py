@@ -1,6 +1,3 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 
@@ -88,29 +85,6 @@ def test_phi_capital_frozen_value_and_monotonicity():
     grid = np.linspace(1.0, 30.0, 40)
     vals = [nt.phi_capital(float(t)) for t in grid]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_sieve_disk_cache_roundtrip_and_corruption(tmp_path):
-    limit = 10_000
-    t1 = nt.sieve_primes(limit, cache_dir=tmp_path, use_disk=True)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    # a fresh read from disk must agree
-    nt._TABLES.clear()
-    t2 = nt.sieve_primes(limit, cache_dir=tmp_path, use_disk=True)
-    assert np.array_equal(t1.prime_list, t2.prime_list)
-    # corrupt the payload: the loader must regenerate, not crash
-    raw = bytearray(files[0].read_bytes())
-    raw[-1] ^= 0xFF
-    files[0].write_bytes(bytes(raw))
-    nt._TABLES.clear()
-    t3 = nt.sieve_primes(limit, cache_dir=tmp_path, use_disk=True)
-    assert np.array_equal(t1.prime_list, t3.prime_list)
-    # wrong magic likewise
-    files[0].write_bytes(struct.pack("<4sIQ", b"XXXX", 1, limit))
-    nt._TABLES.clear()
-    t4 = nt.sieve_primes(limit, cache_dir=tmp_path, use_disk=True)
-    assert np.array_equal(t1.prime_list, t4.prime_list)
 
 
 def test_sieve_domain_and_capacity():

@@ -84,6 +84,20 @@ def test_rearrangement_validation():
     assert oz.orlicz_norm(empty) == 0.0
 
 
+def test_rearrangement_rejects_non_finite():
+    nan, inf = math.nan, math.inf
+    for pairs in ([(1.0, nan)], [(nan, 0.5)], [(inf, 0.5)], [(-inf, 0.5)],
+                  [(1.0, inf)], [(nan, 0.0)]):
+        with pytest.raises(DomainError):
+            oz.decreasing_rearrangement(pairs)
+    for v, m in ((nan, 0.5), (inf, 0.5), (1.0, nan)):
+        with pytest.raises(DomainError):
+            oz.StepRearrangement(values=np.array([v]), measures=np.array([m]))
+    r = oz.decreasing_rearrangement([(2.0, 0.5)])
+    with pytest.raises(DomainError):
+        r.scale(inf)
+
+
 def test_weight_integral_against_quad():
     for lo, hi in [(0.0, 1.0), (0.0, 0.5), (0.25, 0.75), (1e-6, 1e-3)]:
         want, _ = quad(lambda t: _phi(1.0 / t), max(lo, 1e-300), hi,
