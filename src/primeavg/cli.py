@@ -114,12 +114,17 @@ def _check_frozen(args, key: str, value: float) -> int:
     return 0
 
 
+def _require_min(args, flag: str, low: int) -> None:
+    """Reject an integer flag below `low`, before it is used, naming the flag."""
+    if getattr(args, flag[2:].replace("-", "_")) < low:
+        raise DomainError(f"{args.command} needs {flag} >= {low}")
+
+
 # --- subcommands ---
 
 
 def _cmd_gauss_verify(args) -> int:
-    if args.q_max < 1:
-        raise DomainError("gauss-verify needs --q-max >= 1")
+    _require_min(args, "--q-max", 1)
     qs = list(range(1, args.q_max + 1))
     parts = _parallel(lambda q: list(verify_quadratic_rows(q, q_min=q)), qs,
                       args.threads)
@@ -134,8 +139,9 @@ def _cmd_gauss_verify(args) -> int:
 
 
 def _cmd_multiplier_error(args) -> int:
-    if args.n_min > args.n_max:
-        raise DomainError("need n-min <= n-max")
+    _require_min(args, "--n-min", 1)
+    _require_min(args, "--n-max", args.n_min)
+    _require_min(args, "--s-max", 0)
     ns = list(range(args.n_min, args.n_max + 1))
     injection = None
     if args.inject_beta is not None:
@@ -177,6 +183,8 @@ def _build_set(family: str, size: int, seed: int) -> maximal.Signal:
 
 
 def _cmd_weak_type(args) -> int:
+    _require_min(args, "--size", 1)
+    _require_min(args, "--n-max", 1)
     F = _build_set(args.family, args.size, args.seed)
     table = sieve_primes((1 << args.n_max) + 1)
     lam = np.asarray(args.lambda_grid, dtype=np.float64)
@@ -195,8 +203,9 @@ def _cmd_weak_type(args) -> int:
 
 
 def _cmd_lp_sweep(args) -> int:
-    if args.seeds < 1:
-        raise DomainError("lp-sweep needs --seeds >= 1")
+    _require_min(args, "--seeds", 1)
+    _require_min(args, "--support", 1)
+    _require_min(args, "--n-max", 1)
     table = sieve_primes((1 << args.n_max) + 1)
 
     def unit(seed: int):
@@ -220,8 +229,9 @@ def _cmd_lp_sweep(args) -> int:
 
 
 def _cmd_residue(args) -> int:
-    if args.q < 1:
-        raise DomainError("residue sampling needs --q >= 1")
+    _require_min(args, "--q", 1)
+    _require_min(args, "--support", 1)
+    _require_min(args, "--n-max", 0)
     rng = np.random.default_rng(args.seed)
     f = maximal.random_signal(rng, args.support)
 
@@ -245,6 +255,7 @@ def _cmd_residue(args) -> int:
 
 
 def _cmd_ergodic(args) -> int:
+    _require_min(args, "--n-max", 1)
     if args.system == "rotation":
         system = ergodic.DynamicalSystem.rotation(args.alpha, args.alpha_cf_depth)
     else:

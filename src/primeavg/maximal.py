@@ -183,8 +183,14 @@ def prime_average_all_scales(f: Signal, N_max: int, table: PrimeTable,
 # --- dyadic maximal functions ---
 
 
-def _grid_size(f: Signal, reach: int, floor: int = 0) -> int:
-    return max(_next_pow2(len(f.values) + reach + 1), floor)
+def _grid_size(f: Signal, reach: int, floor: int = 0, resolution: int | None = None) -> int:
+    """The circle size: `resolution` if given, which must be a positive power
+    of two, else the next power of two above support + reach, at least floor."""
+    if resolution is None:
+        return max(_next_pow2(len(f.values) + reach + 1), floor)
+    if resolution < 1 or resolution & (resolution - 1):
+        raise DomainError("grid resolution must be a positive power of two")
+    return resolution
 
 
 def _embed(f: Signal, Z: int, pad: int) -> np.ndarray:
@@ -285,7 +291,7 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
     if family == "mbeta-filtered":
         if beta is None or s is None:
             raise DomainError("mbeta-filtered needs beta and s")
-        Z = resolution or _grid_size(f, reach, floor=1 << 14)
+        Z = _grid_size(f, reach, floor=1 << 14, resolution=resolution)
         arr = _embed(f, Z, reach if len(f.values) + reach <= Z else 0)
         eta_grid = mult.eta_s(s, _signed_frequencies(Z))
         filtered = _apply_multiplier_circular(arr, eta_grid.astype(np.complex128))
@@ -302,7 +308,7 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
             raise DomainError("pi family needs t")
         if family == "nu-s" and s is None:
             raise DomainError("nu-s family needs s")
-        Z = resolution or _grid_size(f, reach, floor=1 << 14)
+        Z = _grid_size(f, reach, floor=1 << 14, resolution=resolution)
         pad = reach if len(f.values) + reach <= Z else 0
         arr = _embed(f, Z, pad).astype(np.complex128)
         fhat = np.fft.fft(arr)
@@ -473,7 +479,7 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
     N = 1 << n
-    Z = resolution or _grid_size(f, N)
+    Z = _grid_size(f, N, resolution=resolution)
     pad = N if len(f.values) + N <= Z else 0
     arr = _embed(f, Z, pad).astype(np.complex128)
     fhat = np.fft.fft(arr)
@@ -492,7 +498,7 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     if math.ceil(t) > n_max:
         raise DomainError("b_part_maximal_l2 needs n_max >= t")
     N_max = 1 << n_max
-    Z = resolution or _grid_size(f, N_max)
+    Z = _grid_size(f, N_max, resolution=resolution)
     pad = N_max if len(f.values) + N_max <= Z else 0
     arr = _embed(f, Z, pad).astype(np.complex128)
     fhat = np.fft.fft(arr)

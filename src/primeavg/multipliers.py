@@ -26,15 +26,22 @@ eta_s(xi) = eta(2^(4s) xi) for a fixed smooth plateau cutoff eta (1 on
 [-1/4, 1/4], 0 outside (-1/2, 1/2)).  The eta_s supports of distinct arcs at
 one level are disjoint.  Pi_n_t truncates the sum at levels s <= sqrt(t).
 
+eta is read on its transition band from a piecewise Chebyshev table, built
+once from a Gauss-Legendre rule for the convolution integral; that rule
+stays as the table's oracle.
+
 Grid evaluation samples xi = j/G on a power-of-two grid; per-arc windows
 restrict work to the support of each eta_s.  m_N on a grid goes through one
-FFT of the folded log p weights.
+FFT of the folded log p weights.  On an injected arc window, M_hat^beta_N
+comes from one FFT of the weights modulated by e(-n a/q) and folded mod G;
+the direct sum of fourier_M_beta is its oracle and the route for arbitrary
+theta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -122,25 +129,35 @@ class MultiplierGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.resolution & (self.resolution - 1):
-            raise DomainError("grid resolution must be a power of two")
+        if self.resolution < 1 or self.resolution & (self.resolution - 1):
+            raise DomainError("grid resolution must be a positive power of two")
+
+
+def _folded_transform(sites: np.ndarray, weights: np.ndarray, resolution: int) -> np.ndarray:
+    """sum over sites of w e(+j site/G) for j = 0..G-1: one inverse FFT of the
+    weights folded mod G.  Complex weights fold their two parts separately."""
+    idx = (sites % resolution).astype(np.int64)
+    folded = np.bincount(idx, weights=weights.real, minlength=resolution)
+    if np.iscomplexobj(weights):
+        folded = folded + 1j * np.bincount(idx, weights=weights.imag, minlength=resolution)
+    return np.fft.ifft(folded) * resolution
 
 
 def fourier_kernel_grid(kernel: Kernel, resolution: int) -> MultiplierGrid:
     """K_hat sampled on j/resolution via one FFT of the folded weights."""
-    if resolution & (resolution - 1):
-        raise DomainError("grid resolution must be a power of two")
-    folded = np.bincount((kernel.sites % resolution).astype(np.int64),
-                         weights=kernel.weights, minlength=resolution)
-    vals = np.fft.ifft(folded) * resolution  # sum w e(+jk/G)
-    return MultiplierGrid(resolution=resolution, values=vals)
-
-
-_MBETA_CACHE: dict[tuple[int, float], np.ndarray] = {}
+    if resolution < 1 or resolution & (resolution - 1):
+        raise DomainError("grid resolution must be a positive power of two")
+    return MultiplierGrid(resolution=resolution,
+                          values=_folded_transform(kernel.sites, kernel.weights, resolution))
 
 
 def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
-    """M_hat^beta_N(theta).  Closed geometric form for beta = 1, direct sum else."""
+    """M_hat^beta_N(theta) at arbitrary theta.
+
+    Closed geometric form for beta = 1; otherwise the direct sum over the N
+    weights of kernel_M_beta, O(N) per point.  The direct sum is the oracle
+    for the folded-FFT route that nu_n_s_grid takes on injected arc windows.
+    """
     tv = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if N == 0:
         out = np.zeros(tv.shape, dtype=np.complex128)
@@ -154,19 +171,7 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
         out[nz] = (np.exp(1j * np.pi * dn * (N + 1))
                    * np.sin(np.pi * N * dn) / (N * np.sin(np.pi * dn)))
     else:
-        key = (N, beta)
-        w = _MBETA_CACHE.get(key)
-        if w is None:
-            n = np.arange(1, N + 1, dtype=np.float64)
-            w = (n ** beta - (n - 1) ** beta) / (beta * N)
-            if N <= (1 << 20) and len(_MBETA_CACHE) < 8:
-                _MBETA_CACHE[key] = w
-        out = np.zeros(tv.shape, dtype=np.complex128)
-        step = max(1, (1 << 22) // max(tv.size, 1))
-        n_all = np.arange(1, N + 1, dtype=np.float64)
-        for lo in range(0, N, step):
-            out += (w[lo:lo + step][None, :]
-                    * np.exp(2j * np.pi * np.outer(tv, n_all[lo:lo + step]))).sum(axis=1)
+        out = np.atleast_1d(fourier_kernel(kernel_M_beta(N, beta), tv))
     if np.ndim(theta) == 0:
         return complex(out[0])
     return out
@@ -190,7 +195,8 @@ def prime_multiplier_grid(N: int, resolution: int, table: PrimeTable) -> Multipl
 # --- the smooth plateau cutoff ---
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_ETA_PANELS = 4
+_BUMP_PANELS = 4
+_ETA_TABLE_PANELS, _ETA_TABLE_DEGREE = 64, 16
 
 
 def _bump_raw(u: np.ndarray) -> np.ndarray:
@@ -223,9 +229,9 @@ def _bump_integral(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         sel = pos[start:start + (1 << 16)]
         lo_p, w_p = lo[sel], width[sel]
         acc = np.zeros(lo_p.shape)
-        for p in range(_ETA_PANELS):
-            a = lo_p + w_p * (p / _ETA_PANELS)
-            half = w_p / (2 * _ETA_PANELS)
+        for p in range(_BUMP_PANELS):
+            a = lo_p + w_p * (p / _BUMP_PANELS)
+            half = w_p / (2 * _BUMP_PANELS)
             mid = a + half
             nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
             acc += half * (_bump_raw(nodes) @ _GL_WEIGHTS)
@@ -233,13 +239,30 @@ def _bump_integral(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _eta_table() -> np.ndarray:
+    """Chebyshev coefficients of eta on the transition band (1/4, 1/2).
+
+    Column k interpolates eta at the 17 first-kind Chebyshev points of the
+    k-th of 64 equal panels, in the panel's local variable t in [-1, 1].  The
+    node values come from the quadrature (_bump_integral), which stays the
+    table's oracle; the two agree to about 2e-15.  Built on the first call.
+    """
+    t = np.polynomial.chebyshev.chebpts1(_ETA_TABLE_DEGREE + 1)
+    width = 0.25 / _ETA_TABLE_PANELS
+    x = 0.25 + width * (np.arange(_ETA_TABLE_PANELS)[:, None] + 0.5 * (t + 1.0))
+    vals = _bump_integral(x.ravel() - 0.375, np.full(x.size, 0.125)).reshape(x.shape)
+    return np.polynomial.chebyshev.chebfit(t, vals.T, _ETA_TABLE_DEGREE)
+
+
 def eta(xi: float | np.ndarray):
     """Smooth plateau cutoff: 1 on |xi| <= 1/4, 0 on |xi| >= 1/2, else in (0, 1).
 
     Realized as the indicator of [-3/8, 3/8] convolved with a normalized
-    C-infinity bump supported on [-1/8, 1/8]; the convolution integral is
-    evaluated with a fixed-order Gauss-Legendre rule on cached nodes.  eta is
-    even and exactly 0/1 off the transition bands.
+    C-infinity bump supported on [-1/8, 1/8].  On the transition band the
+    convolution integral is read from a piecewise Chebyshev table built once
+    from a fixed-order Gauss-Legendre rule (_bump_integral), which is the
+    table's oracle.  eta is even and exactly 0/1 off the transition bands.
     """
     xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     a = np.abs(xv)
@@ -247,9 +270,12 @@ def eta(xi: float | np.ndarray):
     out[a <= 0.25] = 1.0
     band = (a > 0.25) & (a < 0.5)
     if band.any():
-        ab = a[band]
-        # the quadrature can overshoot 1 by an ulp; eta is exactly in [0, 1]
-        out[band] = np.clip(_bump_integral(ab - 0.375, np.full(ab.shape, 0.125)), 0.0, 1.0)
+        u = (a[band] - 0.25) * (4 * _ETA_TABLE_PANELS)  # panel units, exact
+        k = np.minimum(u.astype(np.int64), _ETA_TABLE_PANELS - 1)
+        vals = np.polynomial.chebyshev.chebval(2.0 * (u - k) - 1.0, _eta_table()[:, k],
+                                               tensor=False)
+        # the interpolant can leave [0, 1] by an ulp; eta is exactly in [0, 1]
+        out[band] = np.clip(vals, 0.0, 1.0)
     if np.ndim(xi) == 0:
         return float(out[0])
     return out
@@ -317,16 +343,21 @@ class ApproximantSpec:
     exceptional: tuple[DirichletCharacter, float] | None = None
 
 
+def _exceptional_gauss(spec: ApproximantSpec) -> complex:
+    """G(chi, a), the coefficient of the exceptional term of spec."""
+    chi, _ = spec.exceptional
+    if chi.modulus != spec.q:
+        raise DomainError("exceptional character modulus must match the arc")
+    return gauss.gauss_sum_bruteforce(chi, spec.a)
+
+
 def approximant_hat(spec: ApproximantSpec, theta: float | np.ndarray):
     """L_hat[a,q; N](theta) per the major-arc model."""
     g0 = gauss.ramanujan_gauss_principal(spec.q, spec.a)
     out = g0 * np.atleast_1d(fourier_M_beta(spec.N, 1.0, theta))
     if spec.exceptional is not None:
-        chi, beta = spec.exceptional
-        if chi.modulus != spec.q:
-            raise DomainError("exceptional character modulus must match the arc")
-        g1 = gauss.gauss_sum_bruteforce(chi, spec.a)
-        out = out - g1 * np.atleast_1d(fourier_M_beta(spec.N, beta, theta))
+        beta = spec.exceptional[1]
+        out = out - _exceptional_gauss(spec) * np.atleast_1d(fourier_M_beta(spec.N, beta, theta))
     if np.ndim(theta) == 0:
         return complex(out[0])
     return out
@@ -442,9 +473,28 @@ def _eta_windows(s: int, resolution: int) -> list:
     return out
 
 
+def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) -> np.ndarray:
+    """M_hat^beta_N(j/G - a/q) for j = 0..G-1, from one folded FFT.
+
+    The weights of kernel_M_beta are modulated by e(-n a/q), the phase read
+    off the integer (n a) mod q so that the arc centre is exactly a/q, then
+    folded mod G: O(N + G log G) per arc, against O(N * window) for the
+    direct sum of fourier_M_beta.
+    """
+    k = kernel_M_beta(N, beta)
+    roots = np.exp(-2j * np.pi * np.arange(arc.q) / arc.q)
+    return _folded_transform(k.sites, k.weights * roots[(k.sites * arc.a) % arc.q],
+                             resolution)
+
+
 def nu_n_s_grid(n: int, s: int, resolution: int,
                 injection: Injection | None = None) -> np.ndarray:
-    """nu_n^s sampled at j/resolution, assembled from the per-arc windows."""
+    """nu_n^s sampled at j/resolution, assembled from the per-arc windows.
+
+    The principal term of each arc is the closed form of M_hat_N on its
+    window.  An injected exceptional term takes M_hat^beta_N from one folded
+    FFT per arc (_mbeta_arc_grid), read at the window's indices.
+    """
     key = (n, s, resolution, _injection_key(injection))
     got = _NU_GRID_CACHE.get(key)
     if got is not None:
@@ -453,8 +503,12 @@ def nu_n_s_grid(n: int, s: int, resolution: int,
     N = 1 << n
     for arc, idx, theta, ev in _eta_windows(s, resolution):
         spec = _arc_spec(arc, N, injection)
+        vals = np.atleast_1d(approximant_hat(replace(spec, exceptional=None), theta))
+        if spec.exceptional is not None:
+            mbeta = _mbeta_arc_grid(N, spec.exceptional[1], arc, resolution)
+            vals = vals - _exceptional_gauss(spec) * mbeta[idx]
         # indices within one arc window are distinct mod the resolution
-        out[idx] += np.atleast_1d(approximant_hat(spec, theta)) * ev
+        out[idx] += vals * ev
     if resolution <= (1 << 18) and len(_NU_GRID_CACHE) < 512:
         _NU_GRID_CACHE[key] = out
     return out
@@ -481,7 +535,6 @@ def clear_caches() -> None:
     """Drop the memoized arc windows and grid layers (mainly for tests)."""
     _ETA_WINDOW_CACHE.clear()
     _NU_GRID_CACHE.clear()
-    _MBETA_CACHE.clear()
 
 
 # --- error reports ---
@@ -496,8 +549,8 @@ def approximation_error(n: int, resolution: int, table: PrimeTable,
     E(n) decay like exp(-c sqrt(n)), which the acceptance suite checks as a
     trend E(n+4) < E(n).
     """
-    if resolution & (resolution - 1):
-        raise DomainError("grid resolution must be a power of two")
+    if resolution < 1 or resolution & (resolution - 1):
+        raise DomainError("grid resolution must be a positive power of two")
     if resolution < 2 ** (n / 2):
         raise DomainError("grid resolution must be at least 2^(n/2)")
     m = prime_multiplier_grid(1 << n, resolution, table).values

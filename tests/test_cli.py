@@ -62,6 +62,17 @@ def test_missing_input_file_is_reported(tmp_path):
     ["orlicz-norm", "--input", "1,nan"],
     ["orlicz-norm", "--input", "nan,0.5"],
     ["orlicz-norm", "--input", "inf,0.5"],
+    ["residue-equidist", "--resolution", "0", "--n-max", "3", "--support", "8"],
+    ["residue-equidist", "--support", "0", "--n-max", "3"],
+    ["residue-equidist", "--support", "-2", "--n-max", "3"],
+    ["residue-equidist", "--n-max", "-2", "--support", "8"],
+    ["multiplier-error", "--n-min", "-3", "--n-max", "-2"],
+    ["multiplier-error", "--n-min", "8", "--n-max", "-2"],
+    ["weak-type-sweep", "--size", "64", "--n-max", "-2"],
+    ["weak-type-sweep", "--size", "-3", "--n-max", "3"],
+    ["lp-sweep", "--support", "-4", "--seeds", "1", "--n-max", "4"],
+    ["lp-sweep", "--support", "16", "--seeds", "1", "--n-max", "-2"],
+    ["ergodic-demo", "--n-max", "-2"],
 ])
 def test_degenerate_input_is_one_line_error(tmp_path, capsys, argv):
     if argv[0] == "orlicz-norm":
@@ -71,6 +82,10 @@ def test_degenerate_input_is_one_line_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("primeavg: error: ") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
+    # a run with negative integer flags names one of them in its message
+    negative = [flag for flag, value in zip(argv, argv[1:])
+                if flag.startswith("--") and value.startswith("-")]
+    assert not negative or any(flag in err for flag in negative)
 
 
 def test_gauss_verify_small_run(tmp_path, capsys):

@@ -322,6 +322,23 @@ def test_residue_equidistribution_domain(rng):
     assert out["ratio"] > 0
 
 
+@pytest.mark.parametrize("resolution", [0, -8, 1000])
+def test_explicit_grid_must_be_positive_power_of_two(table_small, rng, resolution):
+    f = mx.random_signal(rng, 32, complex_values=False)
+    calls = [
+        lambda: mx.maximal_dyadic(f, "mbeta-filtered", 4, beta=0.75, s=1,
+                                  resolution=resolution),
+        lambda: mx.maximal_dyadic(f, "pi", 6, t=4.0, resolution=resolution),
+        lambda: mx.maximal_dyadic(f, "nu-s", 4, s=1, resolution=resolution),
+        lambda: mx.residue_equidistribution(f, 4, 1, 1, 0.75, 4, resolution=resolution),
+        lambda: mx.ab_split_apply(4.0, 6, f, table_small, resolution=resolution),
+        lambda: mx.b_part_maximal_l2(4.0, f, 6, table_small, resolution=resolution),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_l2_arc_decay_decreases_in_s(rng):
     f = mx.random_signal(rng, 128, complex_values=True)
     vals = [mx.l2_arc_maximal_decay(s, f, 8, resolution=1 << 12)

@@ -1,7 +1,8 @@
 """Kernel weights, smooth cutoffs, arcs, and glued approximants.
 
 Oracles used here: scipy quadrature for the bump convolution behind eta,
-direct trigonometric sums for every grid-sampled multiplier, and hand
+the package's own Gauss-Legendre rule for eta's Chebyshev table, direct
+trigonometric sums for every grid-sampled multiplier, and hand
 computations for the small-N kernel weights.
 """
 
@@ -12,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import primeavg.multipliers as mp
-from primeavg.characters import synthetic_exceptional
+from primeavg.characters import enumerate_quadratic_characters, synthetic_exceptional
 from primeavg.ntheory import DomainError
 
 
@@ -112,13 +113,35 @@ def _eta_oracle(x: float) -> float:
     return val / norm
 
 
+def _band_edges() -> np.ndarray:
+    """Points within a few ulps of 1/4, 3/8 and 1/2, on both sides."""
+    out = []
+    for c in (0.25, 0.375, 0.5):
+        lo = hi = c
+        for _ in range(4):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+            out += [lo, hi]
+        out += [c, c - 1e-9, c + 1e-9]
+    return np.array(out)
+
+
 def test_eta_plateau_support_and_range():
-    xs = np.linspace(-1.0, 1.0, 2001)
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 2001), _band_edges(), -_band_edges()])
     vals = mp.eta(xs)
     assert np.all(vals[np.abs(xs) <= 0.25] == 1.0)
     assert np.all(vals[np.abs(xs) >= 0.5] == 0.0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-    assert np.allclose(vals, mp.eta(-xs))  # even
+    assert np.array_equal(vals, mp.eta(-xs))  # even, exactly
+
+
+def test_eta_table_matches_quadrature():
+    # the Chebyshev table against the Gauss-Legendre rule it is built from
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([0.25 + 0.25 * rng.random(20000),
+                         np.linspace(0.25, 0.5, 4097)[1:-1], _band_edges()])
+    xs = xs[(xs > 0.25) & (xs < 0.5)]
+    quad_vals = np.clip(mp._bump_integral(xs - 0.375, np.full(xs.size, 0.125)), 0.0, 1.0)
+    assert np.max(np.abs(mp.eta(xs) - quad_vals)) <= 1e-14
 
 
 @pytest.mark.parametrize("x", [0.26, 0.3, 0.375, 0.42, 0.46, 0.499])
@@ -209,6 +232,39 @@ def test_pi_levels_cutoff():
         mp.pi_n_t(3, 4.0, 0.1)
     assert mp._levels_for_t(9.0) == 3
     assert mp._levels_for_t(8.999999) == 2
+
+
+@pytest.mark.parametrize("q", [3, 5, 6])
+def test_injected_nu_grid_matches_pointwise(q):
+    # q = 6 has no primitive quadratic character; the model takes any
+    # character of modulus q
+    chi = enumerate_quadratic_characters(q)[0]
+    injection = {q: (chi, 0.8)}
+    s = q.bit_length() - 1  # the level holding the arcs a/q
+    G = 1 << 11
+    xi = np.arange(G) / G
+    for n in [0, 3, 7, 10]:
+        grid = mp.nu_n_s_grid(n, s, G, injection)
+        direct = mp.nu_n_s(n, s, xi, injection)
+        assert np.max(np.abs(grid - direct)) <= 1e-12
+
+
+def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
+    # dyadic centres a/q make theta = j/G - a/q exact, so the folded FFT and
+    # the direct sum of fourier_M_beta see the same frequencies
+    G = 1 << 10
+    checked = 0
+    for s in range(4):
+        for arc, idx, theta, _ in mp._eta_windows(s, G):
+            if arc.q & (arc.q - 1):
+                continue
+            for n in [0, 1, 5, 10]:
+                for beta in [0.5, 0.75, 0.95]:
+                    folded = mp._mbeta_arc_grid(1 << n, beta, arc, G)[idx]
+                    direct = mp.fourier_M_beta(1 << n, beta, theta)
+                    assert np.max(np.abs(folded - direct)) <= 1e-13
+                    checked += 1
+    assert checked == 4 * 3 * (1 + 1 + 2 + 4)  # q = 1, 2, 4, 8
 
 
 def test_synthetic_injection_changes_nu():
