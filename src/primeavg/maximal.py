@@ -194,8 +194,11 @@ def _grid_size(f: Signal, reach: int, floor: int = 0, resolution: int | None = N
 
 
 def _embed(f: Signal, Z: int, pad: int) -> np.ndarray:
+    """f on a circle of Z points, at index pad: the kernel's reach to the left
+    of f.  A circle shorter than support + reach would wrap the kernel."""
     if len(f.values) + pad > Z:
-        raise DomainError("grid too small for the signal and kernel reach")
+        raise DomainError(f"grid resolution {Z} is below support + kernel reach "
+                          f"{len(f.values) + pad}")
     arr = np.zeros(Z, dtype=np.complex128 if np.iscomplexobj(f.values) else np.float64)
     arr[pad: pad + len(f.values)] = f.values
     return arr
@@ -273,8 +276,8 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
     Kernel families (n_max >= 1) return the exact maximal function on
     [f.offset - 2^n_max, f.support_end), each scale correlated on its own
     circle.  Multiplier families realize the operators on a circle of
-    power-of-two circumference >= support + 2^n_max (or `resolution`), and
-    return the full circular window.
+    power-of-two circumference >= support + 2^n_max (or `resolution`, which
+    must not be smaller), and return the full circular window.
     """
     if family in ("averages", "weighted"):
         if table is None:
@@ -292,7 +295,7 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
         if beta is None or s is None:
             raise DomainError("mbeta-filtered needs beta and s")
         Z = _grid_size(f, reach, floor=1 << 14, resolution=resolution)
-        arr = _embed(f, Z, reach if len(f.values) + reach <= Z else 0)
+        arr = _embed(f, Z, reach)
         eta_grid = mult.eta_s(s, _signed_frequencies(Z))
         filtered = _apply_multiplier_circular(arr, eta_grid.astype(np.complex128))
         run = None
@@ -300,8 +303,7 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
             mg = _mbeta_multiplier_grid(1 << n, beta, Z)
             out = np.abs(_apply_multiplier_circular(filtered, mg))
             run = out if run is None else np.maximum(run, out)
-        return Signal(offset=f.offset - (reach if len(f.values) + reach <= Z else 0),
-                      values=run)
+        return Signal(offset=f.offset - reach, values=run)
 
     if family in ("pi", "nu-s"):
         if family == "pi" and t is None:
@@ -309,8 +311,7 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
         if family == "nu-s" and s is None:
             raise DomainError("nu-s family needs s")
         Z = _grid_size(f, reach, floor=1 << 14, resolution=resolution)
-        pad = reach if len(f.values) + reach <= Z else 0
-        arr = _embed(f, Z, pad).astype(np.complex128)
+        arr = _embed(f, Z, reach).astype(np.complex128)
         fhat = np.fft.fft(arr)
         run = None
         n_lo = max(0, math.ceil(t)) if family == "pi" else 0
@@ -323,7 +324,7 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None 
             run = out if run is None else np.maximum(run, out)
         if run is None:
             run = np.zeros(Z)
-        return Signal(offset=f.offset - pad, values=run)
+        return Signal(offset=f.offset - reach, values=run)
 
     raise DomainError(f"unknown family: {family}")
 
@@ -338,7 +339,7 @@ def _mbeta_multiplier_grid(N: int, beta: float, Z: int) -> np.ndarray:
     if beta == 1.0 or N == 0:
         return np.asarray(mult.fourier_M_beta(N, beta, np.arange(Z, dtype=np.float64) / Z),
                           dtype=np.complex128)
-    return mult.fourier_kernel_grid(mult.kernel_M_beta(N, beta), Z).values
+    return mult.fourier_kernel_grid(mult.kernel_M_beta(N, beta), Z)
 
 
 # --- distribution, weak norms, sweeps ---
@@ -480,14 +481,13 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
     N = 1 << n
     Z = _grid_size(f, N, resolution=resolution)
-    pad = N if len(f.values) + N <= Z else 0
-    arr = _embed(f, Z, pad).astype(np.complex128)
+    arr = _embed(f, Z, N).astype(np.complex128)
     fhat = np.fft.fft(arr)
     pi_grid = mult.pi_n_t_grid(n, t, Z, injection)
-    m_grid = mult.prime_multiplier_grid(N, Z, table).values
+    m_grid = mult.prime_multiplier_grid(N, Z, table)
     a_vals = np.fft.ifft(fhat * pi_grid)
     b_vals = np.fft.ifft(fhat * (m_grid - pi_grid))
-    off = f.offset - pad
+    off = f.offset - N
     return Signal(offset=off, values=a_vals), Signal(offset=off, values=b_vals)
 
 
@@ -499,13 +499,12 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
         raise DomainError("b_part_maximal_l2 needs n_max >= t")
     N_max = 1 << n_max
     Z = _grid_size(f, N_max, resolution=resolution)
-    pad = N_max if len(f.values) + N_max <= Z else 0
-    arr = _embed(f, Z, pad).astype(np.complex128)
+    arr = _embed(f, Z, N_max).astype(np.complex128)
     fhat = np.fft.fft(arr)
     run = None
     for n in range(math.ceil(t), n_max + 1):
         pi_grid = mult.pi_n_t_grid(n, t, Z, injection)
-        m_grid = mult.prime_multiplier_grid(1 << n, Z, table).values
+        m_grid = mult.prime_multiplier_grid(1 << n, Z, table)
         out = np.abs(np.fft.ifft(fhat * (m_grid - pi_grid)))
         run = out if run is None else np.maximum(run, out)
     return float(np.linalg.norm(run) / f.lp_norm(2.0))

@@ -30,9 +30,11 @@ eta is read on its transition band from a piecewise Chebyshev table, built
 once from a Gauss-Legendre rule for the convolution integral; that rule
 stays as the table's oracle.
 
-Grid evaluation samples xi = j/G on a power-of-two grid; per-arc windows
-restrict work to the support of each eta_s.  m_N on a grid goes through one
-FFT of the folded log p weights.  On an injected arc window, M_hat^beta_N
+Grid evaluation samples xi = j/G on a power-of-two grid.  The windows of
+a level's arcs on the supports of eta_s form one flat plan, cached per
+(s, G); each level is added into the caller's array in one vectorized pass
+over its plan, and no sampled grid is memoized.  m_N on a grid goes through
+one FFT of the folded log p weights.  On an injected arc window, M_hat^beta_N
 comes from one FFT of the weights modulated by e(-n a/q) and folded mod G;
 the direct sum of fourier_M_beta is its oracle and the route for arbitrary
 theta.
@@ -41,7 +43,7 @@ theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,18 +123,6 @@ def fourier_kernel(kernel: Kernel, xi: float | np.ndarray) -> np.ndarray | compl
     return out
 
 
-@dataclass(frozen=True)
-class MultiplierGrid:
-    """Samples of a 1-periodic multiplier at xi = j/resolution."""
-
-    resolution: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.resolution < 1 or self.resolution & (self.resolution - 1):
-            raise DomainError("grid resolution must be a positive power of two")
-
-
 def _folded_transform(sites: np.ndarray, weights: np.ndarray, resolution: int) -> np.ndarray:
     """sum over sites of w e(+j site/G) for j = 0..G-1: one inverse FFT of the
     weights folded mod G.  Complex weights fold their two parts separately."""
@@ -143,12 +133,11 @@ def _folded_transform(sites: np.ndarray, weights: np.ndarray, resolution: int) -
     return np.fft.ifft(folded) * resolution
 
 
-def fourier_kernel_grid(kernel: Kernel, resolution: int) -> MultiplierGrid:
+def fourier_kernel_grid(kernel: Kernel, resolution: int) -> np.ndarray:
     """K_hat sampled on j/resolution via one FFT of the folded weights."""
     if resolution < 1 or resolution & (resolution - 1):
         raise DomainError("grid resolution must be a positive power of two")
-    return MultiplierGrid(resolution=resolution,
-                          values=_folded_transform(kernel.sites, kernel.weights, resolution))
+    return _folded_transform(kernel.sites, kernel.weights, resolution)
 
 
 def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
@@ -185,7 +174,7 @@ def prime_multiplier(N: int, xi: float | np.ndarray, table: PrimeTable):
     return fourier_kernel(k, xi)
 
 
-def prime_multiplier_grid(N: int, resolution: int, table: PrimeTable) -> MultiplierGrid:
+def prime_multiplier_grid(N: int, resolution: int, table: PrimeTable) -> np.ndarray:
     """m_N sampled at j/resolution through one FFT of the folded log weights."""
     if N < 2:
         raise DomainError("m_N needs N >= 2")
@@ -431,46 +420,53 @@ def pi_n_t(n: int, t: float, xi: float | np.ndarray,
     return nu_n(n, xi, s_max=_levels_for_t(t), injection=injection)
 
 
-# --- grid sampling with per-arc windows ---
-
-_ETA_WINDOW_CACHE: dict[tuple[int, int], list] = {}
-_NU_GRID_CACHE: dict[tuple, np.ndarray] = {}
+# --- grid sampling, one pass per level ---
 
 
-def _injection_key(injection: Injection | None):
-    if not injection:
-        return None
-    return tuple(sorted((q, beta) for q, (_, beta) in injection.items()))
+@dataclass(frozen=True)
+class _WindowPlan:
+    """The level-s arc windows on a grid of G points, flattened into one set of
+    arrays: grid index, theta = j/G - a/q, eta_s(theta) and G(1_q, a) for each
+    point with eta_s(theta) > 0.  spans lists (arc, start, stop) for each arc
+    with a nonempty window; its points are [start, stop) of every array.
+    Indices are distinct across the level, as the eta_s supports are disjoint.
+    """
+
+    spans: tuple[tuple[RationalPoint, int, int], ...]
+    idx: np.ndarray
+    theta: np.ndarray
+    eta: np.ndarray
+    g0: np.ndarray
 
 
-def _eta_windows(s: int, resolution: int) -> list:
-    """Per-arc grid windows at level s: (arc, grid indices, theta, eta values)."""
-    key = (s, resolution)
-    got = _ETA_WINDOW_CACHE.get(key)
-    if got is not None:
-        return got
-    out = []
+@lru_cache(maxsize=64)
+def _eta_windows(s: int, resolution: int) -> _WindowPlan:
+    """The window plan of level s on j/resolution, j = 0..resolution-1."""
+    arcs = enumerate_arcs(s)
     radius = eta_support_radius(s)
     G = resolution
-    for arc in enumerate_arcs(s):
-        c = arc.a / arc.q
-        j_lo = math.floor((c - radius) * G) + 1
-        j_hi = math.ceil((c + radius) * G) - 1
-        if j_hi < j_lo:
-            continue
-        j = np.arange(j_lo, j_hi + 1, dtype=np.int64)
-        theta = j / G - c
-        keep = np.abs(theta) < radius
-        j, theta = j[keep], theta[keep]
-        if j.size == 0:
-            continue
-        ev = eta_s(s, theta)
-        nz = ev > 0.0
-        if not nz.any():
-            continue
-        out.append((arc, np.mod(j[nz], G), theta[nz], ev[nz]))
-    _ETA_WINDOW_CACHE[key] = out
-    return out
+    c = np.array([arc.a / arc.q for arc in arcs])
+    j_lo = np.floor((c - radius) * G).astype(np.int64) + 1
+    j_hi = np.ceil((c + radius) * G).astype(np.int64) - 1
+    # the runs j_lo[k]..j_hi[k] of every arc k, concatenated
+    length = np.maximum(j_hi - j_lo + 1, 0)
+    arc_of = np.repeat(np.arange(len(arcs)), length)
+    first = np.cumsum(length) - length
+    j = np.arange(arc_of.size, dtype=np.int64) - np.repeat(first - j_lo, length)
+    theta = j / G - c[arc_of]
+    keep = np.flatnonzero(np.abs(theta) < radius)
+    ev = eta_s(s, theta[keep])
+    keep, ev = keep[ev > 0.0], ev[ev > 0.0]
+    arc_of = arc_of[keep]
+    bounds = np.searchsorted(arc_of, np.arange(len(arcs) + 1))
+    spans = tuple((arc, int(lo), int(hi))
+                  for arc, lo, hi in zip(arcs, bounds[:-1], bounds[1:]) if hi > lo)
+    g0 = np.array([gauss.ramanujan_gauss_principal(arc.q, arc.a) for arc in arcs])
+    plan = _WindowPlan(spans=spans, idx=np.mod(j[keep], G), theta=theta[keep],
+                       eta=ev, g0=g0[arc_of])
+    for a in (plan.idx, plan.theta, plan.eta, plan.g0):
+        a.flags.writeable = False  # shared by every caller of the memo
+    return plan
 
 
 def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) -> np.ndarray:
@@ -487,40 +483,42 @@ def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) ->
                              resolution)
 
 
-def nu_n_s_grid(n: int, s: int, resolution: int,
-                injection: Injection | None = None) -> np.ndarray:
-    """nu_n^s sampled at j/resolution, assembled from the per-arc windows.
+def _add_level(out: np.ndarray, n: int, s: int, injection: Injection | None) -> None:
+    """Add nu_n^s at j/len(out) into out, in one pass over the level's plan.
 
-    The principal term of each arc is the closed form of M_hat_N on its
-    window.  An injected exceptional term takes M_hat^beta_N from one folded
+    The principal term is one closed-form M_hat_N call over every window
+    point.  An injected exceptional term takes M_hat^beta_N from one folded
     FFT per arc (_mbeta_arc_grid), read at the window's indices.
     """
-    key = (n, s, resolution, _injection_key(injection))
-    got = _NU_GRID_CACHE.get(key)
-    if got is not None:
-        return got
-    out = np.zeros(resolution, dtype=np.complex128)
+    plan = _eta_windows(s, out.size)
     N = 1 << n
-    for arc, idx, theta, ev in _eta_windows(s, resolution):
-        spec = _arc_spec(arc, N, injection)
-        vals = np.atleast_1d(approximant_hat(replace(spec, exceptional=None), theta))
-        if spec.exceptional is not None:
-            mbeta = _mbeta_arc_grid(N, spec.exceptional[1], arc, resolution)
-            vals = vals - _exceptional_gauss(spec) * mbeta[idx]
-        # indices within one arc window are distinct mod the resolution
-        out[idx] += vals * ev
-    if resolution <= (1 << 18) and len(_NU_GRID_CACHE) < 512:
-        _NU_GRID_CACHE[key] = out
+    vals = plan.g0 * fourier_M_beta(N, 1.0, plan.theta)
+    for arc, lo, hi in plan.spans:
+        if injection and arc.q in injection:
+            spec = _arc_spec(arc, N, injection)
+            mbeta = _mbeta_arc_grid(N, spec.exceptional[1], arc, out.size)
+            vals[lo:hi] -= _exceptional_gauss(spec) * mbeta[plan.idx[lo:hi]]
+    out[plan.idx] += vals * plan.eta
+
+
+def nu_n_s_grid(n: int, s: int, resolution: int,
+                injection: Injection | None = None) -> np.ndarray:
+    """nu_n^s sampled at j/resolution: one pass over the level's window plan
+    (_eta_windows, cached per (s, resolution)) into a fresh array."""
+    out = np.zeros(resolution, dtype=np.complex128)
+    _add_level(out, n, s, injection)
     return out
 
 
 def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
               injection: Injection | None = None) -> np.ndarray:
+    """nu_n sampled at j/resolution: the levels s = 0..s_max added one pass
+    each into one fresh array."""
     if s_max < 0:
         raise DomainError("s_max must be >= 0")
     out = np.zeros(resolution, dtype=np.complex128)
     for s in range(s_max + 1):
-        out = out + nu_n_s_grid(n, s, resolution, injection)
+        _add_level(out, n, s, injection)
     return out
 
 
@@ -529,12 +527,6 @@ def pi_n_t_grid(n: int, t: float, resolution: int,
     if n < t:
         raise DomainError("Pi_n^t needs n >= t")
     return nu_n_grid(n, resolution, s_max=_levels_for_t(t), injection=injection)
-
-
-def clear_caches() -> None:
-    """Drop the memoized arc windows and grid layers (mainly for tests)."""
-    _ETA_WINDOW_CACHE.clear()
-    _NU_GRID_CACHE.clear()
 
 
 # --- error reports ---
@@ -553,7 +545,7 @@ def approximation_error(n: int, resolution: int, table: PrimeTable,
         raise DomainError("grid resolution must be a positive power of two")
     if resolution < 2 ** (n / 2):
         raise DomainError("grid resolution must be at least 2^(n/2)")
-    m = prime_multiplier_grid(1 << n, resolution, table).values
+    m = prime_multiplier_grid(1 << n, resolution, table)
     nu = nu_n_grid(n, resolution, s_max=s_max, injection=injection)
     return float(np.max(np.abs(m - nu)))
 

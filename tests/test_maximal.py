@@ -339,6 +339,24 @@ def test_explicit_grid_must_be_positive_power_of_two(table_small, rng, resolutio
             call()
 
 
+def test_explicit_grid_must_hold_support_and_reach(table_small, rng):
+    # 32 + 2^4 fits a circle of 64 points; 32 + 2^6 would wrap the kernel
+    f = mx.random_signal(rng, 32, complex_values=False)
+    calls = [
+        lambda: mx.maximal_dyadic(f, "mbeta-filtered", 6, beta=0.75, s=1, resolution=64),
+        lambda: mx.maximal_dyadic(f, "pi", 6, t=4.0, resolution=64),
+        lambda: mx.maximal_dyadic(f, "nu-s", 6, s=1, resolution=64),
+        lambda: mx.residue_equidistribution(f, 4, 1, 1, 0.75, 6, resolution=64),
+        lambda: mx.ab_split_apply(4.0, 6, f, table_small, resolution=64),
+        lambda: mx.b_part_maximal_l2(4.0, f, 6, table_small, resolution=64),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    g = mx.maximal_dyadic(f, "nu-s", 4, s=1, resolution=64)
+    assert g.offset == f.offset - 16 and g.values.size == 64
+
+
 def test_l2_arc_decay_decreases_in_s(rng):
     f = mx.random_signal(rng, 128, complex_values=True)
     vals = [mx.l2_arc_maximal_decay(s, f, 8, resolution=1 << 12)

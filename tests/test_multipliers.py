@@ -69,7 +69,7 @@ def test_fourier_kernel_grid_matches_pointwise(table_small):
     grid = mp.fourier_kernel_grid(k, G)
     xi = np.arange(G) / G
     direct = mp.fourier_kernel(k, xi)
-    assert np.allclose(grid.values, direct, atol=1e-12)
+    assert np.allclose(grid, direct, atol=1e-12)
 
 
 def test_fourier_m_beta_closed_form_is_geometric():
@@ -92,7 +92,7 @@ def test_prime_multiplier_grid_matches_pointwise(table_small):
     grid = mp.prime_multiplier_grid(200, G, table_small)
     xi = np.arange(G) / G
     direct = mp.prime_multiplier(200, xi, table_small)
-    assert np.allclose(grid.values, direct, atol=1e-12)
+    assert np.allclose(grid, direct, atol=1e-12)
     with pytest.raises(DomainError):
         mp.fourier_kernel_grid(mp.kernel_delta(1), 48)
 
@@ -255,9 +255,11 @@ def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
     G = 1 << 10
     checked = 0
     for s in range(4):
-        for arc, idx, theta, _ in mp._eta_windows(s, G):
+        plan = mp._eta_windows(s, G)
+        for arc, lo, hi in plan.spans:
             if arc.q & (arc.q - 1):
                 continue
+            idx, theta = plan.idx[lo:hi], plan.theta[lo:hi]
             for n in [0, 1, 5, 10]:
                 for beta in [0.5, 0.75, 0.95]:
                     folded = mp._mbeta_arc_grid(1 << n, beta, arc, G)[idx]
@@ -265,6 +267,39 @@ def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
                     assert np.max(np.abs(folded - direct)) <= 1e-13
                     checked += 1
     assert checked == 4 * 3 * (1 + 1 + 2 + 4)  # q = 1, 2, 4, 8
+
+
+@pytest.mark.parametrize("q", [8, 12])
+def test_injected_grid_depends_on_the_character(q):
+    # two quadratic characters mod q with the same beta give different
+    # grids, each matching the pointwise layer
+    chis = enumerate_quadratic_characters(q)[:2]
+    s = q.bit_length() - 1
+    G = 1 << 12
+    xi = np.arange(G) / G
+    grids = []
+    for chi in chis:
+        injection = {q: (chi, 0.8)}
+        grids.append(mp.nu_n_s_grid(8, s, G, injection))
+        assert np.max(np.abs(grids[-1] - mp.nu_n_s(8, s, xi, injection))) <= 1e-12
+    assert np.max(np.abs(grids[0] - grids[1])) > 1e-3
+
+
+def test_grids_are_fresh_and_levels_add_up_exactly():
+    G = 1 << 10
+    chi, beta = synthetic_exceptional(5, 0.9)
+    for injection in [None, {5: (chi, beta)}]:
+        calls = [lambda: mp.nu_n_s_grid(8, 2, G, injection),
+                 lambda: mp.nu_n_grid(8, G, 3, injection),
+                 lambda: mp.pi_n_t_grid(8, 4.0, G, injection)]
+        for call in calls:
+            want = call().copy()
+            call()[:] = 7.0
+            assert np.array_equal(call(), want)
+        total = np.zeros(G, dtype=np.complex128)
+        for s in range(4):
+            total = total + mp.nu_n_s_grid(8, s, G, injection)
+        assert np.array_equal(mp.nu_n_grid(8, G, 3, injection), total)
 
 
 def test_synthetic_injection_changes_nu():
