@@ -13,16 +13,18 @@ matching the multipliers module.  The two averaging operators are
 
 and partial summation dominates |A_N f| pointwise by sup_N' |M_N' f|.
 
-maximal_dyadic forms sup over n of |op_{2^n} f| for one of four families:
-the prime averages ('averages', 'weighted'), the Cesaro kernels applied to
-an eta_s-filtered signal ('mbeta-filtered'), the truncated glued multiplier
-('pi'), and a single arc level of it ('nu-s').  Kernel families correlate
-each scale 2^n by FFT on its own circle, the next power of two at least
-support + 2^n + 1, which is the smallest one on which that scale does not
-wrap (cross-validated against direct correlation); multiplier families
-sample the multiplier on one grid, the next power of two at least
-support + 2^n_max, which realizes the operator on a circle of that
-circumference.
+maximal_dyadic forms sup over n of |op_{2^n} f| for the two prime averages
+('averages', 'weighted').  Each scale 2^n is correlated by FFT on its own
+circle, the next power of two at least support + 2^n + 1, which is the
+smallest one on which that scale does not wrap (cross-validated against
+direct correlation).
+
+The multiplier maxima (the residue-class norms of the eta_s-filtered
+M^beta averages, the single arc levels nu_n^s, and the remainders
+B_n^t = m_{2^n} - Pi_n^t) sample each multiplier on one grid, the next
+power of two at least support + 2^n_max, which realizes the operator on a
+circle of that circumference; _multiplier_sup transforms the signal once
+and keeps the running sup over the grids.
 
 weak_type_sweep measures lambda * |{sup_n A_{2^n} 1_F > lambda}| normalized
 by log^2(e/lambda) |F| on a lambda grid.  Since A_N 1_F = k/pi(N) with an
@@ -90,15 +92,6 @@ class Signal:
         out = np.zeros(xi.shape, dtype=self.values.dtype)
         out[ok] = self.values[xi[ok]]
         return out[0] if np.ndim(x) == 0 else out
-
-
-def signal_sub(a: Signal, b: Signal) -> Signal:
-    lo = min(a.offset, b.offset)
-    hi = max(a.support_end, b.support_end)
-    out = np.zeros(hi - lo, dtype=np.result_type(a.values, b.values))
-    out[a.offset - lo: a.offset - lo + len(a.values)] += a.values
-    out[b.offset - lo: b.offset - lo + len(b.values)] -= b.values
-    return Signal(offset=lo, values=out)
 
 
 def random_signal(rng: np.random.Generator, length: int, complex_values: bool = True,
@@ -193,17 +186,6 @@ def _grid_size(f: Signal, reach: int, floor: int = 0, resolution: int | None = N
     return resolution
 
 
-def _embed(f: Signal, Z: int, pad: int) -> np.ndarray:
-    """f on a circle of Z points, at index pad: the kernel's reach to the left
-    of f.  A circle shorter than support + reach would wrap the kernel."""
-    if len(f.values) + pad > Z:
-        raise DomainError(f"grid resolution {Z} is below support + kernel reach "
-                          f"{len(f.values) + pad}")
-    arr = np.zeros(Z, dtype=np.complex128 if np.iscomplexobj(f.values) else np.float64)
-    arr[pad: pad + len(f.values)] = f.values
-    return arr
-
-
 def _prime_scales(f: Signal, n_max: int, table: PrimeTable, weighted: bool):
     """Yield (kernel, out) for N = 2^n, n = 1..n_max: out[i] = (op_N f)(x) at
     x = f.offset - N + i, over [f.offset - N, f.support_end).
@@ -245,88 +227,66 @@ def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
         yield k.sites.size, counts.astype(np.int64)
 
 
-def _apply_multiplier_circular(arr: np.ndarray, mult_values: np.ndarray) -> np.ndarray:
-    """out = F^{-1}(mult * arr_hat) on the circle of length len(arr).
+def maximal_dyadic(f: Signal, family: str, n_max: int,
+                   table: PrimeTable | None = None) -> Signal:
+    """sup over n = 1..n_max of |op_{2^n} f|, op = A ('averages') or M
+    ('weighted'): the exact maximal function on [f.offset - 2^n_max,
+    f.support_end), each scale correlated on its own circle."""
+    if family not in ("averages", "weighted"):
+        raise DomainError(f"unknown family: {family}")
+    if table is None:
+        raise DomainError("prime averaging families need a sieve table")
+    if n_max < 1:
+        raise DomainError("prime averaging families need n_max >= 1")
+    run = np.zeros((1 << n_max) + len(f.values))
+    for _, out in _prime_scales(f, n_max, table, weighted=(family == "weighted")):
+        tail = run[run.size - out.size:]
+        np.maximum(tail, np.abs(out), out=tail)
+    return Signal(offset=f.offset - (1 << n_max), values=run)
 
-    The multiplier values sample m(j/Z) with the e(+) convention, so the
-    operation is circular correlation against the kernel of m.  A real input
-    with a Hermitian multiplier (m(-xi) = conj m(xi), true for all kernels
-    here) goes through rfft.
-    """
-    Z = arr.size
-    if np.iscomplexobj(arr):
-        return np.fft.ifft(np.fft.fft(arr) * mult_values)
-    return np.fft.irfft(np.fft.rfft(arr) * mult_values[: Z // 2 + 1], Z)
+
+# --- multiplier maxima on one realization circle ---
 
 
-def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable | None = None,
-                   *, beta: float | None = None, s: int | None = None,
-                   t: float | None = None, injection: Injection | None = None,
-                   resolution: int | None = None) -> Signal:
-    """sup over n of |op_{2^n} f| for one operator family.
-
-    family:
-      'averages'       A_{2^n}, n = 1..n_max (needs table)
-      'weighted'       M_{2^n}, n = 1..n_max (needs table)
-      'mbeta-filtered' M^beta_{2^n} applied to F^{-1}(eta_s f_hat), n = 0..n_max
-                       (needs beta, s)
-      'pi'             F^{-1}(Pi_n^t f_hat), n = ceil(t)..n_max (needs t)
-      'nu-s'           F^{-1}(nu_n^s f_hat), n = 0..n_max (needs s)
-
-    Kernel families (n_max >= 1) return the exact maximal function on
-    [f.offset - 2^n_max, f.support_end), each scale correlated on its own
-    circle.  Multiplier families realize the operators on a circle of
-    power-of-two circumference >= support + 2^n_max (or `resolution`, which
-    must not be smaller), and return the full circular window.
-    """
-    if family in ("averages", "weighted"):
-        if table is None:
-            raise DomainError("prime averaging families need a sieve table")
-        if n_max < 1:
-            raise DomainError("prime averaging families need n_max >= 1")
-        run = np.zeros((1 << n_max) + len(f.values))
-        for _, out in _prime_scales(f, n_max, table, weighted=(family == "weighted")):
-            tail = run[run.size - out.size:]
-            np.maximum(tail, np.abs(out), out=tail)
-        return Signal(offset=f.offset - (1 << n_max), values=run)
-
+def _circle(f: Signal, n_max: int, resolution: int | None,
+            floor: int = 0) -> np.ndarray:
+    """f on the circle that realizes the multipliers at scales up to 2^n_max,
+    at index 2^n_max: the kernel's reach to the left of f.  The circle is
+    `resolution` points, or _grid_size's default with the given floor; one
+    shorter than support + reach would wrap the kernel."""
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    if not (f.values.size and np.all(np.isfinite(f.values)) and np.any(f.values)):
+        raise DomainError("multiplier maxima need a finite, nonzero signal")
     reach = 1 << n_max
-    if family == "mbeta-filtered":
-        if beta is None or s is None:
-            raise DomainError("mbeta-filtered needs beta and s")
-        Z = _grid_size(f, reach, floor=1 << 14, resolution=resolution)
-        arr = _embed(f, Z, reach)
-        eta_grid = mult.eta_s(s, _signed_frequencies(Z))
-        filtered = _apply_multiplier_circular(arr, eta_grid.astype(np.complex128))
-        run = None
-        for n in range(0, n_max + 1):
-            mg = _mbeta_multiplier_grid(1 << n, beta, Z)
-            out = np.abs(_apply_multiplier_circular(filtered, mg))
-            run = out if run is None else np.maximum(run, out)
-        return Signal(offset=f.offset - reach, values=run)
+    Z = _grid_size(f, reach, floor, resolution)
+    if len(f.values) + reach > Z:
+        raise DomainError(f"grid resolution {Z} is below support + kernel reach "
+                          f"{len(f.values) + reach}")
+    arr = np.zeros(Z, dtype=np.complex128 if np.iscomplexobj(f.values) else np.float64)
+    arr[reach: reach + len(f.values)] = f.values
+    return arr
 
-    if family in ("pi", "nu-s"):
-        if family == "pi" and t is None:
-            raise DomainError("pi family needs t")
-        if family == "nu-s" and s is None:
-            raise DomainError("nu-s family needs s")
-        Z = _grid_size(f, reach, floor=1 << 14, resolution=resolution)
-        arr = _embed(f, Z, reach).astype(np.complex128)
-        fhat = np.fft.fft(arr)
-        run = None
-        n_lo = max(0, math.ceil(t)) if family == "pi" else 0
-        for n in range(n_lo, n_max + 1):
-            if family == "pi":
-                mg = mult.pi_n_t_grid(n, t, Z, injection)
-            else:
-                mg = mult.nu_n_s_grid(n, s, Z, injection)
-            out = np.abs(np.fft.ifft(fhat * mg))
-            run = out if run is None else np.maximum(run, out)
-        if run is None:
-            run = np.zeros(Z)
-        return Signal(offset=f.offset - reach, values=run)
 
-    raise DomainError(f"unknown family: {family}")
+def _spectrum(arr: np.ndarray):
+    """(arr_hat, inverse) on the circle of len(arr); F^{-1}(m * arr_hat) is
+    inverse(arr_hat * grid[:arr_hat.size], len(arr)) for a grid sampling m at
+    j/len(arr) with the e(+) convention, i.e. circular correlation against the
+    kernel of m.  A real arr goes through rfft, which needs a Hermitian grid
+    (m(-xi) = conj m(xi), true for all kernels here)."""
+    if np.iscomplexobj(arr):
+        return np.fft.fft(arr), np.fft.ifft
+    return np.fft.rfft(arr), np.fft.irfft
+
+
+def _multiplier_sup(arr: np.ndarray, grids) -> np.ndarray:
+    """sup over the grids of |F^{-1}(grid * arr_hat)| on the circle of
+    len(arr), arr transformed once; zeros if there are no grids."""
+    fhat, inverse = _spectrum(arr)
+    run = np.zeros(arr.size)
+    for grid in grids:
+        np.maximum(run, np.abs(inverse(fhat * grid[: fhat.size], arr.size)), out=run)
+    return run
 
 
 def _signed_frequencies(Z: int) -> np.ndarray:
@@ -336,18 +296,13 @@ def _signed_frequencies(Z: int) -> np.ndarray:
 
 
 def _mbeta_multiplier_grid(N: int, beta: float, Z: int) -> np.ndarray:
-    if beta == 1.0 or N == 0:
+    if beta == 1.0:
         return np.asarray(mult.fourier_M_beta(N, beta, np.arange(Z, dtype=np.float64) / Z),
                           dtype=np.complex128)
     return mult.fourier_kernel_grid(mult.kernel_M_beta(N, beta), Z)
 
 
-# --- distribution, weak norms, sweeps ---
-
-
-def distribution_count(g: Signal, lam: float) -> int:
-    """#{x : |g(x)| > lam} (strict)."""
-    return int(np.count_nonzero(np.abs(g.values) > lam))
+# --- weak norms, sweeps ---
 
 
 def weak_norm(g: Signal | np.ndarray) -> float:
@@ -427,7 +382,8 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
 def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
                              n_max: int, table: PrimeTable | None = None,
                              resolution: int | None = None) -> dict:
-    """Weak norm of sup_n |M^beta_{2^n} (eta_s-filtered f)| along Qx + r.
+    """Weak norm of sup_{0 <= n <= n_max} |M^beta_{2^n} (eta_s-filtered f)|
+    along Qx + r, on the realization circle (at least 2^14 points).
 
     Requires Q <= 2^(2s).  Returns the weak norm, the ell^1 norm of the
     filtered signal on the same residue class, and their ratio; the
@@ -438,16 +394,15 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
         raise DomainError("residue sampling needs 1 <= Q <= 2^(2s)")
     if not 1 <= r <= Q:
         raise DomainError("residue r must lie in [1, Q]")
-    g = maximal_dyadic(f, "mbeta-filtered", n_max, beta=beta, s=s,
-                       resolution=resolution)
-    # the filtered signal itself, for the comparison norm
-    Z = g.values.size
-    arr = _embed(f, Z, f.offset - g.offset)
-    eta_grid = mult.eta_s(s, _signed_frequencies(Z))
-    filtered = _apply_multiplier_circular(arr, eta_grid.astype(np.complex128))
-    idx = np.arange(Z)
-    cls = np.mod(g.offset + idx - r, Q) == 0
-    weak = weak_norm(g.values[cls])
+    arr = _circle(f, n_max, resolution, floor=1 << 14)
+    Z = arr.size
+    fhat, inverse = _spectrum(arr)
+    eta_grid = mult.eta_s(s, _signed_frequencies(Z)).astype(np.complex128)
+    filtered = inverse(fhat * eta_grid[: fhat.size], Z)
+    sup = _multiplier_sup(filtered, (_mbeta_multiplier_grid(1 << n, beta, Z)
+                                     for n in range(n_max + 1)))
+    cls = np.mod(f.offset - (1 << n_max) + np.arange(Z) - r, Q) == 0
+    weak = weak_norm(sup[cls])
     l1 = float(np.sum(np.abs(filtered[cls])))
     return {"Q": Q, "r": r, "s": s, "beta": beta,
             "weak_norm": weak, "l1_norm": l1,
@@ -457,14 +412,15 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
 def l2_arc_maximal_decay(s: int, f: Signal, n_max: int,
                          resolution: int | None = None,
                          injection: Injection | None = None) -> float:
-    """|| sup_n |F^{-1}(nu_n^s f_hat)| ||_2 / ||f||_2 on the realization circle.
+    """|| sup_{0 <= n <= n_max} |F^{-1}(nu_n^s f_hat)| ||_2 / ||f||_2 on the
+    realization circle (at least 2^14 points).
 
     The single-level maximal bound predicts decay ~2^(-s/2) in the level.
     """
-    g = maximal_dyadic(f, "nu-s", n_max, s=s, injection=injection,
-                       resolution=resolution)
-    denom = f.lp_norm(2.0)
-    return float(np.linalg.norm(g.values) / denom)
+    arr = _circle(f, n_max, resolution, floor=1 << 14).astype(np.complex128)
+    sup = _multiplier_sup(arr, (mult.nu_n_s_grid(n, s, arr.size, injection)
+                                for n in range(n_max + 1)))
+    return float(np.linalg.norm(sup) / f.lp_norm(2.0))
 
 
 def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
@@ -476,12 +432,14 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
     common grid.  For n < t: A = M_{2^n} f and B = 0.  A + B reconstructs
     M_{2^n} f exactly.
     """
+    if n < 0 or not t >= 0:
+        raise DomainError("ab_split_apply needs n >= 0 and t >= 0")
     if n < t:
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
     N = 1 << n
-    Z = _grid_size(f, N, resolution=resolution)
-    arr = _embed(f, Z, N).astype(np.complex128)
+    arr = _circle(f, n, resolution).astype(np.complex128)
+    Z = arr.size
     fhat = np.fft.fft(arr)
     pi_grid = mult.pi_n_t_grid(n, t, Z, injection)
     m_grid = mult.prime_multiplier_grid(N, Z, table)
@@ -494,20 +452,18 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
 def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
                       injection: Injection | None = None,
                       resolution: int | None = None) -> float:
-    """|| sup_{t <= n <= n_max} |B_n^t f| ||_2 / ||f||_2 on the realization circle."""
-    if math.ceil(t) > n_max:
-        raise DomainError("b_part_maximal_l2 needs n_max >= t")
-    N_max = 1 << n_max
-    Z = _grid_size(f, N_max, resolution=resolution)
-    arr = _embed(f, Z, N_max).astype(np.complex128)
-    fhat = np.fft.fft(arr)
-    run = None
-    for n in range(math.ceil(t), n_max + 1):
-        pi_grid = mult.pi_n_t_grid(n, t, Z, injection)
-        m_grid = mult.prime_multiplier_grid(1 << n, Z, table)
-        out = np.abs(np.fft.ifft(fhat * (m_grid - pi_grid)))
-        run = out if run is None else np.maximum(run, out)
-    return float(np.linalg.norm(run) / f.lp_norm(2.0))
+    """|| sup_{t <= n <= n_max} |B_n^t f| ||_2 / ||f||_2 on the realization
+    circle, B_n^t = m_{2^n} - Pi_n^t."""
+    if not 0 <= t <= n_max:
+        raise DomainError("b_part_maximal_l2 needs 0 <= t <= n_max")
+    arr = _circle(f, n_max, resolution).astype(np.complex128)
+
+    def remainders():
+        for n in range(math.ceil(t), n_max + 1):
+            pi_grid = mult.pi_n_t_grid(n, t, arr.size, injection)
+            yield mult.prime_multiplier_grid(1 << n, arr.size, table) - pi_grid
+
+    return float(np.linalg.norm(_multiplier_sup(arr, remainders())) / f.lp_norm(2.0))
 
 
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:

@@ -594,8 +594,8 @@ def bound_ratio_checks(resolution: int = 1 << 12,
     Returns the observed sup for each of: the two-sided M_hat bound
     (min{(N|xi|)^-1, N|xi|}), the one-sided M_hat^beta bound ((N|xi|)^-1),
     the dyadic-difference bound (min pair + (1-beta) N^(beta-1)), and the
-    Gauss modulus bound (sqrt(q0)/phi(q)).  The values are measured on fixed
-    grids and frozen into a fixture by the test suite.
+    Gauss modulus bound (sqrt(q0)/phi(q)), measured on fixed grids, together
+    with the per-(check, beta, n) rows behind the first three.
     """
     from .characters import enumerate_quadratic_characters
 

@@ -1,10 +1,12 @@
 """Prime sieves, Chebyshev-type counting, and multiplicative functions.
 
 Provides the sieve of Eratosthenes (memoized per limit in the process),
-prime counting pi(N) and the log-weighted count theta(N) = sum of log p over
-primes p <= N (together with its restriction to arithmetic progressions),
-the classical multiplicative functions (mobius, euler_phi, factorize,
-is_squarefree), and the totient-weighted logarithmic sum phi_capital.
+whose PrimeTable answers prime counting pi(N) (PrimeTable.count) and the
+log-weighted count theta(N) = sum of log p over primes p <= N
+(PrimeTable.theta; chebyshev_theta_progression restricts it to an
+arithmetic progression), the classical multiplicative functions (mobius,
+euler_phi, factorize, is_squarefree), and the totient-weighted logarithmic
+sum phi_capital.
 
 All logarithms are natural.
 """
@@ -106,16 +108,6 @@ def sieve_primes(limit: int) -> PrimeTable:
         table = _TABLES[limit] = PrimeTable(limit=limit, flags=flags,
                                             prime_list=primes)
     return table
-
-
-def prime_count(n: float, table: PrimeTable) -> int:
-    """pi(n): number of primes <= n."""
-    return table.count(n)
-
-
-def chebyshev_theta(x: float, table: PrimeTable) -> float:
-    """theta(x) = sum_{p <= x} log p."""
-    return table.theta(x)
 
 
 def chebyshev_theta_progression(x: float, q: int, r: int, table: PrimeTable) -> float:

@@ -34,8 +34,9 @@ def test_signal_norms():
     assert f.lp_norm(2.0) == pytest.approx(5.0)
     assert f.lp_norm(1.0) == pytest.approx(7.0)
     assert f.max_abs() == 4.0
-    g = mx.signal_sub(f, mx.Signal(offset=1, values=np.array([-4.0])))
-    assert g.at(np.array([0, 1])).tolist() == [3.0, 0.0]
+    h = mx.Signal(offset=1, values=np.array([-4.0]))
+    xs = np.array([0, 1])
+    assert (f.at(xs) - h.at(xs)).tolist() == [3.0, 0.0]
 
 
 # --- averages of a point mass: exact hand values ---
@@ -120,7 +121,8 @@ def test_maximal_matches_per_scale_loop(table_small, rng):
 def test_maximal_sublinearity_and_translation(table_small, rng):
     f = mx.random_signal(rng, 50, complex_values=False, offset=0)
     g = mx.random_signal(rng, 50, complex_values=False, offset=20)
-    fg = mx.signal_sub(f, mx.Signal(offset=g.offset, values=-g.values))
+    common = np.arange(f.offset, g.support_end)
+    fg = mx.Signal(offset=f.offset, values=f.at(common) + g.at(common))
     mf = mx.maximal_dyadic(f, "averages", 5, table_small)
     mg = mx.maximal_dyadic(g, "averages", 5, table_small)
     mfg = mx.maximal_dyadic(fg, "averages", 5, table_small)
@@ -163,14 +165,7 @@ def test_maximal_requires_table_and_knows_families(rng, table_small):
         mx.maximal_dyadic(f, "unheard-of", 3)
 
 
-# --- distribution and weak norms ---
-
-
-def test_distribution_count_brute(rng):
-    f = mx.random_signal(rng, 100, complex_values=True, unit_l2=False)
-    for lam in [0.1, 0.5, 1.0, 2.0]:
-        want = int(sum(1 for v in f.values if abs(v) > lam))
-        assert mx.distribution_count(f, lam) == want
+# --- weak norms ---
 
 
 def test_weak_norm_hand_values():
@@ -317,6 +312,13 @@ def test_residue_equidistribution_domain(rng):
         mx.residue_equidistribution(f, 5, 1, 1, 0.75, 6)  # Q > 4^s
     with pytest.raises(DomainError):
         mx.residue_equidistribution(f, 4, 0, 1, 0.75, 6)  # r out of range
+    for bad in (mx.Signal(offset=0, values=np.zeros(4)),
+                mx.Signal(offset=0, values=np.zeros(0)),
+                mx.Signal(offset=0, values=np.array([1.0, np.nan]))):
+        with pytest.raises(DomainError):
+            mx.residue_equidistribution(bad, 4, 1, 1, 0.75, 6)
+    with pytest.raises(DomainError):
+        mx.residue_equidistribution(f, 4, 1, 1, 0.75, -1)  # n_max < 0
     out = mx.residue_equidistribution(f, 4, 2, 1, 0.75, 6, resolution=1 << 12)
     assert set(out) == {"Q", "r", "s", "beta", "weak_norm", "l1_norm", "ratio"}
     assert out["ratio"] > 0
@@ -326,10 +328,7 @@ def test_residue_equidistribution_domain(rng):
 def test_explicit_grid_must_be_positive_power_of_two(table_small, rng, resolution):
     f = mx.random_signal(rng, 32, complex_values=False)
     calls = [
-        lambda: mx.maximal_dyadic(f, "mbeta-filtered", 4, beta=0.75, s=1,
-                                  resolution=resolution),
-        lambda: mx.maximal_dyadic(f, "pi", 6, t=4.0, resolution=resolution),
-        lambda: mx.maximal_dyadic(f, "nu-s", 4, s=1, resolution=resolution),
+        lambda: mx.l2_arc_maximal_decay(1, f, 4, resolution=resolution),
         lambda: mx.residue_equidistribution(f, 4, 1, 1, 0.75, 4, resolution=resolution),
         lambda: mx.ab_split_apply(4.0, 6, f, table_small, resolution=resolution),
         lambda: mx.b_part_maximal_l2(4.0, f, 6, table_small, resolution=resolution),
@@ -343,9 +342,7 @@ def test_explicit_grid_must_hold_support_and_reach(table_small, rng):
     # 32 + 2^4 fits a circle of 64 points; 32 + 2^6 would wrap the kernel
     f = mx.random_signal(rng, 32, complex_values=False)
     calls = [
-        lambda: mx.maximal_dyadic(f, "mbeta-filtered", 6, beta=0.75, s=1, resolution=64),
-        lambda: mx.maximal_dyadic(f, "pi", 6, t=4.0, resolution=64),
-        lambda: mx.maximal_dyadic(f, "nu-s", 6, s=1, resolution=64),
+        lambda: mx.l2_arc_maximal_decay(1, f, 6, resolution=64),
         lambda: mx.residue_equidistribution(f, 4, 1, 1, 0.75, 6, resolution=64),
         lambda: mx.ab_split_apply(4.0, 6, f, table_small, resolution=64),
         lambda: mx.b_part_maximal_l2(4.0, f, 6, table_small, resolution=64),
@@ -353,8 +350,22 @@ def test_explicit_grid_must_hold_support_and_reach(table_small, rng):
     for call in calls:
         with pytest.raises(DomainError):
             call()
-    g = mx.maximal_dyadic(f, "nu-s", 4, s=1, resolution=64)
-    assert g.offset == f.offset - 16 and g.values.size == 64
+    assert mx.l2_arc_maximal_decay(1, f, 4, resolution=64) > 0
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_residue_rows_follow_a_shift_of_f(rng, complex_values):
+    # shifting f by one moves every sample of the maximal function and of the
+    # filtered signal by one, so the class r + 1 (mod Q) of the shifted f
+    # holds exactly the values of the class r of f
+    f = mx.random_signal(rng, 40, complex_values=complex_values, offset=-3)
+    sh = mx.Signal(offset=f.offset + 1, values=f.values)
+    Q = 4
+    for r in range(1, Q + 1):
+        row = mx.residue_equidistribution(f, Q, r, 1, 0.75, 6)
+        moved = mx.residue_equidistribution(sh, Q, r % Q + 1, 1, 0.75, 6)
+        assert moved["weak_norm"] == row["weak_norm"]
+        assert moved["l1_norm"] == row["l1_norm"]
 
 
 def test_l2_arc_decay_decreases_in_s(rng):
@@ -362,6 +373,12 @@ def test_l2_arc_decay_decreases_in_s(rng):
     vals = [mx.l2_arc_maximal_decay(s, f, 8, resolution=1 << 12)
             for s in range(4)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+    with pytest.raises(DomainError):
+        mx.l2_arc_maximal_decay(1, f, -1)  # n_max < 0
+    for bad in (mx.Signal(offset=0, values=np.zeros(4)),
+                mx.Signal(offset=0, values=np.zeros(0))):
+        with pytest.raises(DomainError):
+            mx.l2_arc_maximal_decay(1, bad, 4)
 
 
 def test_ab_split_reconstructs_weighted_average(table_small, rng):
@@ -376,6 +393,9 @@ def test_ab_split_reconstructs_weighted_average(table_small, rng):
     a2, b2 = mx.ab_split_apply(4.0, 3, f, table_small)
     assert not b2.values.any()
     assert np.allclose(a2.values, mx.average_primes_weighted(8, f, table_small).values)
+    for t, n in ((np.nan, 6), (-1.0, 6), (4.0, -1)):
+        with pytest.raises(DomainError):
+            mx.ab_split_apply(t, n, f, table_small)
 
 
 def test_b_part_l2_decreases_in_t(table_small, rng):
@@ -385,6 +405,12 @@ def test_b_part_l2_decreases_in_t(table_small, rng):
     assert v9 < v4
     with pytest.raises(DomainError):
         mx.b_part_maximal_l2(9.0, f, 8, table_small, resolution=1 << 12)
+    with pytest.raises(DomainError):
+        mx.b_part_maximal_l2(np.nan, f, 6, table_small)
+    for bad in (mx.Signal(offset=0, values=np.zeros(4)),
+                mx.Signal(offset=0, values=np.zeros(0))):
+        with pytest.raises(DomainError):
+            mx.b_part_maximal_l2(4.0, bad, 6, table_small)
 
 
 def test_lp_maximal_ratio_domain(table_small, rng):

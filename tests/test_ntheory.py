@@ -21,8 +21,8 @@ def test_prime_count_and_theta_against_direct_sums(table_small):
     ps = _trial_primes(5000)
     for x in (2, 10, 97, 1000, 4999):
         below = [p for p in ps if p <= x]
-        assert nt.prime_count(x, table_small) == len(below)
-        assert nt.chebyshev_theta(x, table_small) == pytest.approx(
+        assert table_small.count(x) == len(below)
+        assert table_small.theta(x) == pytest.approx(
             sum(np.log(float(p)) for p in below), rel=1e-12)
 
 
@@ -31,7 +31,7 @@ def test_theta_progression_partitions_theta(table_small):
     for q in (3, 4, 10):
         parts = sum(nt.chebyshev_theta_progression(x, q, r, table_small)
                     for r in range(q))
-        assert parts == pytest.approx(nt.chebyshev_theta(x, table_small), rel=1e-12)
+        assert parts == pytest.approx(table_small.theta(x), rel=1e-12)
 
 
 def test_theta_progression_counts_only_matching_residues(table_small):
