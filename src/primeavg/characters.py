@@ -3,8 +3,10 @@
 Characters mod q are stored as full value tables indexed by residue.  The
 values are roots of unity, so alongside the complex table each character
 keeps an integer phase table: chi(x) = exp(2 pi i * phase[x] / order) on the
-units, with phase = -1 off the units.  Products, conjugates, and the
-principal/quadratic classification are then exact integer arithmetic.
+units, with phase = -1 off the units.  Equality, conjugates, and the
+principal/quadratic classification are then exact integer arithmetic.  A
+character memoizes its primitive decomposition (conductor) and its Gauss sum
+tau (filled by gauss.tau) on first use.
 
 Enumeration walks the unit group (Z/q)^* through its cyclic components:
 (Z/p^k)^* is cyclic for odd p, and (Z/2^k)^* is {+-1} x <5> for k >= 3.
@@ -12,6 +14,9 @@ Enumeration walks the unit group (Z/q)^* through its cyclic components:
 L(s, chi) for non-principal chi is evaluated through the Hurwitz-zeta
 Euler-Maclaurin expansion summed against the character, with the pole terms
 cancelled exactly using sum chi(a) = 0, so s = 1 needs no special casing.
+The Hurwitz block zeta(s, a/q) over the units a does not depend on chi, so
+the zero scan builds it once per modulus and applies every quadratic
+character's weights to it.
 """
 
 from __future__ import annotations
@@ -41,13 +46,32 @@ class DirichletCharacter:
         phases: int64 array of length q; phases[x] = k means the value at
             residue x is exp(2 pi i k / order); -1 marks non-units.
         values: complex128 array of length q with the actual values.
+
+    Two characters are equal when they have the same modulus and the same
+    phases once both are scaled to a common order; the memo fields are
+    ignored.
     """
 
     modulus: int
     order: int
     phases: np.ndarray
     values: np.ndarray
-    _decomp: "PrimitiveDecomposition | None" = field(default=None, repr=False)
+    _decomp: "PrimitiveDecomposition | None" = field(default=None, repr=False,
+                                                     compare=False)
+    _tau: complex | None = field(default=None, repr=False, compare=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirichletCharacter):
+            return NotImplemented
+        if self.modulus != other.modulus:
+            return False
+        L = math.lcm(self.order, other.order)
+        return np.array_equal(self._phases_at(L), other._phases_at(L))
+
+    def _phases_at(self, order: int) -> np.ndarray:
+        """The phase table over the given multiple of self.order."""
+        return np.where(self.phases >= 0,
+                        np.mod(self.phases * (order // self.order), order), -1)
 
     def __call__(self, n: int | np.ndarray) -> complex | np.ndarray:
         idx = np.mod(n, self.modulus)
@@ -214,18 +238,6 @@ def enumerate_quadratic_characters(q: int) -> list[DirichletCharacter]:
     return out
 
 
-def character_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product of two characters with the same modulus (exact)."""
-    if a.modulus != b.modulus:
-        raise DomainError("character product requires equal moduli")
-    L = math.lcm(a.order, b.order)
-    phases = np.full(a.modulus, -1, dtype=np.int64)
-    units = a.phases >= 0
-    phases[units] = np.mod(a.phases[units] * (L // a.order)
-                           + b.phases[units] * (L // b.order), L)
-    return _char_from_phases(a.modulus, phases, L)
-
-
 def conductor(chi: DirichletCharacter) -> PrimitiveDecomposition:
     """Minimal period decomposition of chi.
 
@@ -309,29 +321,15 @@ def _phi1m(u: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + u / 2.0, np.expm1(safe) / safe)
 
 
-def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
-    """L(s, chi) for non-principal chi and real s in (0, 1.5].
+def _hurwitz_block(q: int, units: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """zeta(s_i, a_j/q) - 1/(s_i - 1) by Euler-Maclaurin, as an (m, u) block.
 
-    Uses the Euler-Maclaurin expansion of the Hurwitz zeta values zeta(s, a/q)
-    summed against chi(a).  The 1/(s-1) pole is removed exactly before
-    summation (it cancels against sum chi(a) = 0), so the evaluation is
-    uniformly accurate through s = 1.  Returns a real result when chi is
-    real-valued.
+    s holds m real points and units the u residues a.  The removed pole term
+    does not depend on a, so it cancels against the weights chi(a) of any
+    non-principal character: q^(-s) * (block @ w) is L(s, chi).  The block
+    depends on q, the units and s, never on chi.
     """
-    if chi.kind == "principal":
-        raise DomainError("L-series evaluation requires a non-principal character")
-    s_in = np.asarray(s, dtype=np.float64)
-    if np.any(s_in <= 0.0) or np.any(s_in > 1.5):
-        raise DomainError("s must lie in (0, 1.5]")
-    scalar = s_in.ndim == 0
-    sv = np.atleast_1d(s_in)[:, None]  # (m, 1)
-
-    q = chi.modulus
-    units = chi.unit_residues()
-    w = chi.values[units]
-    real_out = chi.is_real
-    if real_out:
-        w = w.real
+    sv = s[:, None]  # (m, 1)
     x = units.astype(np.float64) / q  # (u,)
 
     # directly summed head: sum_{k<K} (x+k)^(-s)
@@ -352,8 +350,33 @@ def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
             poch = poch * (sv + (2 * j - 3)) * (sv + (2 * j - 2))
         tail = tail + c * poch * y ** (-(sv + 2 * j - 1))
 
-    zeta_block = base + mid + tail  # (m, u)
-    out = (q ** (-np.atleast_1d(s_in))) * (zeta_block @ w)
+    return base + mid + tail
+
+
+def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
+    """L(s, chi) for non-principal chi and real s in (0, 1.5].
+
+    Uses the Euler-Maclaurin expansion of the Hurwitz zeta values zeta(s, a/q)
+    summed against chi(a) (_hurwitz_block).  The 1/(s-1) pole is removed
+    exactly before summation (it cancels against sum chi(a) = 0), so the
+    evaluation is uniformly accurate through s = 1.  Returns a real result
+    when chi is real-valued.
+    """
+    if chi.kind == "principal":
+        raise DomainError("L-series evaluation requires a non-principal character")
+    s_in = np.asarray(s, dtype=np.float64)
+    if not np.all((s_in > 0.0) & (s_in <= 1.5)):
+        raise DomainError("s must be finite and lie in (0, 1.5]")
+    scalar = s_in.ndim == 0
+    sv = np.atleast_1d(s_in)
+
+    q = chi.modulus
+    units = chi.unit_residues()
+    w = chi.values[units]
+    real_out = chi.is_real
+    if real_out:
+        w = w.real
+    out = (q ** (-sv)) * (_hurwitz_block(q, units, sv) @ w)
     if not real_out:
         out = out.astype(np.complex128)
     if scalar:
@@ -380,6 +403,17 @@ class ExceptionalZeroResult:
     c: float = 1.0
 
 
+def _quadratic_l_values(q: int, grid: np.ndarray):
+    """(index, chi, L(grid, chi)) for each quadratic chi mod q, in
+    enumerate_quadratic_characters order.  One Hurwitz block on the grid
+    serves every character, and each value is the one l_function_real gives."""
+    units = np.flatnonzero(_group_data(q).unit_mask)
+    scale = q ** (-grid)
+    block = _hurwitz_block(q, units, grid)
+    for idx, chi in enumerate(enumerate_quadratic_characters(q)):
+        yield idx, chi, scale * (block @ chi.values[units].real)
+
+
 def exceptional_zero_scan(q: int, c: float = 1.0, zero_tol: float = 1e-8,
                           grid_points: int = 512, bisect_steps: int = 60) -> ExceptionalZeroResult:
     """Scan (max(1/2, 1 - c/log q), 1) for a real zero of any quadratic L mod q.
@@ -387,18 +421,23 @@ def exceptional_zero_scan(q: int, c: float = 1.0, zero_tol: float = 1e-8,
     Each quadratic character's L is sampled on a grid of interior points;
     a sign change triggers bisection, and |L| below zero_tol anywhere is
     declared a zero.  A grid value below tolerance without a sign change is
-    reported with a diagnostic instead of silently passing.
+    reported with a diagnostic instead of silently passing.  The Hurwitz
+    block on the grid is built once for q and shared by every character
+    (_quadratic_l_values).
     """
-    if q < 3:
-        raise DomainError("zero scan requires q >= 3")
-    if c <= 0:
-        raise DomainError("the zero-region constant c must be positive")
+    if not isinstance(q, (int, np.integer)) or q < 3:
+        raise DomainError("zero scan requires an integer q >= 3")
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError("the zero-region constant c must be finite and positive")
+    if not (math.isfinite(zero_tol) and zero_tol >= 0):
+        raise DomainError("zero_tol must be finite and >= 0")
+    if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
+        raise DomainError("the zero scan needs an integer grid_points >= 2")
     lo = max(0.5, 1.0 - c / math.log(q))
     hi = 1.0
     grid = np.linspace(lo, hi, grid_points + 2)[1:-1]
     min_abs = math.inf
-    for idx, chi in enumerate(enumerate_quadratic_characters(q)):
-        vals = np.asarray(l_function_real(chi, grid), dtype=np.float64)
+    for idx, chi, vals in _quadratic_l_values(q, grid):
         min_abs = min(min_abs, float(np.min(np.abs(vals))))
         hit = np.flatnonzero(np.abs(vals) < zero_tol)
         sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0)

@@ -19,6 +19,11 @@ be compared exhaustively:
     only when q/q0 is square-free and coprime to q0.
   * ramanujan_gauss_principal: G for the principal character, which reduces
     to the Ramanujan sum, G(1_q, a) = mu(q/g) / phi(q/g) with g = gcd(q, a).
+
+The closed forms share tau(chi_star) of the induced primitive character.
+tau sums it directly once per character object and memoizes it there, and
+the primitive character itself is memoized by conductor, so an audit over
+every unit a and shift x of a character pays for one sum.
 """
 
 from __future__ import annotations
@@ -57,8 +62,14 @@ def gauss_sum_bruteforce_all(chi: DirichletCharacter) -> np.ndarray:
 
 
 def tau(chi: DirichletCharacter) -> complex:
-    """tau(chi) = phi(q) G(chi, 1).  The |tau| = sqrt(q0) law needs chi primitive."""
-    return euler_phi(chi.modulus) * gauss_sum_bruteforce(chi, 1)
+    """tau(chi) = phi(q) G(chi, 1).  The |tau| = sqrt(q0) law needs chi primitive.
+
+    Summed once per character object and memoized on it, as conductor
+    memoizes the primitive decomposition.
+    """
+    if chi._tau is None:
+        chi._tau = euler_phi(chi.modulus) * gauss_sum_bruteforce(chi, 1)
+    return chi._tau
 
 
 def gauss_sum_closed(chi: DirichletCharacter, a: int) -> complex:

@@ -254,8 +254,8 @@ def _circle(f: Signal, n_max: int, resolution: int | None,
     at index 2^n_max: the kernel's reach to the left of f.  The circle is
     `resolution` points, or _grid_size's default with the given floor; one
     shorter than support + reach would wrap the kernel."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise DomainError("n_max must be an integer >= 0")
     if not (f.values.size and np.all(np.isfinite(f.values)) and np.any(f.values)):
         raise DomainError("multiplier maxima need a finite, nonzero signal")
     reach = 1 << n_max

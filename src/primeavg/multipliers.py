@@ -272,8 +272,8 @@ def eta(xi: float | np.ndarray):
 
 def eta_s(s: int, xi: float | np.ndarray):
     """eta_s(xi) = eta(2^(4s) xi): support shrinks to |xi| < 2^(-4s-1)."""
-    if s < 0:
-        raise DomainError("level s must be >= 0")
+    if not isinstance(s, (int, np.integer)) or s < 0:
+        raise DomainError("level s must be an integer >= 0")
     return eta(np.asarray(xi, dtype=np.float64) * float(2 ** (4 * s)))
 
 
@@ -308,8 +308,8 @@ def enumerate_arcs(s: int) -> tuple[RationalPoint, ...]:
 
     Level 0 is the single point 1/1.  The count is below 2^(2(s+1)).
     """
-    if s < 0:
-        raise DomainError("level s must be >= 0")
+    if not isinstance(s, (int, np.integer)) or s < 0:
+        raise DomainError("level s must be an integer >= 0")
     if s == 0:
         return (RationalPoint(a=1, q=1, s=0),)
     out = []

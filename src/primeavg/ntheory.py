@@ -5,8 +5,8 @@ whose PrimeTable answers prime counting pi(N) (PrimeTable.count) and the
 log-weighted count theta(N) = sum of log p over primes p <= N
 (PrimeTable.theta; chebyshev_theta_progression restricts it to an
 arithmetic progression), the classical multiplicative functions (mobius,
-euler_phi, factorize, is_squarefree), and the totient-weighted logarithmic
-sum phi_capital.
+euler_phi, is_squarefree, divisors, all read from one memoized factorize),
+and the totient-weighted logarithmic sum phi_capital.
 
 All logarithms are natural.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,8 +143,14 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=1024, typed=True)
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization; capped at n <= 2^32."""
+    """Trial-division factorization; capped at n <= 2^32.
+
+    Memoized per value and argument type (Factorization is frozen, so callers
+    share the cached objects); mobius, euler_phi, is_squarefree and divisors
+    all read it.
+    """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     if n > (1 << 32):

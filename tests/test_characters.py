@@ -112,18 +112,28 @@ def test_quadratic_enumeration_is_the_order_two_slice(q):
         assert c.kind == "quadratic"
 
 
-def test_character_product_inverse_gives_principal():
-    chars = ch.enumerate_characters(5)
-    quartic = next(c for c in chars if c.kind == "other")
+def test_equality_compares_phases_not_memos():
+    # two enumerations build distinct arrays with equal phases
+    first = ch.enumerate_quadratic_characters(5)
+    second = ch.enumerate_quadratic_characters(5)
+    assert first == second
+    ch.conductor(first[0])  # fills the memo on one side only
+    assert first[0] == second[0]
+    quartic = next(c for c in ch.enumerate_characters(5) if c.kind == "other")
     conj = ch.DirichletCharacter(
         modulus=5, order=quartic.order,
-        phases=np.where(quartic.phases >= 0,
-                        (-quartic.phases) % quartic.order, -1),
+        phases=np.where(quartic.phases >= 0, (-quartic.phases) % quartic.order, -1),
         values=quartic.values.conj())
-    prod = ch.character_product(quartic, conj)
-    assert prod.kind == "principal"
-    with pytest.raises(DomainError):
-        ch.character_product(chars[0], ch.principal_character(7))
+    assert conj != quartic
+    assert conj in ch.enumerate_characters(5)
+    # the same values over twice the order
+    doubled = ch.DirichletCharacter(
+        modulus=5, order=2 * quartic.order,
+        phases=np.where(quartic.phases >= 0, 2 * quartic.phases, -1),
+        values=quartic.values)
+    assert doubled == quartic
+    assert ch.principal_character(5) != ch.principal_character(10)
+    assert quartic != 5
 
 
 def _l_oracle(chi, s: float) -> complex:
@@ -180,6 +190,9 @@ def test_l_function_domain_checks():
         ch.l_function_real(chi, 1.6)
     with pytest.raises(DomainError):
         ch.l_function_real(ch.principal_character(5), 1.0)
+    for bad in (math.nan, math.inf, -math.inf, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            ch.l_function_real(chi, bad)
 
 
 def test_zero_scan_small_moduli_clean():
@@ -196,6 +209,30 @@ def test_zero_scan_domain_checks():
         ch.exceptional_zero_scan(2)
     with pytest.raises(DomainError):
         ch.exceptional_zero_scan(5, c=0.0)
+    with pytest.raises(DomainError):
+        ch.exceptional_zero_scan(5.5)
+    for bad in ({"c": math.nan}, {"c": math.inf}, {"grid_points": 0},
+                {"grid_points": 1}, {"grid_points": 2.5}, {"zero_tol": math.nan},
+                {"zero_tol": math.inf}, {"zero_tol": -1e-8}):
+        with pytest.raises(DomainError):
+            ch.exceptional_zero_scan(5, **bad)
+
+
+@pytest.mark.parametrize("q", range(3, 61))
+def test_zero_scan_shared_block_is_the_l_function(q):
+    # the scan applies each character to one Hurwitz block per modulus; every
+    # value must be exactly the oracle's, not merely close to it
+    grid = np.linspace(max(0.5, 1.0 - 1.0 / math.log(q)), 1.0, 512 + 2)[1:-1]
+    chars = ch.enumerate_quadratic_characters(q)
+    rows = list(ch._quadratic_l_values(q, grid))
+    assert [idx for idx, _, _ in rows] == list(range(len(chars)))
+    direct = [ch.l_function_real(chi, grid) for chi in chars]
+    for (_, chi, vals), want, oracle_chi in zip(rows, direct, chars):
+        assert chi == oracle_chi
+        assert np.array_equal(vals, want)
+    res = ch.exceptional_zero_scan(q)
+    assert not res.found
+    assert res.min_abs_l == min(float(np.min(np.abs(v))) for v in direct)
 
 
 def test_synthetic_pair_is_explicit_opt_in():

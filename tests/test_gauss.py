@@ -15,7 +15,7 @@ import pytest
 import primeavg.gauss as gs
 from primeavg.characters import (enumerate_quadratic_characters,
                                  principal_character)
-from primeavg.ntheory import DomainError
+from primeavg.ntheory import DomainError, euler_phi
 
 
 def test_tau_quadratic_mod_3_is_i_sqrt_3():
@@ -36,6 +36,16 @@ def test_tau_laws_for_primitive_quadratics():
         t = gs.tau(chi)
         assert abs(abs(t) - math.sqrt(q)) < 1e-10
         assert cmath.isclose(t * t, complex(chi(-1)) * q, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("q", [5, 8, 12, 40])
+def test_tau_memo_returns_the_direct_sum(q):
+    for chi in [principal_character(q)] + enumerate_quadratic_characters(q):
+        assert chi._tau is None
+        direct = euler_phi(q) * gs.gauss_sum_bruteforce(chi, 1)
+        first = gs.tau(chi)
+        assert chi._tau == first == direct
+        assert gs.tau(chi) == first
 
 
 def test_closed_form_matches_bruteforce_sample():
@@ -123,7 +133,6 @@ def test_verify_rows_stream_covers_every_comparison_point():
     assert all(ok for *_xs, ok in rows)
     # one row per coprime shift, per twisted/exponential shift, plus the
     # two tau laws, for the principal and each quadratic character
-    from primeavg.ntheory import euler_phi
     expect = sum((1 + len(enumerate_quadratic_characters(q)))
                  * (euler_phi(q) + 2 * q + 2)
                  for q in range(1, 41))

@@ -319,6 +319,9 @@ def test_residue_equidistribution_domain(rng):
             mx.residue_equidistribution(bad, 4, 1, 1, 0.75, 6)
     with pytest.raises(DomainError):
         mx.residue_equidistribution(f, 4, 1, 1, 0.75, -1)  # n_max < 0
+    for s, n_max in ((1.5, 4), (1, 4.0), (1, 2.5)):  # non-integer level or n_max
+        with pytest.raises(DomainError):
+            mx.residue_equidistribution(f, 4, 1, s, 0.75, n_max)
     out = mx.residue_equidistribution(f, 4, 2, 1, 0.75, 6, resolution=1 << 12)
     assert set(out) == {"Q", "r", "s", "beta", "weak_norm", "l1_norm", "ratio"}
     assert out["ratio"] > 0
@@ -375,6 +378,9 @@ def test_l2_arc_decay_decreases_in_s(rng):
     assert all(b < a for a, b in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
         mx.l2_arc_maximal_decay(1, f, -1)  # n_max < 0
+    for s, n_max in ((1.5, 4), (1, 2.5), (np.nan, 4)):
+        with pytest.raises(DomainError):
+            mx.l2_arc_maximal_decay(s, f, n_max)
     for bad in (mx.Signal(offset=0, values=np.zeros(4)),
                 mx.Signal(offset=0, values=np.zeros(0))):
         with pytest.raises(DomainError):

@@ -156,8 +156,11 @@ def test_eta_s_scaling():
         assert mp.eta_s(s, r * 0.49) == 1.0
         assert mp.eta_s(s, r) == 0.0
         assert mp.eta_s(s, 2.0 ** (-4 * s) * 0.3) == mp.eta(0.3)
-    with pytest.raises(DomainError):
-        mp.eta_s(-1, 0.1)
+    for s in (-1, 1.5, 2.0, np.nan):
+        with pytest.raises(DomainError):
+            mp.eta_s(s, 0.1)
+        with pytest.raises(DomainError):
+            mp.enumerate_arcs(s)
 
 
 # --- arcs ---

@@ -65,6 +65,20 @@ def test_factorize_reconstructs_and_respects_cap():
         nt.factorize((1 << 32) + 1)
 
 
+def test_factorize_memo_is_shared_and_int_callers_get_ints():
+    assert nt.factorize(360) is nt.factorize(360)
+    # a numpy integer gets its own entry: int callers never see numpy scalars
+    wide = nt.factorize(np.int64(2 * 3 * 10007))
+    narrow = nt.factorize(2 * 3 * 10007)
+    assert narrow == wide
+    assert all(type(p) is int for p, _ in narrow.factors)
+    assert type(nt.euler_phi(2 * 3 * 10007)) is int
+    for bad, err in ((0, nt.DomainError), ((1 << 32) + 1, nt.CapacityError)):
+        for _ in range(2):  # errors are raised again, never cached
+            with pytest.raises(err):
+                nt.factorize(bad)
+
+
 def test_squarefree_agrees_with_mobius():
     for n in range(1, 3000):
         assert nt.is_squarefree(n) == (nt.mobius(n) != 0)
