@@ -180,6 +180,15 @@ def _primitive_root(p: int, e: int) -> int:
     return g
 
 
+def _modulus(q: int) -> int:
+    """q as a Python int, checked to be an integer >= 1 before _group_data's
+    untyped memo, where 5.0 would find the entry for 5 (and a numpy integer
+    would reach pow() in _primitive_root)."""
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise DomainError("modulus must be an integer >= 1")
+    return int(q)
+
+
 @lru_cache(maxsize=512)
 def _group_data(q: int) -> _GroupData:
     return _GroupData(q)
@@ -207,8 +216,7 @@ def _char_from_phases(q: int, phases: np.ndarray, order: int) -> DirichletCharac
 
 def principal_character(q: int) -> DirichletCharacter:
     """The principal character mod q: 1 on units, 0 elsewhere."""
-    if q < 1:
-        raise DomainError("modulus must be >= 1")
+    q = _modulus(q)
     g = _group_data(q)
     return _char_from_exponents(q, tuple(0 for _ in g.gens))
 
@@ -219,8 +227,7 @@ def enumerate_characters(q: int, cap: int = ENUM_CAP) -> list[DirichletCharacter
     The order is lexicographic in the exponent tuples on the unit-group
     generators, so repeated calls enumerate identically.
     """
-    if q < 1:
-        raise DomainError("modulus must be >= 1")
+    q = _modulus(q)
     if q > cap:
         raise CapacityError(f"enumeration modulus {q} exceeds cap {cap}")
     g = _group_data(q)
@@ -229,6 +236,7 @@ def enumerate_characters(q: int, cap: int = ENUM_CAP) -> list[DirichletCharacter
 
 def enumerate_quadratic_characters(q: int) -> list[DirichletCharacter]:
     """The quadratic characters mod q (order matches enumerate_characters)."""
+    q = _modulus(q)
     g = _group_data(q)
     choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in g.orders]
     out = []
@@ -287,17 +295,6 @@ def conductor(chi: DirichletCharacter) -> PrimitiveDecomposition:
 
 def is_primitive(chi: DirichletCharacter) -> bool:
     return conductor(chi).conductor == chi.modulus
-
-
-def character_json(chi: DirichletCharacter) -> dict:
-    """JSON-ready description: modulus, conductor, kind, (re, im) value pairs."""
-    dec = conductor(chi)
-    return {
-        "modulus": chi.modulus,
-        "conductor": dec.conductor,
-        "kind": chi.kind,
-        "values": [[float(v.real), float(v.imag)] for v in chi.values],
-    }
 
 
 # --- L-functions on the real axis ---
@@ -427,6 +424,7 @@ def exceptional_zero_scan(q: int, c: float = 1.0, zero_tol: float = 1e-8,
     """
     if not isinstance(q, (int, np.integer)) or q < 3:
         raise DomainError("zero scan requires an integer q >= 3")
+    q = int(q)
     if not (math.isfinite(c) and c > 0):
         raise DomainError("the zero-region constant c must be finite and positive")
     if not (math.isfinite(zero_tol) and zero_tol >= 0):

@@ -7,9 +7,10 @@ significant digits, and JSON keys are sorted.  Exit codes: 0 success,
 1 usage or input error (one stderr line, no report), 2 measured-constant
 drift or verification failure.
 
-Frozen constants live in a JSON fixture (--fixtures); a measured value
-drifting more than 25% from its frozen counterpart fails the run, and
---refreeze rewrites the stored values instead.
+Frozen constants live in a JSON fixture (--fixtures, taken by the two
+subcommands that measure one: weak-type-sweep and residue-equidist); a
+measured value drifting more than 25% from its frozen counterpart fails the
+run, and --refreeze rewrites the stored values instead.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ def _cmd_residue(args) -> int:
 
 def _cmd_ergodic(args) -> int:
     _require_min(args, "--n-max", 1)
+    _require_min(args, "--seeds", 0)
     if args.system == "rotation":
         system = ergodic.DynamicalSystem.rotation(args.alpha, args.alpha_cf_depth)
     else:
@@ -352,10 +354,12 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="report path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--fixtures", help="frozen-constants JSON path")
-    common.add_argument("--refreeze", action="store_true",
-                        help="record measured constants into --fixtures")
     common.add_argument("--seed", type=int, default=0)
+    # for the subcommands that measure a constant (_check_frozen)
+    frozen = argparse.ArgumentParser(add_help=False)
+    frozen.add_argument("--fixtures", help="frozen-constants JSON path")
+    frozen.add_argument("--refreeze", action="store_true",
+                        help="record measured constants into --fixtures")
 
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -377,7 +381,7 @@ def build_parser() -> _Parser:
                    help="modulus receiving the synthetic zero")
     p.set_defaults(fn=_cmd_multiplier_error)
 
-    p = sub.add_parser("weak-type-sweep", parents=[common],
+    p = sub.add_parser("weak-type-sweep", parents=[common, frozen],
                        help="superlevel counts of the dyadic maximal average")
     p.add_argument("--family", choices=("interval", "random", "primes", "ap"),
                    default="interval")
@@ -395,7 +399,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=10)
     p.set_defaults(fn=_cmd_lp_sweep)
 
-    p = sub.add_parser("residue-equidist", parents=[common],
+    p = sub.add_parser("residue-equidist", parents=[common, frozen],
                        help="weak norms of filtered maximal averages on residue classes")
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--s", type=int, default=1)
@@ -438,7 +442,7 @@ def run(argv=None) -> int:
     try:
         if args.threads < 1:
             raise DomainError("--threads must be >= 1")
-        if args.refreeze and not args.fixtures:
+        if getattr(args, "refreeze", False) and not args.fixtures:
             raise DomainError("--refreeze needs --fixtures")
         return args.fn(args)
     except (DomainError, CapacityError, OSError, ValueError) as e:

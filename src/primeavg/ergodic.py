@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .maximal import Signal, prime_scale_counts
+from .maximal import Signal, _superlevel_counts, prime_scale_counts
 from .ntheory import DomainError, PrimeTable
 
 _DEN_MIN = 1 << 33
@@ -230,12 +230,17 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
     of 1_F from maximal.prime_scale_counts (FFT correlation rounded back to
     integers, with a residual check).  The identity
     A_N(1_A)(T^n x0) = A_N(1_F)(n) for n <= R - L, N <= L makes the two
-    integer arrays equal entry for entry, so superlevel counts agree exactly.
+    integer arrays equal entry for entry, and the superlevel counts compare
+    those integers with lambda exactly (as weak_type_sweep does), so they
+    agree too.
     """
     if not 2 <= L < R:
         raise DomainError("need 2 <= L < R")
     if lambda_grid is None:
         lambda_grid = np.asarray([0.75, 0.5, 0.25, 0.125])
+    lam = np.asarray(lambda_grid, dtype=np.float64)
+    if not np.all((lam > 0) & (lam < 1)):
+        raise DomainError("lambda grid must lie in (0, 1)")
     member = np.asarray(indicator(system.orbit_positions(x0, np.arange(R + 1))))
     if not np.all((member == 0) | (member == 1)):
         raise DomainError("indicator must take values in {0, 1}")
@@ -262,24 +267,9 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
         signal_sums[i] = k[N: N + W]  # k[0] is the count at n = -N
 
     discrepancy = int(np.max(np.abs(orbit_sums - signal_sums)))
-    counts = np.asarray([table.count(int(N)) for N in scales], dtype=np.int64)
-    lam = np.asarray(lambda_grid, dtype=np.float64)
-
-    def _superlevel(sums: np.ndarray) -> np.ndarray:
-        maximal = np.max(sums / counts[:, None], axis=0)
-        return np.asarray([(maximal > l).sum() for l in lam], dtype=np.int64)
-
+    counts = [table.count(int(N)) for N in scales]
     return TransferenceResult(
         R=R, L=L, set_size=int(member.sum()), scales=scales, lambda_grid=lam,
-        orbit_counts=_superlevel(orbit_sums),
-        signal_counts=_superlevel(signal_sums),
+        orbit_counts=_superlevel_counts(zip(counts, orbit_sums), lam, W),
+        signal_counts=_superlevel_counts(zip(counts, signal_sums), lam, W),
         identity_discrepancy=discrepancy)
-
-
-def ks_uniform_distance(system: DynamicalSystem, x0, count: int) -> float:
-    """Kolmogorov-Smirnov distance of {T^n x0 : n < count} from uniform."""
-    if system.kind != "rotation":
-        raise DomainError("uniformity check applies to rotations")
-    pos = np.sort(system.orbit_positions(x0, np.arange(count)))
-    i = np.arange(count, dtype=np.float64)
-    return float(max(np.max((i + 1) / count - pos), np.max(pos - i / count)))

@@ -159,20 +159,6 @@ def ramanujan_gauss_principal(q: int, a: int) -> float:
     return mobius(m) / euler_phi(m)
 
 
-def gauss_bound_ratio(chi: DirichletCharacter) -> float:
-    """max over units a of |G(chi, a)| * phi(q) / sqrt(q0).
-
-    The closed form gives |G(chi, a)| <= sqrt(q0)/phi(q), so this ratio
-    never exceeds 1 (up to roundoff).
-    """
-    q0 = conductor(chi).conductor
-    units = chi.unit_residues()
-    g_all = gauss_sum_bruteforce_all(chi)
-    if units.size == 0:
-        return 0.0
-    return float(np.max(np.abs(g_all[units])) * euler_phi(chi.modulus) / math.sqrt(q0))
-
-
 # record field of each comparison kind, in record order; 'vanish' is an
 # exponential-sum check whose closed form is structurally zero, and
 # 'principal' (the Ramanujan evaluation) is added by verify_quadratic_range
@@ -244,7 +230,10 @@ def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
     modulus bound ratio, and check/failure counts.
     """
     records = []
-    for q, index, chi, _, g_brute, checks in _quadratic_audit(q_min, q_max):
+    for q, index, chi, q0, g_brute, checks in _quadratic_audit(q_min, q_max):
+        # |G(chi, a)| <= sqrt(q0)/phi(q) over the units, so this never exceeds 1
+        bound_ratio = float(np.max(np.abs(g_brute[chi.unit_residues()]))
+                            * euler_phi(q) / math.sqrt(q0))
         if chi.kind == "principal":
             checks = checks + [
                 ("principal", a, abs(ramanujan_gauss_principal(q, a) - g_brute[a]))
@@ -262,7 +251,7 @@ def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
                     vanish_failures += 1
         records.append({
             "q": q, "index": index, "kind": chi.kind, **errs,
-            "bound_ratio": gauss_bound_ratio(chi),
+            "bound_ratio": bound_ratio,
             "vanish_checks": vanish_checks, "vanish_failures": vanish_failures,
             "checks": len(checks),
             "failures": sum(e > tol for e in errs.values()) + vanish_failures,

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -341,14 +340,34 @@ class WeakTypeReport:
         return float(np.max(self.normalized))
 
 
+def _superlevel_counts(scales, lam: np.ndarray, width: int) -> np.ndarray:
+    """|{x : k_N(x) / pi_N > lambda for some N}| for each lambda, exactly.
+
+    scales yields (pi_N, k_N) with integer counts k_N over the last k_N.size
+    of `width` points.  k / pi_N > lambda iff k > floor(lambda * pi_N), and
+    every float lambda is a ratio of integers, so that floor is exact too.
+    """
+    # level[x] = how many of the smallest lambdas x exceeds at some scale
+    ascending = np.sort(lam)
+    ratios = [float(l).as_integer_ratio() for l in ascending]
+    level = np.zeros(width, dtype=np.int64)
+    for pi_N, k in scales:
+        floors = [num * pi_N // den for num, den in ratios]
+        # 0 <= k <= pi_N, so one table over that range replaces a search per x
+        exceeded = np.searchsorted(floors, np.arange(pi_N + 1), side="left")
+        tail = level[width - k.size:]
+        np.maximum(tail, exceeded[k], out=tail)
+    above = np.bincount(level, minlength=lam.size + 1)[::-1].cumsum()[::-1]
+    return above[1 + np.searchsorted(ascending, lam)]
+
+
 def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
                     table: PrimeTable) -> WeakTypeReport:
     """Counts |{sup_{n <= n_max} A_{2^n} 1_F > lambda}| over the lambda grid.
 
     F must be a 0/1 indicator signal and n_max >= 1.  The counts are exact:
     A_{2^n} 1_F(x) = k_n(x) / pi(2^n) with integer k_n (prime_scale_counts),
-    and x counts for lambda when k_n(x) > floor(lambda * pi(2^n)) for some n.
-    Every float lambda is a dyadic rational, so that floor is exact too.
+    compared with lambda in integers (_superlevel_counts).
     Counts are nonincreasing in lambda and zero for lambda >= 1.
     """
     vals = np.asarray(F.values)
@@ -362,15 +381,8 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
         raise DomainError("lambda grid must be nonempty and lie in (0, 1)")
     if n_max < 1:
         raise DomainError("weak_type_sweep needs n_max >= 1")
-    # level[x] = how many of the smallest lambdas x exceeds at some scale
-    ascending = np.sort(lam)
-    level = np.zeros((1 << n_max) + len(vals), dtype=np.int64)
-    for pi_N, k in prime_scale_counts(F, n_max, table):
-        floors = [math.floor(Fraction(l) * pi_N) for l in ascending]
-        tail = level[level.size - k.size:]
-        np.maximum(tail, np.searchsorted(floors, k, side="left"), out=tail)
-    above = np.bincount(level, minlength=lam.size + 1)[::-1].cumsum()[::-1]
-    counts = above[1 + np.searchsorted(ascending, lam)]
+    counts = _superlevel_counts(prime_scale_counts(F, n_max, table), lam,
+                                (1 << n_max) + len(vals))
     normalized = lam * counts / (np.log(np.e / lam) ** 2 * size)
     return WeakTypeReport(lambda_grid=lam, counts=counts, normalized=normalized,
                           set_size=size, n_max=n_max)

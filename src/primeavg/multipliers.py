@@ -550,23 +550,6 @@ def approximation_error(n: int, resolution: int, table: PrimeTable,
     return float(np.max(np.abs(m - nu)))
 
 
-def major_arc_error(N: int, Q: float, a: int, q: int, xi: float,
-                    table: PrimeTable) -> float:
-    """|m_N(xi) - L_hat[a,q; N](xi - a/q)| under the major-arc constraints.
-
-    Requires q <= Q, gcd(a, q) = 1, and |xi - a/q| <= Q/N.
-    """
-    if q > Q:
-        raise DomainError("major arc needs q <= Q")
-    if math.gcd(a, q) != 1:
-        raise DomainError("a/q must be reduced")
-    theta = float(_circular(np.array([xi - a / q]))[0])
-    if abs(theta) > Q / N:
-        raise DomainError("xi must satisfy |xi - a/q| <= Q/N")
-    spec = ApproximantSpec(a=a, q=q, N=N)
-    return abs(complex(prime_multiplier(N, xi, table)) - complex(approximant_hat(spec, theta)))
-
-
 def partial_summation_bracket(N: int, table: PrimeTable) -> float:
     """theta(N)/log N + sum_{n=2}^{N-1} theta(n) (1/log n - 1/log(n+1)).
 
@@ -583,57 +566,3 @@ def partial_summation_bracket(N: int, table: PrimeTable) -> float:
     theta_n = np.where(k > 0, theta_cum[np.maximum(k - 1, 0)], 0.0)
     inner = theta_n * (1.0 / np.log(n) - 1.0 / np.log(n + 1.0))
     return float(table.theta(N) / math.log(N) + inner.sum())
-
-
-def bound_ratio_checks(resolution: int = 1 << 12,
-                       n_range: tuple[int, int] = (6, 14),
-                       betas: tuple[float, ...] = (0.5, 0.75, 0.9, 0.95),
-                       q_max: int = 100) -> dict:
-    """Measured suprema of |LHS|/RHS for the kernel and Gauss bounds.
-
-    Returns the observed sup for each of: the two-sided M_hat bound
-    (min{(N|xi|)^-1, N|xi|}), the one-sided M_hat^beta bound ((N|xi|)^-1),
-    the dyadic-difference bound (min pair + (1-beta) N^(beta-1)), and the
-    Gauss modulus bound (sqrt(q0)/phi(q)), measured on fixed grids, together
-    with the per-(check, beta, n) rows behind the first three.
-    """
-    from .characters import enumerate_quadratic_characters
-
-    G = resolution
-    j = np.arange(1, G)
-    xi = np.minimum(j, G - j) / G  # circular |xi|, nonzero
-    sup_two_sided = 0.0
-    sup_one_sided = 0.0
-    sup_dyadic = 0.0
-    rows = []
-    for n in range(n_range[0], n_range[1] + 1, 2):
-        N = 1 << n
-        mhat = np.abs(fourier_M_beta(N, 1.0, j / G))
-        rhs = np.minimum(1.0 / (N * xi), N * xi)
-        r = float(np.max(mhat / rhs))
-        rows.append({"check": "two-sided", "n": n, "sup": r})
-        sup_two_sided = max(sup_two_sided, r)
-    for beta in betas:
-        for n in range(n_range[0], min(n_range[1], 12) + 1, 3):
-            N = 1 << n
-            mb = np.abs(fourier_M_beta(N, beta, j / G))
-            r = float(np.max(mb * (N * xi)))
-            rows.append({"check": "one-sided", "beta": beta, "n": n, "sup": r})
-            sup_one_sided = max(sup_one_sided, r)
-            mb2 = np.abs(np.asarray(fourier_M_beta(2 * N, beta, j / G))
-                         - np.asarray(fourier_M_beta(N, beta, j / G)))
-            rhs = np.minimum(1.0 / (N * xi), N * xi) + (1.0 - beta) * N ** (beta - 1.0)
-            r = float(np.max(mb2 / rhs))
-            rows.append({"check": "dyadic-difference", "beta": beta, "n": n, "sup": r})
-            sup_dyadic = max(sup_dyadic, r)
-    sup_gauss = 0.0
-    for q in range(3, q_max + 1):
-        for chi in enumerate_quadratic_characters(q):
-            sup_gauss = max(sup_gauss, gauss.gauss_bound_ratio(chi))
-    return {
-        "two_sided_sup": sup_two_sided,
-        "one_sided_sup": sup_one_sided,
-        "dyadic_difference_sup": sup_dyadic,
-        "gauss_modulus_sup": sup_gauss,
-        "rows": rows,
-    }

@@ -3,10 +3,8 @@
 Provides the sieve of Eratosthenes (memoized per limit in the process),
 whose PrimeTable answers prime counting pi(N) (PrimeTable.count) and the
 log-weighted count theta(N) = sum of log p over primes p <= N
-(PrimeTable.theta; chebyshev_theta_progression restricts it to an
-arithmetic progression), the classical multiplicative functions (mobius,
-euler_phi, is_squarefree, divisors, all read from one memoized factorize),
-and the totient-weighted logarithmic sum phi_capital.
+(PrimeTable.theta), and the classical multiplicative functions (mobius,
+euler_phi, is_squarefree, divisors, all read from one memoized factorize).
 
 All logarithms are natural.
 """
@@ -111,17 +109,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     return table
 
 
-def chebyshev_theta_progression(x: float, q: int, r: int, table: PrimeTable) -> float:
-    """theta(x; q, r) = sum of log p over primes p <= x with p = r (mod q)."""
-    if q < 1:
-        raise DomainError("modulus q must be >= 1")
-    p = table.primes_upto(x)
-    mask = (p % q) == (r % q)
-    if not mask.any():
-        return 0.0
-    return float(np.log(p[mask].astype(np.float64)).sum())
-
-
 # --- multiplicative functions (trial division against a small shared sieve) ---
 
 _SMALL_LIMIT = 1 << 16
@@ -200,20 +187,3 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).factors:
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def phi_capital(t: float) -> float:
-    """Phi(t) = sum over 1 <= q < 2^sqrt(t) of (1 + log q) / phi(q).
-
-    The sum is empty only for t <= 0; any t > 0 includes q = 1.
-    """
-    if t <= 0:
-        return 0.0
-    bound = 2.0 ** math.sqrt(t)
-    qmax = int(bound)
-    if float(qmax) == bound:
-        qmax -= 1
-    total = 0.0
-    for q in range(1, qmax + 1):
-        total += (1.0 + math.log(q)) / euler_phi(q)
-    return total

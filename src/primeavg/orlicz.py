@@ -164,18 +164,6 @@ def _phi_inv_adaptive(lo: float, hi: float, tol: float, depth: int = 0) -> float
             + _phi_inv_adaptive(mid, hi, 0.5 * tol, depth + 1))
 
 
-def weight_integral(lo: float, hi: float, tol: float = 1e-10) -> float:
-    """integral_lo^hi phi(1/t) dt for 0 <= lo < hi <= 1.
-
-    The integrand blows up polylogarithmically at t = 0; the open Gauss
-    nodes never touch the endpoint and the adaptive bisection resolves the
-    growth there.
-    """
-    if not 0.0 <= lo < hi <= 1.0 + 1e-12:
-        raise DomainError("weight integral needs 0 <= lo < hi <= 1")
-    return _phi_inv_adaptive(lo, min(hi, 1.0), tol)
-
-
 def orlicz_norm(rearrangement: StepRearrangement, tol: float = 1e-9) -> float:
     """integral_0^1 f*(t) phi(1/t) dt for a step rearrangement.
 

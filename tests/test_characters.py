@@ -216,6 +216,18 @@ def test_zero_scan_domain_checks():
                 {"zero_tol": math.inf}, {"zero_tol": -1e-8}):
         with pytest.raises(DomainError):
             ch.exceptional_zero_scan(5, **bad)
+    # the enumerators check the modulus before the untyped group memo, so
+    # 5.0 is rejected even once the entry for 5 exists
+    ch.enumerate_characters(5)
+    for make in (ch.principal_character, ch.enumerate_characters,
+                 ch.enumerate_quadratic_characters):
+        for bad in (5.0, math.nan, 0, -3):
+            with pytest.raises(DomainError):
+                make(bad)
+        assert make(np.int64(7)) == make(7)
+    assert ch.exceptional_zero_scan(np.int64(7)) == ch.exceptional_zero_scan(7)
+    with pytest.raises(ch.CapacityError):
+        ch.enumerate_characters(ch.ENUM_CAP + 1)
 
 
 @pytest.mark.parametrize("q", range(3, 61))
@@ -246,12 +258,3 @@ def test_synthetic_pair_is_explicit_opt_in():
     with pytest.raises(DomainError):
         ch.synthetic_exceptional(5, 1.0)
 
-
-def test_character_json_shape():
-    chi = ch.enumerate_quadratic_characters(12)[0]
-    blob = ch.character_json(chi)
-    assert set(blob) == {"modulus", "conductor", "kind", "values"}
-    assert blob["modulus"] == 12
-    assert len(blob["values"]) == 12
-    rebuilt = np.array([complex(re, im) for re, im in blob["values"]])
-    assert np.allclose(rebuilt, chi.values)

@@ -73,6 +73,8 @@ def test_missing_input_file_is_reported(tmp_path):
     ["lp-sweep", "--support", "-4", "--seeds", "1", "--n-max", "4"],
     ["lp-sweep", "--support", "16", "--seeds", "1", "--n-max", "-2"],
     ["ergodic-demo", "--n-max", "-2"],
+    ["ergodic-demo", "--seeds", "-3", "--n-max", "4"],
+    ["gauss-verify", "--q-max", "3", "--fixtures", "x"],
     ["residue-equidist", "--resolution", "8", "--n-max", "3", "--support", "8"],
 ])
 def test_degenerate_input_is_one_line_error(tmp_path, capsys, argv):

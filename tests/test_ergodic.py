@@ -171,8 +171,24 @@ def test_transference_whole_and_empty_sets(table_small):
     assert empty.counts_equal
 
 
+def test_transference_counts_compare_lambda_exactly(table_small):
+    # F = {11, 13}: A_16 1_F(0) = 2/6 lies above the double nearest 1/3, but
+    # the float quotient 2/6 rounds onto it
+    sys = er.DynamicalSystem.shift(100)
+    res = er.transference_sample(sys, lambda x: np.isin(np.asarray(x), [11, 13]),
+                                 0, R=20, L=16, table=table_small,
+                                 lambda_grid=np.array([1 / 3]))
+    assert res.orbit_counts.tolist() == [1]
+    assert res.signal_counts.tolist() == [1]
+
+
 def test_transference_validation(table_small):
     sys = er.DynamicalSystem.rotation("golden")
+    for lam in ([math.nan], [0.5, math.inf], [0.0], [1.0]):
+        with pytest.raises(DomainError):
+            er.transference_sample(sys, er.interval_indicator(0, 0.5), 0.0,
+                                   R=64, L=8, table=table_small,
+                                   lambda_grid=np.array(lam))
     with pytest.raises(DomainError):
         er.transference_sample(sys, er.interval_indicator(0, 0.5), 0.0,
                                R=16, L=16, table=table_small)
@@ -180,12 +196,3 @@ def test_transference_validation(table_small):
         er.transference_sample(sys, lambda x: np.asarray(x) * 0.5 + 0.2, 0.0,
                                R=64, L=8, table=table_small)
 
-
-def test_ks_distance_decreases_with_count():
-    sys = er.DynamicalSystem.rotation("golden")
-    d3 = er.ks_uniform_distance(sys, 0.0, 1000)
-    d5 = er.ks_uniform_distance(sys, 0.0, 100000)
-    assert d5 < d3 < 0.01
-    assert d5 < 1e-4
-    with pytest.raises(DomainError):
-        er.ks_uniform_distance(er.DynamicalSystem.shift(5), 0, 100)

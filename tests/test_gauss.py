@@ -109,9 +109,11 @@ def test_ramanujan_values_mod_10():
 
 
 def test_bound_ratio_never_exceeds_one():
-    for q in range(1, 80):
-        for chi in [principal_character(q)] + enumerate_quadratic_characters(q):
-            assert gs.gauss_bound_ratio(chi) <= 1.0 + 1e-12
+    # every principal and quadratic character with q < 80
+    records = gs.verify_quadratic_range(79)
+    assert len(records) == sum(1 + len(enumerate_quadratic_characters(q))
+                               for q in range(1, 80))
+    assert all(r["bound_ratio"] <= 1.0 + 1e-12 for r in records)
 
 
 def test_verify_range_is_clean_and_counts_add_up():

@@ -348,22 +348,3 @@ def test_partial_summation_bracket_equals_prime_count(table_small):
     with pytest.raises(DomainError):
         mp.partial_summation_bracket(1, table_small)
 
-
-def test_major_arc_error_small_and_guarded(table_small):
-    err = mp.major_arc_error(4096, 8.0, 1, 2, 0.5 + 1e-4, table_small)
-    assert err < 0.5
-    with pytest.raises(DomainError):
-        mp.major_arc_error(4096, 1.5, 1, 2, 0.5, table_small)  # q > Q
-    with pytest.raises(DomainError):
-        mp.major_arc_error(4096, 8.0, 2, 4, 0.5, table_small)  # not reduced
-    with pytest.raises(DomainError):
-        mp.major_arc_error(4096, 8.0, 1, 2, 0.75, table_small)  # off the arc
-
-
-def test_bound_ratio_checks_keys_and_sanity():
-    out = mp.bound_ratio_checks(resolution=1 << 10, n_range=(6, 8), q_max=30)
-    assert set(out) == {"two_sided_sup", "one_sided_sup",
-                        "dyadic_difference_sup", "gauss_modulus_sup", "rows"}
-    assert out["gauss_modulus_sup"] <= 1.0 + 1e-12
-    assert 0 < out["two_sided_sup"]
-    assert all("check" in r and "sup" in r for r in out["rows"])

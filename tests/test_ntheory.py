@@ -26,21 +26,6 @@ def test_prime_count_and_theta_against_direct_sums(table_small):
             sum(np.log(float(p)) for p in below), rel=1e-12)
 
 
-def test_theta_progression_partitions_theta(table_small):
-    x = 2500
-    for q in (3, 4, 10):
-        parts = sum(nt.chebyshev_theta_progression(x, q, r, table_small)
-                    for r in range(q))
-        assert parts == pytest.approx(table_small.theta(x), rel=1e-12)
-
-
-def test_theta_progression_counts_only_matching_residues(table_small):
-    ps = table_small.primes_upto(1000)
-    want = sum(np.log(float(p)) for p in ps if p % 4 == 1)
-    got = nt.chebyshev_theta_progression(1000, 4, 1, table_small)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
 def test_mobius_divisor_sum_identity():
     # sum over d | n of mu(d) is 1 at n = 1 and 0 otherwise
     for n in range(1, 2000):
@@ -90,15 +75,6 @@ def test_divisors_sorted_and_complete():
         assert ds == sorted(ds)
         assert all(n % d == 0 for d in ds)
         assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0)
-
-
-def test_phi_capital_frozen_value_and_monotonicity():
-    # Phi(t) = sum over admissible q < 2^sqrt(t) of general phi-weight;
-    # the t = 4 value pins the boundary convention (q < 4 strictly).
-    assert nt.phi_capital(4) == pytest.approx(3.7424533248940004, abs=1e-12)
-    grid = np.linspace(1.0, 30.0, 40)
-    vals = [nt.phi_capital(float(t)) for t in grid]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_sieve_domain_and_capacity():

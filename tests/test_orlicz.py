@@ -98,11 +98,18 @@ def test_rearrangement_rejects_non_finite():
         r.scale(inf)
 
 
-def test_weight_integral_against_quad():
+def test_step_norms_against_quad():
+    # steps broken at lo and hi: one step when lo = 0, else a higher step
+    # on [0, lo) and a unit step on [lo, hi)
     for lo, hi in [(0.0, 1.0), (0.0, 0.5), (0.25, 0.75), (1e-6, 1e-3)]:
-        want, _ = quad(lambda t: _phi(1.0 / t), max(lo, 1e-300), hi,
-                       epsabs=1e-13, limit=400)
-        assert oz.weight_integral(lo, hi) == pytest.approx(want, abs=1e-9)
+        if lo == 0.0:
+            pairs, steps = [(1.0, hi)], [(1.0, 0.0, hi)]
+        else:
+            pairs = [(2.0, lo), (1.0, hi - lo)]
+            steps = [(2.0, 0.0, lo), (1.0, lo, hi)]
+        r = oz.decreasing_rearrangement(pairs)
+        assert r.cuts.tolist() == sorted({0.0, lo, hi})
+        assert oz.orlicz_norm(r) == pytest.approx(_norm_oracle(steps), abs=1e-9)
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.5, 0.25])
