@@ -35,13 +35,34 @@ FLOAT_FMT = "%.17g"
 DRIFT_TOLERANCE = 0.25
 
 
+def _fmt_bool(x) -> str:
+    return "true" if x else "false"
+
+
+def _fmt_int(x) -> str:
+    return str(int(x))
+
+
+def _fmt_float(x) -> str:
+    return FLOAT_FMT % float(x)
+
+
+# the exact types reports carry, looked up before the isinstance chain
+_FMT_BY_TYPE = {bool: _fmt_bool, np.bool_: _fmt_bool, int: str,
+                np.int64: _fmt_int, float: _fmt_float, np.float64: _fmt_float,
+                str: str}
+
+
 def _fmt(x) -> str:
+    fmt = _FMT_BY_TYPE.get(type(x))
+    if fmt is not None:
+        return fmt(x)
     if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
+        return _fmt_bool(x)
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
+        return _fmt_int(x)
     if isinstance(x, (float, np.floating)):
-        return FLOAT_FMT % float(x)
+        return _fmt_float(x)
     if isinstance(x, (complex, np.complexfloating)):
         z = complex(x)
         return (FLOAT_FMT % z.real) + ("+" if z.imag >= 0 else "-") \

@@ -20,21 +20,33 @@ be compared exhaustively:
   * ramanujan_gauss_principal: G for the principal character, which reduces
     to the Ramanujan sum, G(1_q, a) = mu(q/g) / phi(q/g) with g = gcd(q, a).
 
+Each closed form takes one integer point or an integer array of points, as
+multipliers.fourier_M_beta takes a float or an array, from one copy of its
+formula: a scalar gives a Python complex (a float for the Ramanujan sum), an
+array gives an array of its shape.  The factors that depend on a point only
+through r = gcd(q, x), a divisor of q, are tabulated once per divisor, and
+complex products are formed component-wise in the scalar formula's order,
+so every array entry is the scalar value bit for bit.
+
 The closed forms share tau(chi_star) of the induced primitive character.
 tau sums it directly once per character object and memoizes it there, and
-the primitive character itself is memoized by conductor, so an audit over
-every unit a and shift x of a character pays for one sum.
+the primitive character itself is memoized by conductor.  The exhaustive
+audit behind gauss-verify and criteria 01-03 (verify_quadratic_range,
+verify_quadratic_rows) calls each closed form once per character, on the
+array of units or on every x in [0, q), against one matrix product of
+direct sums.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .characters import DirichletCharacter, conductor
-from .ntheory import DomainError, euler_phi, is_squarefree, mobius
+from .ntheory import DomainError, divisors, euler_phi, is_squarefree, mobius
 
 
 @lru_cache(maxsize=1024)
@@ -72,14 +84,56 @@ def tau(chi: DirichletCharacter) -> complex:
     return chi._tau
 
 
-def gauss_sum_closed(chi: DirichletCharacter, a: int) -> complex:
-    """Closed form for G(chi, a), a coprime to q.
+def _points(x, q: int) -> np.ndarray:
+    """An integer point or integer array of points, reduced mod q, as int64.
+
+    Every closed form here depends on its point only through the residue
+    mod q (the conductor q0 divides q), so reducing first changes no value.
+    """
+    if isinstance(x, (int, np.integer)):
+        return np.asarray(int(x) % q, dtype=np.int64)
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iu":
+        raise DomainError("character-sum points must be integers")
+    return np.mod(arr, q).astype(np.int64)
+
+
+def _as_complex(re, im, like: np.ndarray):
+    """re + i im shaped like the points: a Python complex for one point."""
+    if like.ndim == 0:
+        return complex(float(re), float(im))
+    out = np.empty(like.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+# Complex arithmetic on (re, im) component pairs, term for term as Python
+# evaluates it on complex scalars (an integer factor k enters as k + 0j, and
+# dividing by n is Smith's quotient by n + 0j), so values match that
+# evaluation bit for bit, signed zeros included; numpy's complex loops need
+# not round the same way.
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(re, im, n: int):
+    """(re + i im) / n for a positive integer n."""
+    return (re + im * 0.0) / n, (im - re * 0.0) / n
+
+
+def gauss_sum_closed(chi: DirichletCharacter,
+                     a: int | np.ndarray) -> complex | np.ndarray:
+    """Closed form for G(chi, a), a coprime to q (an integer or an array).
 
     G(chi, a) = mu(q/q0)/phi(q) * chi_star(a) chi_star(q/q0) tau(chi_star),
     which vanishes unless q/q0 is square-free and coprime to q0.
     """
     q = chi.modulus
-    if math.gcd(a, q) != 1:
+    a = _points(a, q)
+    if np.any(np.gcd(a, q) != 1):
         raise DomainError("gauss_sum_closed requires gcd(a, q) = 1")
     dec = conductor(chi)
     q0 = dec.conductor
@@ -87,9 +141,14 @@ def gauss_sum_closed(chi: DirichletCharacter, a: int) -> complex:
     m = q // q0
     mu = mobius(m)
     if mu == 0:
-        return 0.0 + 0.0j
-    val = mu * complex(star(a)) * complex(star(m)) * tau(star)
-    return val / euler_phi(q)
+        return _as_complex(0.0, 0.0, a)
+    sa = star(a)
+    sm = complex(star(m))
+    t = tau(star)
+    re, im = _cmul(mu, 0.0, sa.real, sa.imag)
+    re, im = _cmul(re, im, sm.real, sm.imag)
+    re, im = _cmul(re, im, t.real, t.imag)
+    return _as_complex(*_cdiv(re, im, euler_phi(q)), a)
 
 
 def twisted_character_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex:
@@ -100,27 +159,40 @@ def twisted_character_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex
     return complex(chi.values[units] @ roots[(units * (x % q)) % q])
 
 
-def twisted_character_sum_closed(chi: DirichletCharacter, x: int) -> complex:
-    """Closed form for sum over units a of chi(a) e(a x / q), any integer x.
+def twisted_character_sum_closed(chi: DirichletCharacter,
+                                 x: int | np.ndarray) -> complex | np.ndarray:
+    """Closed form for sum over units a of chi(a) e(a x / q), any integer x
+    (or an integer array).
 
     With r = gcd(q, x): zero unless r divides q/q0, in which case the sum is
     phi(q)/phi(q/r) * chi_star(x/r) chi_star(q/(r q0)) mu(q/(r q0)) tau(chi_star).
     """
     q = chi.modulus
+    x = _points(x, q)
     dec = conductor(chi)
     q0 = dec.conductor
     star = dec.primitive_char
-    r = math.gcd(q, x)  # gcd(q, 0) = q
-    if (q // q0) % r != 0:
-        return 0.0 + 0.0j
-    m = q // (r * q0)
-    mu = mobius(m)
-    if mu == 0:
-        return 0.0 + 0.0j
+    # the factors that depend on x only through r, tabulated per divisor r
+    # of q/q0; at every other divisor of q, mu stays 0 and the sum vanishes
+    phi = euler_phi(q)
+    k, mu = np.zeros(q + 1), np.zeros(q + 1)
+    sm = np.zeros(q + 1, dtype=np.complex128)
+    for d in divisors(q // q0):
+        m = q // (d * q0)
+        k[d] = phi // euler_phi(q // d)
+        mu[d] = mobius(m)
+        sm[d] = star(m)
+    r = np.gcd(x, q)  # gcd(q, 0) = q
     # r | x, so x // r is exact; chi_star reduces it mod q0
-    val = (euler_phi(q) // euler_phi(q // r)) * complex(star(x // r)) \
-        * complex(star(m)) * mu * tau(star)
-    return val
+    s = star(x // r)
+    t = tau(star)
+    k, mu, sm = k[r], mu[r], sm[r]
+    re, im = _cmul(k, 0.0, s.real, s.imag)
+    re, im = _cmul(re, im, sm.real, sm.imag)
+    re, im = _cmul(re, im, mu, 0.0)
+    re, im = _cmul(re, im, t.real, t.imag)
+    zero = mu == 0
+    return _as_complex(np.where(zero, 0.0, re), np.where(zero, 0.0, im), x)
 
 
 def gauss_exponential_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex:
@@ -132,85 +204,114 @@ def gauss_exponential_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex
     return complex(g_all[units] @ roots[(units * (x % q)) % q])
 
 
-def gauss_exponential_sum(chi: DirichletCharacter, x: int) -> complex:
-    """Closed form for sum over units a of G(chi, a) e(x a / q).
+def gauss_exponential_sum(chi: DirichletCharacter,
+                          x: int | np.ndarray) -> complex | np.ndarray:
+    """Closed form for sum over units a of G(chi, a) e(x a / q), x an integer
+    or an integer array.
 
     With r = gcd(q, x), the sum equals mu(r) q0 phi(r)/phi(q) chi_star(-x)
     provided q/q0 is square-free, coprime to q0, and r divides q/q0;
     otherwise it vanishes.
     """
     q = chi.modulus
+    x = _points(x, q)
     dec = conductor(chi)
     q0 = dec.conductor
     star = dec.primitive_char
     m = q // q0
-    r = math.gcd(q, x)
-    if not is_squarefree(m) or math.gcd(m, q0) != 1 or m % r != 0:
-        return 0.0 + 0.0j
-    return mobius(r) * q0 * euler_phi(r) / euler_phi(q) * complex(star(-x))
+    # mu(r) q0 phi(r)/phi(q) per divisor r of m, 0 at every other r
+    coef = np.zeros(q + 1)
+    if is_squarefree(m) and math.gcd(m, q0) == 1:
+        phi = euler_phi(q)
+        for d in divisors(m):
+            coef[d] = mobius(d) * q0 * euler_phi(d) / phi
+    c = coef[np.gcd(x, q)]
+    s = star(-x)
+    re, im = _cmul(c, 0.0, s.real, s.imag)
+    zero = c == 0
+    return _as_complex(np.where(zero, 0.0, re), np.where(zero, 0.0, im), x)
 
 
-def ramanujan_gauss_principal(q: int, a: int) -> float:
-    """G(1_q, a) = c_q(a)/phi(q) = mu(q/g)/phi(q/g), g = gcd(q, a)."""
-    if q < 1:
-        raise DomainError("modulus must be >= 1")
-    g = math.gcd(q, a)
-    m = q // g
-    return mobius(m) / euler_phi(m)
+def ramanujan_gauss_principal(q: int, a: int | np.ndarray) -> float | np.ndarray:
+    """G(1_q, a) = c_q(a)/phi(q) = mu(q/g)/phi(q/g), g = gcd(q, a), for an
+    integer a or an integer array."""
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise DomainError("modulus must be an integer >= 1")
+    q = int(q)
+    a = _points(a, q)
+    by_gcd = np.zeros(q + 1)
+    for g in divisors(q):
+        by_gcd[g] = mobius(q // g) / euler_phi(q // g)
+    out = by_gcd[np.gcd(a, q)]
+    return float(out) if a.ndim == 0 else out
 
 
-# record field of each comparison kind, in record order; 'vanish' is an
-# exponential-sum check whose closed form is structurally zero, and
-# 'principal' (the Ramanujan evaluation) is added by verify_quadratic_range
-_ERR_FIELD = {"gauss": "gauss_err", "twisted": "twisted_err",
-              "expsum": "expsum_err", "vanish": "expsum_err",
-              "tau": "tau_mod_err", "tau^2": "tau_sq_err",
-              "principal": "principal_err"}
-_POINT = {"gauss": "a={}", "twisted": "S x={}", "expsum": "E x={}",
-          "vanish": "E x={}", "tau": "tau", "tau^2": "tau^2"}
+class _CharacterAudit(NamedTuple):
+    """One character's comparisons: |closed - brute| at every unit a (gauss)
+    and at every x in [0, q) (twisted, expsum), where the exponential sum's
+    closed form is structurally zero (vanish), and the errors of the tau
+    laws of the induced primitive character."""
+
+    q: int
+    index: int
+    chi: DirichletCharacter
+    q0: int
+    g_brute: np.ndarray
+    units: np.ndarray
+    gauss: np.ndarray
+    twisted: np.ndarray
+    expsum: np.ndarray
+    vanish: np.ndarray
+    tau: float
+    tau_sq: float
 
 
-def _quadratic_audit(q_min: int, q_max: int):
+def _abs_err(closed: np.ndarray, brute: np.ndarray) -> np.ndarray:
+    """|closed - brute| per point, as hypot of the component differences:
+    what abs gives on one complex scalar (np.abs on a complex array can
+    differ in the last ulp)."""
+    return np.hypot(closed.real - brute.real, closed.imag - brute.imag)
+
+
+def _quadratic_audit(q_min: int, q_max: int, tol_scale: float):
     """The one comparison loop behind verify_quadratic_range and _rows.
 
-    For every modulus q_min <= q <= q_max and every character with chi^2
-    principal (the principal character first), yields
-    (q, index, chi, q0, g_brute, checks).  checks lists one
-    (kind, n, abs_err) per closed-form vs brute-force comparison, in report
-    order: 'gauss' at each unit a = n; 'twisted', then 'expsum' or 'vanish',
-    at each x = n in [0, q); then 'tau' and 'tau^2' (n is None) for the laws
-    of the induced primitive character.
+    Checks the arguments of both, then for every modulus q_min <= q <= q_max
+    and every character with chi^2 principal (the principal character
+    first) yields a _CharacterAudit.  Each closed form is called once per
+    character, on the array of units or on every x in [0, q).
     """
     from .characters import enumerate_quadratic_characters, principal_character
 
+    if not all(isinstance(v, (int, np.integer)) for v in (q_min, q_max)):
+        raise DomainError("the quadratic audit needs integer q_min and q_max")
     if q_min < 1 or q_max < q_min:
         raise DomainError("the quadratic audit needs 1 <= q_min <= q_max")
+    if not (math.isfinite(tol_scale) and tol_scale >= 0):
+        raise DomainError("the quadratic audit needs a finite tol_scale >= 0")
     for q in range(q_min, q_max + 1):
+        xs = np.arange(q)
         roots = roots_of_unity(q)
-        mat = roots[np.outer(np.arange(q), np.arange(q)) % q]
+        mat = roots[np.outer(xs, xs) % q]
         chars = [principal_character(q)] + enumerate_quadratic_characters(q)
         for index, chi in enumerate(chars):
             units = chi.unit_residues()
             g_brute = gauss_sum_bruteforce_all(chi)
-            checks = [("gauss", a, abs(gauss_sum_closed(chi, a) - g_brute[a]))
-                      for a in units.tolist()]
-            twisted_brute = mat @ chi.values
             gvec = np.zeros(q, dtype=np.complex128)
             gvec[units] = g_brute[units]
-            exp_brute = mat @ gvec
-            for x in range(q):
-                checks.append(("twisted", x, abs(
-                    twisted_character_sum_closed(chi, x) - twisted_brute[x])))
-                closed = gauss_exponential_sum(chi, x)
-                checks.append(("vanish" if closed == 0 else "expsum", x,
-                               abs(closed - exp_brute[x])))
+            expsum = gauss_exponential_sum(chi, xs)
             dec = conductor(chi)
             q0 = dec.conductor
             t = tau(dec.primitive_char)
-            checks.append(("tau", None, abs(abs(t) - math.sqrt(q0))))
-            checks.append(("tau^2", None,
-                           abs(t * t - q0 * complex(dec.primitive_char(-1)))))
-            yield q, index, chi, q0, g_brute, checks
+            yield _CharacterAudit(
+                q, index, chi, q0, g_brute, units,
+                gauss=_abs_err(gauss_sum_closed(chi, units), g_brute[units]),
+                twisted=_abs_err(twisted_character_sum_closed(chi, xs),
+                                 mat @ chi.values),
+                expsum=_abs_err(expsum, mat @ gvec),
+                vanish=expsum == 0,
+                tau=abs(abs(t) - math.sqrt(q0)),
+                tau_sq=abs(t * t - q0 * complex(dec.primitive_char(-1))))
 
 
 def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
@@ -224,37 +325,36 @@ def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
     x in [0, q); checks the tau laws on the induced primitive character and
     the Ramanujan evaluation for the principal character; and counts the
     vanishing cases where the closed form is structurally zero.  A check
-    fails when the absolute error exceeds tol_scale * q.
+    fails unless the absolute error is at most tol_scale * q.
 
     Returns one record per (q, character) with the maximum errors, the
     modulus bound ratio, and check/failure counts.
     """
     records = []
-    for q, index, chi, q0, g_brute, checks in _quadratic_audit(q_min, q_max):
+    for au in _quadratic_audit(q_min, q_max, tol_scale):
+        q, chi = au.q, au.chi
         # |G(chi, a)| <= sqrt(q0)/phi(q) over the units, so this never exceeds 1
-        bound_ratio = float(np.max(np.abs(g_brute[chi.unit_residues()]))
-                            * euler_phi(q) / math.sqrt(q0))
+        bound_ratio = float(np.max(np.abs(au.g_brute[au.units]))
+                            * euler_phi(q) / math.sqrt(au.q0))
+        errs = {"gauss_err": au.gauss, "twisted_err": au.twisted,
+                "expsum_err": au.expsum, "tau_mod_err": au.tau,
+                "tau_sq_err": au.tau_sq, "principal_err": 0.0}
+        checks = au.units.size + 2 * q + 2
         if chi.kind == "principal":
-            checks = checks + [
-                ("principal", a, abs(ramanujan_gauss_principal(q, a) - g_brute[a]))
-                for a in range(q)]
+            errs["principal_err"] = _abs_err(
+                ramanujan_gauss_principal(q, np.arange(q)), au.g_brute)
+            checks += q
+        errs = {k: float(np.max(v, initial=0.0)) for k, v in errs.items()}
         tol = tol_scale * q
-        errs = dict.fromkeys(_ERR_FIELD.values(), 0.0)
-        vanish_checks = vanish_failures = 0
-        for kind, _, err in checks:
-            field = _ERR_FIELD[kind]
-            if err > errs[field]:
-                errs[field] = err
-            if kind == "vanish":
-                vanish_checks += 1
-                if err > tol:  # the closed form is 0, so err = |brute|
-                    vanish_failures += 1
+        # the closed form is 0 at a vanishing point, so its error is |brute|
+        vanish_failures = int(np.count_nonzero(~(au.expsum[au.vanish] <= tol)))
         records.append({
-            "q": q, "index": index, "kind": chi.kind, **errs,
+            "q": q, "index": au.index, "kind": chi.kind, **errs,
             "bound_ratio": bound_ratio,
-            "vanish_checks": vanish_checks, "vanish_failures": vanish_failures,
-            "checks": len(checks),
-            "failures": sum(e > tol for e in errs.values()) + vanish_failures,
+            "vanish_checks": int(np.count_nonzero(au.vanish)),
+            "vanish_failures": vanish_failures,
+            "checks": checks,
+            "failures": sum(not e <= tol for e in errs.values()) + vanish_failures,
         })
     return records
 
@@ -264,11 +364,19 @@ def verify_quadratic_rows(q_max: int, tol_scale: float = 1e-9,
     """Per-check rows of the quadratic-character audit, for report emission.
 
     Yields (q, q0, point, abs_err, ok) tuples, one per comparison: point is
-    'a=<n>' for the Gauss closed form, 'S x=<n>' for the twisted sum,
-    'E x=<n>' for the exponential sum, and 'tau'/'tau^2' for the primitive
-    laws.  ok means abs_err <= tol_scale * q.
+    'a=<n>' for the Gauss closed form at each unit, then 'S x=<n>' for the
+    twisted sum and 'E x=<n>' for the exponential sum at each x in turn,
+    then 'tau'/'tau^2' for the primitive laws.  ok means
+    abs_err <= tol_scale * q.
     """
-    for q, _, _, q0, _, checks in _quadratic_audit(q_min, q_max):
+    for au in _quadratic_audit(q_min, q_max, tol_scale):
+        q, q0 = au.q, au.q0
         tol = tol_scale * q
-        for kind, n, err in checks:
-            yield q, q0, _POINT[kind].format(n), err, err <= tol
+        for a, err in zip(au.units.tolist(), au.gauss.tolist()):
+            yield q, q0, f"a={a}", err, err <= tol
+        for x, (s_err, e_err) in enumerate(zip(au.twisted.tolist(),
+                                               au.expsum.tolist())):
+            yield q, q0, f"S x={x}", s_err, s_err <= tol
+            yield q, q0, f"E x={x}", e_err, e_err <= tol
+        yield q, q0, "tau", au.tau, au.tau <= tol
+        yield q, q0, "tau^2", au.tau_sq, au.tau_sq <= tol

@@ -12,7 +12,11 @@ phi(t) = log^2(1+t) log(1+log t) on t >= 1, the functional
 is the norm used to measure how far beyond L^1 an input must live for the
 weak-type maximal bound.  Everything here works on step functions (finite
 signals always rearrange to one); the integral reduces per step to
-integral phi(1/t) dt, evaluated by an adaptive 64-point Gauss rule.
+integral phi(1/t) dt, evaluated by an adaptive 64-point Gauss rule.  Each
+panel's estimate is compared with the sum over its two halves, which are
+evaluated together in one phi_weight call on a 2 x 64 node block; a half
+that needs refining passes its estimate down as the next whole-panel value,
+so no panel is evaluated twice.
 
 dyadic_layers reads off a_j = f*(2^-j), the layer heights of the dyadic
 decomposition A_j = {f*(2^-j+1) < |f| <= f*(2^-j)} of nominal measure 2^-j,
@@ -146,22 +150,27 @@ def decreasing_rearrangement(pairs) -> StepRearrangement:
     return StepRearrangement(values=merged_v, measures=merged_m)
 
 
-def _phi_inv_panel(lo: float, hi: float) -> float:
-    """64-point Gauss estimate of integral_lo^hi phi(1/t) dt."""
+def _phi_inv_panels(edges: np.ndarray) -> list[float]:
+    """64-point Gauss estimates of integral phi(1/t) dt over each panel
+    [edges[i], edges[i+1]], from one phi_weight call on the node block."""
+    lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    t = mid + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, phi_weight(1.0 / t)))
+    vals = phi_weight(1.0 / (mid[:, None] + half[:, None] * _GL_NODES))
+    return [h * float(np.dot(_GL_WEIGHTS, v)) for h, v in zip(half.tolist(), vals)]
 
 
-def _phi_inv_adaptive(lo: float, hi: float, tol: float, depth: int = 0) -> float:
-    whole = _phi_inv_panel(lo, hi)
+def _phi_inv_adaptive(lo: float, hi: float, tol: float, whole: float,
+                      depth: int = 0) -> float:
+    """Adaptive integral of phi(1/t) over [lo, hi], given the one-panel
+    estimate `whole` there; both halves are evaluated in one block."""
     mid = 0.5 * (lo + hi)
-    split = _phi_inv_panel(lo, mid) + _phi_inv_panel(mid, hi)
+    left, right = _phi_inv_panels(np.array([lo, mid, hi]))
+    split = left + right
     if abs(split - whole) <= tol or depth >= 60 or hi - lo < 1e-300:
         return split
-    return (_phi_inv_adaptive(lo, mid, 0.5 * tol, depth + 1)
-            + _phi_inv_adaptive(mid, hi, 0.5 * tol, depth + 1))
+    return (_phi_inv_adaptive(lo, mid, 0.5 * tol, left, depth + 1)
+            + _phi_inv_adaptive(mid, hi, 0.5 * tol, right, depth + 1))
 
 
 def orlicz_norm(rearrangement: StepRearrangement, tol: float = 1e-9) -> float:
@@ -169,8 +178,12 @@ def orlicz_norm(rearrangement: StepRearrangement, tol: float = 1e-9) -> float:
 
     Reduces to sum over steps of a_i * integral phi(1/t) dt and integrates
     each step adaptively; the absolute error is below 1e-8 at the default
-    tolerance.  Exactly linear under scaling of the values.
+    tolerance.  Exactly linear under scaling of the values.  tol must be
+    finite and positive: the recursion stops at depth 60, so a tolerance no
+    panel can meet would visit up to 2^61 panels.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("orlicz_norm needs a finite tol > 0")
     if rearrangement.values.size == 0:
         return 0.0
     cuts = rearrangement.cuts
@@ -181,7 +194,8 @@ def orlicz_norm(rearrangement: StepRearrangement, tol: float = 1e-9) -> float:
             hi = 1.0
         if hi <= lo:
             continue
-        total += a * _phi_inv_adaptive(lo, hi, tol / (nsteps * max(a, 1.0)))
+        whole, = _phi_inv_panels(np.array([lo, hi]))
+        total += a * _phi_inv_adaptive(lo, hi, tol / (nsteps * max(a, 1.0)), whole)
     return total
 
 
@@ -191,8 +205,8 @@ def dyadic_layers(rearrangement: StepRearrangement, j_max: int = 50) -> list[tup
     The nominal layer measures are the dyadic gaps 2^-j; for j beyond the
     resolution of the rearrangement a_j saturates at the top value.
     """
-    if j_max < 1:
-        raise DomainError("j_max must be at least 1")
+    if not isinstance(j_max, (int, np.integer)) or j_max < 1:
+        raise DomainError("j_max must be an integer >= 1")
     ts = 0.5 ** np.arange(1, j_max + 1)
     heights = rearrangement.evaluate(ts) if rearrangement.values.size else np.zeros(j_max)
     return [(float(a), float(t)) for a, t in zip(np.atleast_1d(heights), ts)]

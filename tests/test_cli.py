@@ -117,13 +117,25 @@ def test_gauss_verify_json_structure(tmp_path):
 # --- determinism across thread counts ---
 
 
-def test_reports_byte_identical_across_threads(tmp_path):
+_THREAD_CASES = {
+    "lp-sweep": ["lp-sweep", "--p-list", "1.5,2.0", "--seeds", "3",
+                 "--support", "64", "--n-max", "6"],
+    "gauss-verify": ["gauss-verify", "--q-max", "30"],
+    "orlicz-norm": ["orlicz-norm", "--input", "{steps}", "--j-max", "8"],
+}
+
+
+@pytest.mark.parametrize("case", list(_THREAD_CASES))
+def test_reports_byte_identical_across_threads(tmp_path, case):
+    steps = tmp_path / "steps.csv"
+    steps.write_text("value,measure\n3.0,0.25\n1.0,0.5\n0.25,0.125\n")
+    args = [a.format(steps=steps) for a in _THREAD_CASES[case]]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["lp-sweep", "--p-list", "1.5,2.0", "--seeds", "3",
-            "--support", "64", "--n-max", "6", "--format", "json"]
-    assert _run(*args, "--threads", "1", "--out", str(a)) == 0
-    assert _run(*args, "--threads", "4", "--out", str(b)) == 0
+    assert _run(*args, "--format", "json", "--threads", "1", "--out", str(a)) == 0
+    assert _run(*args, "--format", "json", "--threads", "4", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+    if case != "lp-sweep":
+        return
     # every p of a seed comes from that seed's one maximal function
     table = cli.sieve_primes((1 << 6) + 1)
     rows = _read_json(a)["rows"]
@@ -132,6 +144,19 @@ def test_reports_byte_identical_across_threads(tmp_path):
         want = cli.maximal.lp_maximal_ratios(f, [1.5, 2.0], 6, table)
         got = [float(r[2]) for r in rows if int(r[0]) == seed]
         assert got == want
+
+
+def test_fmt_per_type_table_matches_the_isinstance_chain():
+    # exact types go through the lookup table, subclasses and other numpy
+    # widths through the isinstance chain; both give the same strings
+    cases = {"true": (True, np.True_), "false": (False, np.False_),
+             "7": (7, np.int64(7), np.int32(7), np.uint8(7)),
+             "0.10000000000000001": (0.1, np.float64(0.1)),
+             "-0": (-0.0, np.float64(-0.0)), "nan": (float("nan"), np.float64("nan")),
+             "abc": ("abc",), "1-2j": (1 - 2j, np.complex128(1 - 2j))}
+    for want, values in cases.items():
+        for v in values:
+            assert cli._fmt(v) == want, v
 
 
 def test_multiplier_error_trend_and_injection(tmp_path):

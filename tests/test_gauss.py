@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import primeavg.gauss as gs
-from primeavg.characters import (enumerate_quadratic_characters,
+from primeavg.characters import (enumerate_characters,
+                                 enumerate_quadratic_characters,
                                  principal_character)
-from primeavg.ntheory import DomainError, euler_phi
+from primeavg.ntheory import DomainError, euler_phi, is_squarefree, mobius
 
 
 def test_tau_quadratic_mod_3_is_i_sqrt_3():
@@ -98,6 +99,73 @@ def test_exponential_sum_closed_all_shifts():
                 assert abs(brute - closed) < 1e-10 * q
 
 
+def _pointwise(chi, x):
+    """(gauss, twisted, expsum) at one integer x in Python complex arithmetic:
+    the per-point formulas, kept as the reference for the array code (gauss
+    is None off the units)."""
+    q = chi.modulus
+    dec = gs.conductor(chi)
+    q0, star = dec.conductor, dec.primitive_char
+    t = gs.tau(star)
+    m = q // q0
+    r = math.gcd(q, x)
+    gauss = None
+    if r == 1:
+        gauss = 0j if mobius(m) == 0 else (
+            mobius(m) * complex(star(x)) * complex(star(m)) * t / euler_phi(q))
+    twisted = 0j
+    if m % r == 0 and mobius(m // r) != 0:
+        twisted = ((euler_phi(q) // euler_phi(q // r)) * complex(star(x // r))
+                   * complex(star(m // r)) * mobius(m // r) * t)
+    expsum = 0j
+    if is_squarefree(m) and math.gcd(m, q0) == 1 and m % r == 0:
+        expsum = mobius(r) * q0 * euler_phi(r) / euler_phi(q) * complex(star(-x))
+    return gauss, twisted, expsum
+
+
+def test_array_calls_equal_scalar_calls():
+    # one copy of each formula: an array of points gives, entry by entry,
+    # the scalar value and the pointwise reference (the same repr, so signed
+    # zeros too), at every unit or x in [0, q) and at points below 0 and
+    # from q up
+    for q in range(1, 61):
+        chars = (enumerate_characters(q) if q <= 12
+                 else [principal_character(q)] + enumerate_quadratic_characters(q))
+        xs = np.concatenate([np.arange(q), [-1, -q, -q - 5, q, q + 1, 2 * q + 3]])
+        for chi in chars:
+            units = chi.unit_residues()
+            for kind, fn, points in (
+                    (0, gs.gauss_sum_closed,
+                     np.concatenate([units, units - q, units + 2 * q])),
+                    (1, gs.twisted_character_sum_closed, xs),
+                    (2, gs.gauss_exponential_sum, xs)):
+                arr = fn(chi, points)
+                assert arr.shape == points.shape
+                scalars = [fn(chi, int(p)) for p in points]
+                assert all(type(v) is complex for v in scalars)
+                want = [repr(_pointwise(chi, int(p))[kind]) for p in points]
+                assert [repr(v) for v in arr.tolist()] == want
+                assert [repr(v) for v in scalars] == want
+                assert fn(chi, points[-1]) == scalars[-1]  # a numpy integer
+        arr = gs.ramanujan_gauss_principal(q, xs)
+        scalars = [gs.ramanujan_gauss_principal(q, int(a)) for a in xs]
+        assert all(type(v) is float for v in scalars)
+        want = [mobius(q // math.gcd(q, int(a))) / euler_phi(q // math.gcd(q, int(a)))
+                for a in xs]
+        assert arr.tolist() == scalars == want
+
+
+def test_closed_forms_reject_non_integer_points():
+    chi = enumerate_quadratic_characters(12)[0]
+    for fn in (gs.gauss_sum_closed, gs.twisted_character_sum_closed,
+               gs.gauss_exponential_sum):
+        for bad in (2.5, 1.0, np.array([1.0, 5.0])):
+            with pytest.raises(DomainError):
+                fn(chi, bad)
+    with pytest.raises(DomainError):
+        gs.gauss_sum_closed(chi, np.array([1, 4]))  # 4 is not a unit mod 12
+
+
 def test_ramanujan_values_mod_10():
     # c_q(a)/phi(q) for q = 10: gcd runs over divisors of 10
     assert gs.ramanujan_gauss_principal(10, 10) == 1.0
@@ -166,3 +234,15 @@ def test_audit_rejects_empty_ranges():
         gs.verify_quadratic_range(5, q_min=6)
     with pytest.raises(DomainError):
         list(gs.verify_quadratic_rows(-5))
+    # non-integer bounds, and a tolerance that would pass every check
+    for bad in (dict(q_max=5.5), dict(q_max=4.5), dict(q_max=10, q_min=1.0),
+                dict(q_max=10, tol_scale=math.nan),
+                dict(q_max=10, tol_scale=math.inf),
+                dict(q_max=10, tol_scale=-1e-9)):
+        with pytest.raises(DomainError):
+            gs.verify_quadratic_range(**bad)
+        with pytest.raises(DomainError):
+            list(gs.verify_quadratic_rows(**bad))
+    for q, a in ((5.0, 2), (5, 2.0), (0, 1)):
+        with pytest.raises(DomainError):
+            gs.ramanujan_gauss_principal(q, a)

@@ -133,6 +133,24 @@ def test_norm_is_homogeneous_in_value_scale():
         r.scale(0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_norm_rejects_tolerance_no_panel_can_meet(tol):
+    # the recursion would run to depth 60 on every panel instead of failing
+    r = oz.decreasing_rearrangement([(2.0, 0.125), (0.5, 0.25)])
+    with pytest.raises(DomainError):
+        oz.orlicz_norm(r, tol=tol)
+
+
+def test_layers_need_an_integer_depth():
+    r = oz.decreasing_rearrangement([(3.0, 0.25), (1.0, 0.5)])
+    for j_max in (2.5, math.nan, 3.0, -1):
+        with pytest.raises(DomainError):
+            oz.dyadic_layers(r, j_max)
+        with pytest.raises(DomainError):
+            oz.layer_lower_bound(r, j_max)
+    assert oz.layer_lower_bound(r, np.int64(3)) == oz.layer_lower_bound(r, 3)
+
+
 def test_dyadic_layers_right_continuous_heights():
     r = oz.decreasing_rearrangement([(3.0, 0.25), (1.0, 0.5)])
     layers = oz.dyadic_layers(r, j_max=4)
