@@ -32,7 +32,7 @@ import numpy as np
 from .ntheory import CapacityError, DomainError, divisors, euler_phi, factorize
 
 ENUM_CAP = 10 ** 6
-_TWO_PI = 2.0 * math.pi
+_BISECT_STEPS = 60  # halvings of a sign-change bracket in the zero scan
 
 
 @dataclass
@@ -221,15 +221,16 @@ def principal_character(q: int) -> DirichletCharacter:
     return _char_from_exponents(q, tuple(0 for _ in g.gens))
 
 
-def enumerate_characters(q: int, cap: int = ENUM_CAP) -> list[DirichletCharacter]:
+def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q, principal first, in a fixed order.
 
     The order is lexicographic in the exponent tuples on the unit-group
-    generators, so repeated calls enumerate identically.
+    generators, so repeated calls enumerate identically.  q is capped at
+    ENUM_CAP.
     """
     q = _modulus(q)
-    if q > cap:
-        raise CapacityError(f"enumeration modulus {q} exceeds cap {cap}")
+    if q > ENUM_CAP:
+        raise CapacityError(f"enumeration modulus {q} exceeds cap {ENUM_CAP}")
     g = _group_data(q)
     return [_char_from_exponents(q, ks) for ks in product(*(range(d) for d in g.orders))]
 
@@ -250,43 +251,19 @@ def conductor(chi: DirichletCharacter) -> PrimitiveDecomposition:
     """Minimal period decomposition of chi.
 
     The conductor q0 is the least divisor d of q such that chi(m) = chi(n)
-    whenever m = n (mod d) and gcd(mn, q) = 1.  The induced primitive
-    character chi_star mod q0 agrees with chi on the units of q.
+    whenever m = n (mod d) and gcd(mn, q) = 1; as chi is multiplicative,
+    that is the least d with chi trivial on the units u = 1 (mod d).  The
+    induced primitive character chi_star mod q0 agrees with chi on the units
+    of q, which reduce onto every unit mod q0.
     """
     if chi._decomp is not None:
         return chi._decomp
-    q = chi.modulus
     units = chi.unit_residues()
-    q0 = q
-    for d in divisors(q):
-        seen: dict[int, int] = {}
-        ok = True
-        for x in units:
-            r = int(x) % d
-            ph = int(chi.phases[x])
-            prev = seen.get(r)
-            if prev is None:
-                seen[r] = ph
-            elif prev != ph:
-                ok = False
-                break
-        if ok:
-            q0 = d
-            break
-
-    if q0 == 1:
-        phases = np.zeros(1, dtype=np.int64)
-    else:
-        phases = np.full(q0, -1, dtype=np.int64)
-        for a in range(1, q0 + 1):
-            if math.gcd(a, q0) != 1:
-                continue
-            n = a
-            while math.gcd(n, q) != 1:
-                n += q0
-                if n > a + q * q0:
-                    raise RuntimeError("no unit lift found; inconsistent table")
-            phases[a % q0] = chi.phases[n % q]
+    on_units = chi.phases[units]
+    q0 = next(d for d in divisors(chi.modulus)
+              if not np.any(on_units[units % d == 1 % d]))
+    phases = np.full(q0, -1, dtype=np.int64)
+    phases[units % q0] = on_units
     star = _char_from_phases(q0, phases, chi.order)
     decomp = PrimitiveDecomposition(conductor=q0, primitive_char=star)
     chi._decomp = decomp
@@ -412,7 +389,7 @@ def _quadratic_l_values(q: int, grid: np.ndarray):
 
 
 def exceptional_zero_scan(q: int, c: float = 1.0, zero_tol: float = 1e-8,
-                          grid_points: int = 512, bisect_steps: int = 60) -> ExceptionalZeroResult:
+                          grid_points: int = 512) -> ExceptionalZeroResult:
     """Scan (max(1/2, 1 - c/log q), 1) for a real zero of any quadratic L mod q.
 
     Each quadratic character's L is sampled on a grid of interior points;
@@ -442,7 +419,7 @@ def exceptional_zero_scan(q: int, c: float = 1.0, zero_tol: float = 1e-8,
         if sign_change.size:
             a, b = grid[sign_change[0]], grid[sign_change[0] + 1]
             fa = float(l_function_real(chi, a))
-            for _ in range(bisect_steps):
+            for _ in range(_BISECT_STEPS):
                 m = 0.5 * (a + b)
                 fm = float(l_function_real(chi, m))
                 if fa * fm <= 0:

@@ -47,27 +47,25 @@ def _fmt_float(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-# the exact types reports carry, looked up before the isinstance chain
-_FMT_BY_TYPE = {bool: _fmt_bool, np.bool_: _fmt_bool, int: str,
-                np.int64: _fmt_int, float: _fmt_float, np.float64: _fmt_float,
-                str: str}
+def _fmt_complex(x) -> str:
+    z = complex(x)
+    return (FLOAT_FMT % z.real) + ("+" if z.imag >= 0 else "-") \
+        + (FLOAT_FMT % abs(z.imag)) + "j"
+
+
+# the first base class a value's type derives from picks its formatter
+_FMT_CHAIN = (((bool, np.bool_), _fmt_bool), ((int, np.integer), _fmt_int),
+              ((float, np.floating), _fmt_float),
+              ((complex, np.complexfloating), _fmt_complex))
+_FMT_BY_TYPE: dict = {}  # type -> formatter, resolved through _FMT_CHAIN once
 
 
 def _fmt(x) -> str:
     fmt = _FMT_BY_TYPE.get(type(x))
-    if fmt is not None:
-        return fmt(x)
-    if isinstance(x, (bool, np.bool_)):
-        return _fmt_bool(x)
-    if isinstance(x, (int, np.integer)):
-        return _fmt_int(x)
-    if isinstance(x, (float, np.floating)):
-        return _fmt_float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        z = complex(x)
-        return (FLOAT_FMT % z.real) + ("+" if z.imag >= 0 else "-") \
-            + (FLOAT_FMT % abs(z.imag)) + "j"
-    return str(x)
+    if fmt is None:
+        fmt = next((f for bases, f in _FMT_CHAIN if issubclass(type(x), bases)), str)
+        _FMT_BY_TYPE[type(x)] = fmt
+    return fmt(x)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,10 +349,6 @@ def _cmd_orlicz(args) -> int:
     _write_report(args, meta, ["j", "layer_value", "layer_measure"],
                   rows, summary)
     return 0
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
 
 
 def _float_list(text: str) -> list[float]:

@@ -94,59 +94,41 @@ class Signal:
 
 
 def random_signal(rng: np.random.Generator, length: int, complex_values: bool = True,
-                  offset: int = 0, unit_l2: bool = True) -> Signal:
+                  offset: int = 0) -> Signal:
+    """A Gaussian signal of the given length, scaled to unit ell^2 norm."""
     v = rng.standard_normal(length)
     if complex_values:
         v = v + 1j * rng.standard_normal(length)
-    if unit_l2:
-        v = v / np.linalg.norm(v)
-    return Signal(offset=offset, values=v)
+    return Signal(offset=offset, values=v / np.linalg.norm(v))
 
 
-# --- kernel application: direct and FFT correlation ---
+# --- kernel application: exact direct correlation ---
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
+def apply_kernel(kernel: Kernel, f: Signal) -> Signal:
+    """Correlate: out(x) = sum_sites w * f(x + site), by exact summation.
 
-
-def apply_kernel(kernel: Kernel, f: Signal, method: str = "auto") -> Signal:
-    """Correlate: out(x) = sum_sites w * f(x + site).
-
-    Output support is [f.offset - max_site, f.offset + len - 1].  The FFT
-    path zero-pads to the next power of two >= support + max_site + 1; the
-    direct path is exact summation.  Both agree to ~1e-10 on unit-scale data
-    and either can be forced for cross-validation.
+    Output support is [f.offset - max_site, f.offset + len - 1].  This is
+    the oracle that the FFT correlation of the dyadic maximal functions
+    (_prime_scales) is checked against.
     """
-    if method not in ("auto", "direct", "fft"):
-        raise DomainError("method must be auto, direct, or fft")
-    smax = kernel.max_site
     if kernel.sites.size == 0:
         return Signal(offset=f.offset, values=np.zeros_like(f.values))
+    smax = kernel.max_site
     dense = np.zeros(smax + 1)
     dense[kernel.sites] = kernel.weights
-    if method == "direct" or (method == "auto" and smax < (1 << 14)):
-        out = np.convolve(f.values, dense[::-1], mode="full")
-    else:
-        L = len(f.values) + smax + 1
-        Z = _next_pow2(L)
-        if np.iscomplexobj(f.values):
-            out = np.fft.ifft(np.fft.fft(f.values, Z) * np.fft.fft(dense[::-1], Z))
-        else:
-            out = np.fft.irfft(np.fft.rfft(f.values, Z) * np.fft.rfft(dense[::-1], Z), Z)
-        out = out[: len(f.values) + smax]
-    return Signal(offset=f.offset - smax, values=out)
+    return Signal(offset=f.offset - smax,
+                  values=np.convolve(f.values, dense[::-1], mode="full"))
 
 
-def average_primes(N: int, f: Signal, table: PrimeTable, method: str = "auto") -> Signal:
+def average_primes(N: int, f: Signal, table: PrimeTable) -> Signal:
     """A_N f: the unweighted prime average, weights 1/pi(N)."""
-    return apply_kernel(prime_kernel(N, table, weighted=False), f, method)
+    return apply_kernel(prime_kernel(N, table, weighted=False), f)
 
 
-def average_primes_weighted(N: int, f: Signal, table: PrimeTable,
-                            method: str = "auto") -> Signal:
+def average_primes_weighted(N: int, f: Signal, table: PrimeTable) -> Signal:
     """M_N f: the log-weighted prime average, weights log p / theta(N)."""
-    return apply_kernel(prime_kernel(N, table, weighted=True), f, method)
+    return apply_kernel(prime_kernel(N, table, weighted=True), f)
 
 
 def prime_average_all_scales(f: Signal, N_max: int, table: PrimeTable,
@@ -173,6 +155,10 @@ def prime_average_all_scales(f: Signal, N_max: int, table: PrimeTable,
 
 
 # --- dyadic maximal functions ---
+
+
+def _next_pow2(n: int) -> int:
+    return 1 << max(0, (n - 1).bit_length())
 
 
 def _grid_size(f: Signal, reach: int, floor: int = 0, resolution: int | None = None) -> int:
@@ -392,8 +378,7 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
 
 
 def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
-                             n_max: int, table: PrimeTable | None = None,
-                             resolution: int | None = None) -> dict:
+                             n_max: int, resolution: int | None = None) -> dict:
     """Weak norm of sup_{0 <= n <= n_max} |M^beta_{2^n} (eta_s-filtered f)|
     along Qx + r, on the realization circle (at least 2^14 points).
 

@@ -34,13 +34,11 @@ class PrimeTable:
 
     Attributes:
         limit: Largest integer covered by the sieve.
-        flags: Boolean array of length limit + 1; flags[n] is True iff n is
-            prime.  Treated as immutable once built.
-        prime_list: Ascending int64 array of the primes <= limit.
+        prime_list: Ascending int64 array of the primes <= limit.  Treated
+            as immutable once built.
     """
 
     limit: int
-    flags: np.ndarray
     prime_list: np.ndarray
     _log_primes: np.ndarray | None = field(default=None, repr=False)
     _theta_cum: np.ndarray | None = field(default=None, repr=False)
@@ -77,16 +75,6 @@ class PrimeTable:
 _TABLES: dict[int, PrimeTable] = {}
 
 
-def _eratosthenes(limit: int) -> np.ndarray:
-    """Boolean flags over [0, limit]; flags[n] is True iff n is prime."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i:: i] = False
-    return flags
-
-
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over [0, limit], memoized per limit in the process.
 
@@ -94,7 +82,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         limit: Inclusive sieve bound, 2 <= limit <= SIEVE_CAP.
 
     Returns:
-        PrimeTable with flags and the ascending prime list.
+        PrimeTable with the ascending prime list.
     """
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
@@ -102,24 +90,24 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
     table = _TABLES.get(limit)
     if table is None:
-        flags = _eratosthenes(limit)
+        flags = np.ones(limit + 1, dtype=bool)
+        flags[:2] = False
+        for i in range(2, math.isqrt(limit) + 1):
+            if flags[i]:
+                flags[i * i:: i] = False
         primes = np.flatnonzero(flags).astype(np.int64)
-        table = _TABLES[limit] = PrimeTable(limit=limit, flags=flags,
-                                            prime_list=primes)
+        table = _TABLES[limit] = PrimeTable(limit=limit, prime_list=primes)
     return table
 
 
 # --- multiplicative functions (trial division against a small shared sieve) ---
 
 _SMALL_LIMIT = 1 << 16
-_SMALL_PRIMES: np.ndarray | None = None
 
 
 def _small_primes() -> np.ndarray:
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = np.flatnonzero(_eratosthenes(_SMALL_LIMIT)).astype(np.int64)
-    return _SMALL_PRIMES
+    """The primes up to 2^16, read from the sieve memo."""
+    return sieve_primes(_SMALL_LIMIT).prime_list
 
 
 @dataclass(frozen=True)

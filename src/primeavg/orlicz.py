@@ -16,7 +16,8 @@ integral phi(1/t) dt, evaluated by an adaptive 64-point Gauss rule.  Each
 panel's estimate is compared with the sum over its two halves, which are
 evaluated together in one phi_weight call on a 2 x 64 node block; a half
 that needs refining passes its estimate down as the next whole-panel value,
-so no panel is evaluated twice.
+so no panel is evaluated twice.  A panel is accepted when the two agree to
+its share of the tolerance, or to the rounding floor of its value.
 
 dyadic_layers reads off a_j = f*(2^-j), the layer heights of the dyadic
 decomposition A_j = {f*(2^-j+1) < |f| <= f*(2^-j)} of nominal measure 2^-j,
@@ -42,6 +43,10 @@ from .ntheory import DomainError
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 _MEASURE_SLACK = 1e-12
+
+# |split - whole| at or below this share of the panel value is rounding
+# noise of the two 64-point sums, which no further halving can reduce
+_ROUNDING_FLOOR = 64 * np.finfo(np.float64).eps
 
 
 def phi_weight(t):
@@ -163,11 +168,15 @@ def _phi_inv_panels(edges: np.ndarray) -> list[float]:
 def _phi_inv_adaptive(lo: float, hi: float, tol: float, whole: float,
                       depth: int = 0) -> float:
     """Adaptive integral of phi(1/t) over [lo, hi], given the one-panel
-    estimate `whole` there; both halves are evaluated in one block."""
+    estimate `whole` there; both halves are evaluated in one block.  A panel
+    is accepted once |split - whole| meets its share of the tolerance or
+    sits at the rounding floor of the panel value."""
     mid = 0.5 * (lo + hi)
     left, right = _phi_inv_panels(np.array([lo, mid, hi]))
     split = left + right
-    if abs(split - whole) <= tol or depth >= 60 or hi - lo < 1e-300:
+    err = abs(split - whole)
+    if (err <= tol or err <= _ROUNDING_FLOOR * abs(split) or depth >= 60
+            or hi - lo < 1e-300):
         return split
     return (_phi_inv_adaptive(lo, mid, 0.5 * tol, left, depth + 1)
             + _phi_inv_adaptive(mid, hi, 0.5 * tol, right, depth + 1))
@@ -178,9 +187,10 @@ def orlicz_norm(rearrangement: StepRearrangement, tol: float = 1e-9) -> float:
 
     Reduces to sum over steps of a_i * integral phi(1/t) dt and integrates
     each step adaptively; the absolute error is below 1e-8 at the default
-    tolerance.  Exactly linear under scaling of the values.  tol must be
-    finite and positive: the recursion stops at depth 60, so a tolerance no
-    panel can meet would visit up to 2^61 panels.
+    tolerance, or near rounding relative to the norm where a step value is
+    so large that its share of tol falls below the rounding floor of the
+    panel values.  Exactly linear under scaling of the values.  tol must be
+    finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("orlicz_norm needs a finite tol > 0")

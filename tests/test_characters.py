@@ -72,9 +72,11 @@ def test_conductor_matches_definition(q):
     for chi in ch.enumerate_characters(q):
         dec = ch.conductor(chi)
         assert dec.conductor == _conductor_brute(chi)
-        # the primitive part reproduces chi on units
+        # the primitive part reproduces chi on units, phase for phase
         units = chi.unit_residues()
         star = dec.primitive_char
+        assert star.modulus == dec.conductor and star.order == chi.order
+        assert np.array_equal(star.phases[units % star.modulus], chi.phases[units])
         assert np.allclose(chi.values[units], star.values[units % star.modulus],
                            atol=1e-12)
 

@@ -147,8 +147,8 @@ def test_reports_byte_identical_across_threads(tmp_path, case):
 
 
 def test_fmt_per_type_table_matches_the_isinstance_chain():
-    # exact types go through the lookup table, subclasses and other numpy
-    # widths through the isinstance chain; both give the same strings
+    # each type is resolved once through the base-class chain and cached;
+    # a cached type formats as it did on first use
     cases = {"true": (True, np.True_), "false": (False, np.False_),
              "7": (7, np.int64(7), np.int32(7), np.uint8(7)),
              "0.10000000000000001": (0.1, np.float64(0.1)),
@@ -156,6 +156,7 @@ def test_fmt_per_type_table_matches_the_isinstance_chain():
              "abc": ("abc",), "1-2j": (1 - 2j, np.complex128(1 - 2j))}
     for want, values in cases.items():
         for v in values:
+            assert cli._fmt(v) == want, v
             assert cli._fmt(v) == want, v
 
 

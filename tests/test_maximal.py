@@ -54,17 +54,6 @@ def test_average_of_delta_lists_negated_primes(table_small):
         assert w.at(-p) == pytest.approx(math.log(p) / theta)
 
 
-def test_apply_kernel_fft_agrees_with_direct(table_small, rng):
-    f = mx.random_signal(rng, 300, complex_values=True, offset=-17)
-    k = mx.prime_kernel(500, table_small, weighted=True)
-    a = mx.apply_kernel(k, f, method="direct")
-    b = mx.apply_kernel(k, f, method="fft")
-    assert a.offset == b.offset
-    assert np.allclose(a.values, b.values, atol=1e-12)
-    with pytest.raises(DomainError):
-        mx.apply_kernel(k, f, method="sideways")
-
-
 def test_apply_kernel_empty_and_delta():
     f = mx.Signal(offset=2, values=np.array([1.0, -1.0, 2.0]))
     out = mx.apply_kernel(kernel_M_beta(0, 1.0), f)
@@ -113,7 +102,7 @@ def test_maximal_matches_per_scale_loop(table_small, rng):
                 for n in range(1, n_max + 1):
                     k = mx.prime_kernel(1 << n, table_small,
                                         weighted=(family == "weighted"))
-                    out = mx.apply_kernel(k, f, method="direct")
+                    out = mx.apply_kernel(k, f)
                     brute = np.maximum(brute, np.abs(out.at(xs)))
                 assert np.allclose(g.values, brute, rtol=0, atol=1e-12)
 

@@ -5,6 +5,7 @@ the definition without going through the package's panel quadrature.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ def test_norm_rejects_tolerance_no_panel_can_meet(tol):
     r = oz.decreasing_rearrangement([(2.0, 0.125), (0.5, 0.25)])
     with pytest.raises(DomainError):
         oz.orlicz_norm(r, tol=tol)
+
+
+@pytest.mark.parametrize("pairs", [[(1e9, 0.1)], [(1e9, 0.1), (1.0, 0.5)]])
+def test_norm_of_a_huge_step_stops_at_the_rounding_floor(pairs):
+    # the 1e9 step's share of the tolerance is below the rounding noise of
+    # every panel value, so only the relative floor can accept its panels
+    r = oz.decreasing_rearrangement(pairs)
+    start = time.perf_counter()
+    norm = oz.orlicz_norm(r)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(norm)
+    want, lo = 0.0, 0.0
+    for a, m in pairs:
+        val, _ = quad(lambda t: _phi(1.0 / t), max(lo, 1e-300), lo + m,
+                      epsabs=0.0, epsrel=1e-13, limit=400)
+        want += a * val
+        lo += m
+    assert norm == pytest.approx(want, rel=1e-9)
 
 
 def test_layers_need_an_integer_depth():
