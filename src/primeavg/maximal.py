@@ -166,9 +166,7 @@ def _grid_size(f: Signal, reach: int, floor: int = 0, resolution: int | None = N
     of two, else the next power of two above support + reach, at least floor."""
     if resolution is None:
         return max(_next_pow2(len(f.values) + reach + 1), floor)
-    if resolution < 1 or resolution & (resolution - 1):
-        raise DomainError("grid resolution must be a positive power of two")
-    return resolution
+    return mult._check_resolution(resolution)
 
 
 def _prime_scales(f: Signal, n_max: int, table: PrimeTable, weighted: bool):

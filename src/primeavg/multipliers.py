@@ -30,14 +30,19 @@ eta is read on its transition band from a piecewise Chebyshev table, built
 once from a Gauss-Legendre rule for the convolution integral; that rule
 stays as the table's oracle.
 
-Grid evaluation samples xi = j/G on a power-of-two grid.  The windows of
-a level's arcs on the supports of eta_s form one flat plan, cached per
-(s, G); each level is added into the caller's array in one vectorized pass
-over its plan, and no sampled grid is memoized.  m_N on a grid goes through
-one FFT of the folded log p weights.  On an injected arc window, M_hat^beta_N
-comes from one FFT of the weights modulated by e(-n a/q) and folded mod G;
-the direct sum of fourier_M_beta is its oracle and the route for arbitrary
-theta.
+Grid evaluation samples xi = j/G on a power-of-two grid; a grid of any
+other size is a DomainError.  The windows of a level's arcs on the supports
+of eta_s form one flat plan, cached per (s, G); each level is added into the
+caller's array in one vectorized pass over its plan, and no sampled grid is
+memoized.  The principal term is the closed form M_hat_N, in real
+arithmetic.  Level 0, the one arc 1/1, covers the whole circle; its plan is
+exactly antisymmetric about theta = 0, so M_hat_N is evaluated on theta >= 0
+only and the rest is filled by M_hat_N(-theta) = conj(M_hat_N(theta)), with
+the same bits as the direct evaluation.  m_N on a grid goes through one
+unnormalized inverse FFT of the folded log p weights.  On an injected arc
+window, M_hat^beta_N comes from one FFT of the weights modulated by
+e(-n a/q) and folded mod G; the direct sum of fourier_M_beta is its oracle
+and the route for arbitrary theta.
 """
 
 from __future__ import annotations
@@ -123,31 +128,49 @@ def fourier_kernel(kernel: Kernel, xi: float | np.ndarray) -> np.ndarray | compl
     return out
 
 
+def _check_resolution(resolution: int) -> int:
+    """resolution, if it is a positive power-of-two integer; else DomainError."""
+    if (not isinstance(resolution, (int, np.integer)) or resolution < 1
+            or resolution & (resolution - 1)):
+        raise DomainError("grid resolution must be a positive power of two")
+    return resolution
+
+
 def _folded_transform(sites: np.ndarray, weights: np.ndarray, resolution: int) -> np.ndarray:
-    """sum over sites of w e(+j site/G) for j = 0..G-1: one inverse FFT of the
-    weights folded mod G.  Complex weights fold their two parts separately."""
+    """sum over sites of w e(+j site/G) for j = 0..G-1: one unnormalized inverse
+    FFT of the weights folded mod G.  Complex weights fold their two parts
+    separately."""
     idx = (sites % resolution).astype(np.int64)
     folded = np.bincount(idx, weights=weights.real, minlength=resolution)
     if np.iscomplexobj(weights):
         folded = folded + 1j * np.bincount(idx, weights=weights.imag, minlength=resolution)
-    return np.fft.ifft(folded) * resolution
+    return np.fft.ifft(folded, norm="forward")
 
 
 def fourier_kernel_grid(kernel: Kernel, resolution: int) -> np.ndarray:
     """K_hat sampled on j/resolution via one FFT of the folded weights."""
-    if resolution < 1 or resolution & (resolution - 1):
-        raise DomainError("grid resolution must be a positive power of two")
-    return _folded_transform(kernel.sites, kernel.weights, resolution)
+    return _folded_transform(kernel.sites, kernel.weights, _check_resolution(resolution))
 
 
 def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
-    """M_hat^beta_N(theta) at arbitrary theta.
+    """M_hat^beta_N(theta) for an integer N >= 0 at finite theta.
 
-    Closed geometric form for beta = 1; otherwise the direct sum over the N
-    weights of kernel_M_beta, O(N) per point.  The direct sum is the oracle
-    for the folded-FFT route that nu_n_s_grid takes on injected arc windows.
+    For beta = 1 the closed geometric form
+    e((N+1) d/2) sin(pi N d) / (N sin(pi d)), d = theta - round(theta), in
+    real arithmetic: the real and imaginary parts are cos(y) and sin(y),
+    y = pi d (N+1), times sin(pi N d), times 1 / (N sin(pi d)).  These are
+    the bits numpy gives for the complex form exp(i y) * sin(pi N d) /
+    (N sin(pi d)), and M_hat_N(-theta) is exactly conj(M_hat_N(theta)),
+    which _add_level's mirrored level-0 pass relies on.  Otherwise the
+    direct sum over the N weights of kernel_M_beta, O(N) per point.  The
+    direct sum is the oracle for the folded-FFT route that nu_n_s_grid takes
+    on injected arc windows.
     """
+    if not isinstance(N, (int, np.integer)) or N < 0:
+        raise DomainError("N must be an integer >= 0")
     tv = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    if not np.isfinite(tv).all():
+        raise DomainError("theta must be finite")
     if N == 0:
         out = np.zeros(tv.shape, dtype=np.complex128)
     elif beta == 1.0:
@@ -157,8 +180,11 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
         nz = ~zero
         dn = d[nz]
         out[zero] = 1.0
-        out[nz] = (np.exp(1j * np.pi * dn * (N + 1))
-                   * np.sin(np.pi * N * dn) / (N * np.sin(np.pi * dn)))
+        y = np.pi * dn * (N + 1)
+        s1 = np.sin(np.pi * N * dn)
+        r = 1.0 / (N * np.sin(np.pi * dn))
+        out.real[nz] = np.cos(y) * s1 * r
+        out.imag[nz] = np.sin(y) * s1 * r
     else:
         out = np.atleast_1d(fourier_kernel(kernel_M_beta(N, beta), tv))
     if np.ndim(theta) == 0:
@@ -252,8 +278,11 @@ def eta(xi: float | np.ndarray):
     convolution integral is read from a piecewise Chebyshev table built once
     from a fixed-order Gauss-Legendre rule (_bump_integral), which is the
     table's oracle.  eta is even and exactly 0/1 off the transition bands.
+    A non-finite xi is a DomainError.
     """
     xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    if not np.isfinite(xv).all():
+        raise DomainError("xi must be finite")
     a = np.abs(xv)
     out = np.zeros(a.shape)
     out[a <= 0.25] = 1.0
@@ -271,10 +300,16 @@ def eta(xi: float | np.ndarray):
 
 
 def eta_s(s: int, xi: float | np.ndarray):
-    """eta_s(xi) = eta(2^(4s) xi): support shrinks to |xi| < 2^(-4s-1)."""
+    """eta_s(xi) = eta(2^(4s) xi): support shrinks to |xi| < 2^(-4s-1).
+
+    |xi| is capped at 1 before scaling, where eta_s is already 0, so that a
+    large finite xi cannot overflow; a non-finite xi is a DomainError."""
     if not isinstance(s, (int, np.integer)) or s < 0:
         raise DomainError("level s must be an integer >= 0")
-    return eta(np.asarray(xi, dtype=np.float64) * float(2 ** (4 * s)))
+    xv = np.asarray(xi, dtype=np.float64)
+    if not np.isfinite(xv).all():
+        raise DomainError("xi must be finite")
+    return eta(np.minimum(np.abs(xv), 1.0) * float(2 ** (4 * s)))
 
 
 def eta_support_radius(s: int) -> float:
@@ -360,6 +395,13 @@ def _arc_spec(arc: RationalPoint, N: int, injection: Injection | None) -> Approx
     return ApproximantSpec(a=arc.a, q=arc.q, N=N, exceptional=exc)
 
 
+def _dyadic_scale(n: int) -> int:
+    """N = 2^n for an integer scale index n >= 0; else DomainError."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError("scale index n must be an integer >= 0")
+    return 1 << int(n)
+
+
 def _circular(theta: np.ndarray) -> np.ndarray:
     """Reduce to the fundamental window [-1/2, 1/2)."""
     return (theta + 0.5) % 1.0 - 0.5
@@ -369,12 +411,14 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray, injection: Injection | None =
     """nu_n^s(xi): the level-s layer of the glued approximant at scale 2^n.
 
     At most one arc contributes at any xi because the eta_s supports are
-    disjoint within a level.
+    disjoint within a level.  A non-finite xi is a DomainError.
     """
     xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    if not np.isfinite(xv).all():
+        raise DomainError("xi must be finite")
     out = np.zeros(xv.shape, dtype=np.complex128)
     radius = eta_support_radius(s)
-    N = 1 << n
+    N = _dyadic_scale(n)
     for arc in enumerate_arcs(s):
         theta = _circular(xv - arc.value)
         mask = np.abs(theta) < radius
@@ -402,7 +446,7 @@ def nu_n(n: int, xi: float | np.ndarray, s_max: int = DEFAULT_S_MAX,
 
 def _levels_for_t(t: float) -> int:
     """floor(sqrt(t)), guarded against float dust at perfect squares."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be >= 0")
     s = int(math.sqrt(t))
     while (s + 1) * (s + 1) <= t:
@@ -430,6 +474,8 @@ class _WindowPlan:
     point with eta_s(theta) > 0.  spans lists (arc, start, stop) for each arc
     with a nonempty window; its points are [start, stop) of every array.
     Indices are distinct across the level, as the eta_s supports are disjoint.
+    mirror is True when theta has odd length and is exactly antisymmetric
+    about its centre, with no zero off the centre: theta[i] == -theta[-1-i].
     """
 
     spans: tuple[tuple[RationalPoint, int, int], ...]
@@ -437,11 +483,17 @@ class _WindowPlan:
     theta: np.ndarray
     eta: np.ndarray
     g0: np.ndarray
+    mirror: bool
 
 
 @lru_cache(maxsize=64)
 def _eta_windows(s: int, resolution: int) -> _WindowPlan:
-    """The window plan of level s on j/resolution, j = 0..resolution-1."""
+    """The window plan of level s on j/resolution, j = 0..resolution-1.
+
+    Level 0 is the one arc 1/1, theta = j/G - 1 for j symmetric about G: on a
+    power-of-two grid these values are exact, so the plan is mirrored.  The
+    symmetry is checked here, never assumed.
+    """
     arcs = enumerate_arcs(s)
     radius = eta_support_radius(s)
     G = resolution
@@ -462,8 +514,12 @@ def _eta_windows(s: int, resolution: int) -> _WindowPlan:
     spans = tuple((arc, int(lo), int(hi))
                   for arc, lo, hi in zip(arcs, bounds[:-1], bounds[1:]) if hi > lo)
     g0 = np.array([gauss.ramanujan_gauss_principal(arc.q, arc.a) for arc in arcs])
-    plan = _WindowPlan(spans=spans, idx=np.mod(j[keep], G), theta=theta[keep],
-                       eta=ev, g0=g0[arc_of])
+    theta = theta[keep]
+    h = theta.size // 2
+    mirror = theta.size % 2 == 1 and bool(
+        np.all((theta[:h] == -theta[:h:-1]) & (theta[:h] != 0.0)))
+    plan = _WindowPlan(spans=spans, idx=np.mod(j[keep], G), theta=theta,
+                       eta=ev, g0=g0[arc_of], mirror=mirror)
     for a in (plan.idx, plan.theta, plan.eta, plan.g0):
         a.flags.writeable = False  # shared by every caller of the memo
     return plan
@@ -486,13 +542,24 @@ def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) ->
 def _add_level(out: np.ndarray, n: int, s: int, injection: Injection | None) -> None:
     """Add nu_n^s at j/len(out) into out, in one pass over the level's plan.
 
-    The principal term is one closed-form M_hat_N call over every window
-    point.  An injected exceptional term takes M_hat^beta_N from one folded
-    FFT per arc (_mbeta_arc_grid), read at the window's indices.
+    The principal term is one closed-form M_hat_N call over the window
+    points.  On a mirrored plan (level 0) the call covers the centre and the
+    right half only, and the left half is the conjugate of the right half
+    reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit for bit; the
+    centre theta = 0 keeps its direct value 1 + 0j.  An injected exceptional
+    term takes M_hat^beta_N from one folded FFT per arc (_mbeta_arc_grid),
+    read at the window's indices.
     """
     plan = _eta_windows(s, out.size)
-    N = 1 << n
-    vals = plan.g0 * fourier_M_beta(N, 1.0, plan.theta)
+    N = _dyadic_scale(n)
+    if plan.mirror:
+        h = plan.theta.size // 2
+        mhat = np.empty(plan.theta.size, dtype=np.complex128)
+        mhat[h:] = fourier_M_beta(N, 1.0, plan.theta[h:])
+        np.conjugate(mhat[:h:-1], out=mhat[:h])
+    else:
+        mhat = fourier_M_beta(N, 1.0, plan.theta)
+    vals = plan.g0 * mhat
     for arc, lo, hi in plan.spans:
         if injection and arc.q in injection:
             spec = _arc_spec(arc, N, injection)
@@ -505,7 +572,7 @@ def nu_n_s_grid(n: int, s: int, resolution: int,
                 injection: Injection | None = None) -> np.ndarray:
     """nu_n^s sampled at j/resolution: one pass over the level's window plan
     (_eta_windows, cached per (s, resolution)) into a fresh array."""
-    out = np.zeros(resolution, dtype=np.complex128)
+    out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
     _add_level(out, n, s, injection)
     return out
 
@@ -516,7 +583,7 @@ def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
     each into one fresh array."""
     if s_max < 0:
         raise DomainError("s_max must be >= 0")
-    out = np.zeros(resolution, dtype=np.complex128)
+    out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
     for s in range(s_max + 1):
         _add_level(out, n, s, injection)
     return out
@@ -541,11 +608,10 @@ def approximation_error(n: int, resolution: int, table: PrimeTable,
     E(n) decay like exp(-c sqrt(n)), which the acceptance suite checks as a
     trend E(n+4) < E(n).
     """
-    if resolution < 1 or resolution & (resolution - 1):
-        raise DomainError("grid resolution must be a positive power of two")
-    if resolution < 2 ** (n / 2):
+    N = _dyadic_scale(n)
+    if _check_resolution(resolution) < 2 ** (n / 2):
         raise DomainError("grid resolution must be at least 2^(n/2)")
-    m = prime_multiplier_grid(1 << n, resolution, table)
+    m = prime_multiplier_grid(N, resolution, table)
     nu = nu_n_grid(n, resolution, s_max=s_max, injection=injection)
     return float(np.max(np.abs(m - nu)))
 

@@ -316,7 +316,7 @@ def test_residue_equidistribution_domain(rng):
     assert out["ratio"] > 0
 
 
-@pytest.mark.parametrize("resolution", [0, -8, 1000])
+@pytest.mark.parametrize("resolution", [0, -8, 1000, 1024.0])
 def test_explicit_grid_must_be_positive_power_of_two(table_small, rng, resolution):
     f = mx.random_signal(rng, 32, complex_values=False)
     calls = [

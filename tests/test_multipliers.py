@@ -87,6 +87,42 @@ def test_fourier_m_beta_at_zero_is_mass():
         assert abs(mp.fourier_M_beta(25, beta, 0.0) - k.total_mass) < 1e-13
 
 
+@pytest.mark.parametrize("N", [1, 3, 17, 1 << 20])
+def test_fourier_m_beta_is_conjugate_symmetric_bit_for_bit(N):
+    # the mirrored level-0 pass of the nu grids rests on this libm symmetry
+    rng = np.random.default_rng(N)
+    dyadic = np.arange(1, 1 << 12) / (1 << 13)  # non-integer, in (0, 1/2)
+    theta = np.concatenate([rng.uniform(-3.0, 3.0, 4001), dyadic, dyadic + 2.0])
+    theta = theta[theta != np.round(theta)]
+    left = mp.fourier_M_beta(N, 1.0, -theta)
+    right = np.conj(mp.fourier_M_beta(N, 1.0, theta))
+    assert np.array_equal(left.view(np.uint64), right.view(np.uint64))
+
+
+_BAD_N_OR_THETA = {
+    "negative-N": lambda: mp.fourier_M_beta(-4, 1.0, 0.3),
+    "fractional-N": lambda: mp.fourier_M_beta(2.5, 1.0, 0.3),
+    "nan-theta": lambda: mp.fourier_M_beta(8, 1.0, np.nan),
+    "inf-theta": lambda: mp.fourier_M_beta(8, 1.0, np.array([0.1, np.inf])),
+    "inf-theta-beta": lambda: mp.fourier_M_beta(8, 0.75, -np.inf),
+    "nan-eta": lambda: mp.eta(np.nan),
+    "inf-eta": lambda: mp.eta(np.array([0.3, -np.inf])),
+    "nan-eta-s": lambda: mp.eta_s(2, np.nan),
+    "nan-nu-n-s": lambda: mp.nu_n_s(3, 0, np.nan),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_N_OR_THETA.values(), ids=_BAD_N_OR_THETA.keys())
+def test_fourier_m_beta_and_eta_domain(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_eta_s_is_zero_far_out_without_overflow():
+    assert mp.eta_s(40, 1e300) == 0.0
+    assert np.array_equal(mp.eta_s(3, np.array([-1e308, 2.0, 1.0])), np.zeros(3))
+
+
 def test_prime_multiplier_grid_matches_pointwise(table_small):
     G = 128
     grid = mp.prime_multiplier_grid(200, G, table_small)
@@ -224,6 +260,43 @@ def test_nu_is_hermitian_for_real_output():
     assert np.allclose(vals[1:], np.conj(vals[1:][::-1]), atol=1e-12)
 
 
+@pytest.mark.parametrize("G", [2, 16, 1 << 11, 1 << 16])
+def test_level0_grid_equals_pointwise_bit_for_bit(G):
+    # the grid mirrors the level-0 window; the pointwise route evaluates all
+    xi = np.arange(G) / G
+    for n in [0, 1, 3, 10, 20]:
+        assert np.array_equal(mp.nu_n_s_grid(n, 0, G), mp.nu_n_s(n, 0, xi))
+
+
+def test_only_an_exactly_antisymmetric_plan_is_mirrored():
+    assert mp._eta_windows(0, 1 << 12).mirror
+    assert not mp._eta_windows(0, 48).mirror  # j/48 - 1 is rounded
+    assert not mp._eta_windows(2, 1 << 12).mirror
+
+
+@pytest.mark.parametrize("n", [-1, 2.5])
+def test_scale_index_must_be_a_nonnegative_integer(n, table_small):
+    calls = [lambda: mp.nu_n_s(n, 0, 0.1), lambda: mp.nu_n(n, 0.1),
+             lambda: mp.nu_n_s_grid(n, 0, 64), lambda: mp.nu_n_grid(n, 64),
+             lambda: mp.pi_n_t(n, 0.0, 0.1), lambda: mp.pi_n_t_grid(n, 0.0, 64),
+             lambda: mp.approximation_error(n, 64, table_small)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("resolution", [0, -8, 48, 2.0, 64.0])
+def test_grids_need_a_positive_power_of_two_integer(resolution, table_small):
+    calls = [lambda: mp.nu_n_s_grid(3, 0, resolution),
+             lambda: mp.nu_n_grid(3, resolution),
+             lambda: mp.pi_n_t_grid(3, 1.0, resolution),
+             lambda: mp.fourier_kernel_grid(mp.kernel_delta(1), resolution),
+             lambda: mp.approximation_error(3, resolution, table_small)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_pi_levels_cutoff():
     G = 1 << 9
     xi = np.arange(G) / G
@@ -233,6 +306,9 @@ def test_pi_levels_cutoff():
     assert np.allclose(a, b, atol=0)
     with pytest.raises(DomainError):
         mp.pi_n_t(3, 4.0, 0.1)
+    for call in (mp.pi_n_t, mp.pi_n_t_grid):
+        with pytest.raises(DomainError):
+            call(5, float("nan"), 64)
     assert mp._levels_for_t(9.0) == 3
     assert mp._levels_for_t(8.999999) == 2
 
