@@ -33,6 +33,8 @@ from .ntheory import CapacityError, DomainError, divisors, euler_phi, factorize
 
 ENUM_CAP = 10 ** 6
 _BISECT_STEPS = 60  # halvings of a sign-change bracket in the zero scan
+_GRID_POINTS = 512  # interior sample points of the zero scan window
+_ZERO_TOL = 1e-8    # |L| below this on the scan grid is declared a zero
 
 
 @dataclass
@@ -364,8 +366,7 @@ class ExceptionalZeroResult:
 
     found is False when |L| stays above the zero tolerance on the whole scan
     window.  beta and character_index (into enumerate_quadratic_characters)
-    are set when found.  diagnostic flags numerically murky cases, and is
-    'synthetic-injection' for manufactured results.
+    are set when found.  diagnostic flags numerically murky cases.
     """
 
     modulus: int
@@ -388,12 +389,11 @@ def _quadratic_l_values(q: int, grid: np.ndarray):
         yield idx, chi, scale * (block @ chi.values[units].real)
 
 
-def exceptional_zero_scan(q: int, c: float = 1.0, zero_tol: float = 1e-8,
-                          grid_points: int = 512) -> ExceptionalZeroResult:
+def exceptional_zero_scan(q: int, c: float = 1.0) -> ExceptionalZeroResult:
     """Scan (max(1/2, 1 - c/log q), 1) for a real zero of any quadratic L mod q.
 
-    Each quadratic character's L is sampled on a grid of interior points;
-    a sign change triggers bisection, and |L| below zero_tol anywhere is
+    Each quadratic character's L is sampled on _GRID_POINTS interior points;
+    a sign change triggers bisection, and |L| below _ZERO_TOL anywhere is
     declared a zero.  A grid value below tolerance without a sign change is
     reported with a diagnostic instead of silently passing.  The Hurwitz
     block on the grid is built once for q and shared by every character
@@ -404,17 +404,13 @@ def exceptional_zero_scan(q: int, c: float = 1.0, zero_tol: float = 1e-8,
     q = int(q)
     if not (math.isfinite(c) and c > 0):
         raise DomainError("the zero-region constant c must be finite and positive")
-    if not (math.isfinite(zero_tol) and zero_tol >= 0):
-        raise DomainError("zero_tol must be finite and >= 0")
-    if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
-        raise DomainError("the zero scan needs an integer grid_points >= 2")
     lo = max(0.5, 1.0 - c / math.log(q))
     hi = 1.0
-    grid = np.linspace(lo, hi, grid_points + 2)[1:-1]
+    grid = np.linspace(lo, hi, _GRID_POINTS + 2)[1:-1]
     min_abs = math.inf
     for idx, chi, vals in _quadratic_l_values(q, grid):
         min_abs = min(min_abs, float(np.min(np.abs(vals))))
-        hit = np.flatnonzero(np.abs(vals) < zero_tol)
+        hit = np.flatnonzero(np.abs(vals) < _ZERO_TOL)
         sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0)
         if sign_change.size:
             a, b = grid[sign_change[0]], grid[sign_change[0] + 1]

@@ -163,14 +163,13 @@ def _cmd_multiplier_error(args) -> int:
     _require_min(args, "--n-max", args.n_min)
     _require_min(args, "--s-max", 0)
     ns = list(range(args.n_min, args.n_max + 1))
-    injection = None
+    exceptional = None
     if args.inject_beta is not None:
-        chi, beta = synthetic_exceptional(args.inject_q, args.inject_beta)
-        injection = {args.inject_q: (chi, beta)}
+        exceptional = synthetic_exceptional(args.inject_q, args.inject_beta)
     table = sieve_primes((1 << args.n_max) + 1)
     vals = _parallel(
         lambda n: approximation_error(n, args.grid, table, s_max=args.s_max,
-                                      injection=injection),
+                                      exceptional=exceptional),
         ns, args.threads)
     columns = ["n", "grid", "s_max", "sup_error"]
     rows = [[n, args.grid, args.s_max, v] for n, v in zip(ns, vals)]

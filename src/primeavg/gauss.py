@@ -246,6 +246,9 @@ def ramanujan_gauss_principal(q: int, a: int | np.ndarray) -> float | np.ndarray
     return float(out) if a.ndim == 0 else out
 
 
+_TOL_SCALE = 1e-9  # an audit check at modulus q passes at |error| <= _TOL_SCALE * q
+
+
 class _CharacterAudit(NamedTuple):
     """One character's comparisons: |closed - brute| at every unit a (gauss)
     and at every x in [0, q) (twisted, expsum), where the exponential sum's
@@ -273,7 +276,7 @@ def _abs_err(closed: np.ndarray, brute: np.ndarray) -> np.ndarray:
     return np.hypot(closed.real - brute.real, closed.imag - brute.imag)
 
 
-def _quadratic_audit(q_min: int, q_max: int, tol_scale: float):
+def _quadratic_audit(q_min: int, q_max: int):
     """The one comparison loop behind verify_quadratic_range and _rows.
 
     Checks the arguments of both, then for every modulus q_min <= q <= q_max
@@ -287,8 +290,6 @@ def _quadratic_audit(q_min: int, q_max: int, tol_scale: float):
         raise DomainError("the quadratic audit needs integer q_min and q_max")
     if q_min < 1 or q_max < q_min:
         raise DomainError("the quadratic audit needs 1 <= q_min <= q_max")
-    if not (math.isfinite(tol_scale) and tol_scale >= 0):
-        raise DomainError("the quadratic audit needs a finite tol_scale >= 0")
     for q in range(q_min, q_max + 1):
         xs = np.arange(q)
         roots = roots_of_unity(q)
@@ -314,8 +315,7 @@ def _quadratic_audit(q_min: int, q_max: int, tol_scale: float):
                 tau_sq=abs(t * t - q0 * complex(dec.primitive_char(-1))))
 
 
-def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
-                           q_min: int = 1) -> list[dict]:
+def verify_quadratic_range(q_max: int, q_min: int = 1) -> list[dict]:
     """Exhaustive closed-form vs brute-force audit over all quadratic characters.
 
     For every modulus q_min <= q <= q_max and every character with chi^2 principal
@@ -325,13 +325,13 @@ def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
     x in [0, q); checks the tau laws on the induced primitive character and
     the Ramanujan evaluation for the principal character; and counts the
     vanishing cases where the closed form is structurally zero.  A check
-    fails unless the absolute error is at most tol_scale * q.
+    fails unless the absolute error is at most _TOL_SCALE * q.
 
     Returns one record per (q, character) with the maximum errors, the
     modulus bound ratio, and check/failure counts.
     """
     records = []
-    for au in _quadratic_audit(q_min, q_max, tol_scale):
+    for au in _quadratic_audit(q_min, q_max):
         q, chi = au.q, au.chi
         # |G(chi, a)| <= sqrt(q0)/phi(q) over the units, so this never exceeds 1
         bound_ratio = float(np.max(np.abs(au.g_brute[au.units]))
@@ -345,7 +345,7 @@ def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
                 ramanujan_gauss_principal(q, np.arange(q)), au.g_brute)
             checks += q
         errs = {k: float(np.max(v, initial=0.0)) for k, v in errs.items()}
-        tol = tol_scale * q
+        tol = _TOL_SCALE * q
         # the closed form is 0 at a vanishing point, so its error is |brute|
         vanish_failures = int(np.count_nonzero(~(au.expsum[au.vanish] <= tol)))
         records.append({
@@ -359,19 +359,18 @@ def verify_quadratic_range(q_max: int, tol_scale: float = 1e-9,
     return records
 
 
-def verify_quadratic_rows(q_max: int, tol_scale: float = 1e-9,
-                          q_min: int = 1):
+def verify_quadratic_rows(q_max: int, q_min: int = 1):
     """Per-check rows of the quadratic-character audit, for report emission.
 
     Yields (q, q0, point, abs_err, ok) tuples, one per comparison: point is
     'a=<n>' for the Gauss closed form at each unit, then 'S x=<n>' for the
     twisted sum and 'E x=<n>' for the exponential sum at each x in turn,
     then 'tau'/'tau^2' for the primitive laws.  ok means
-    abs_err <= tol_scale * q.
+    abs_err <= _TOL_SCALE * q.
     """
-    for au in _quadratic_audit(q_min, q_max, tol_scale):
+    for au in _quadratic_audit(q_min, q_max):
         q, q0 = au.q, au.q0
-        tol = tol_scale * q
+        tol = _TOL_SCALE * q
         for a, err in zip(au.units.tolist(), au.gauss.tolist()):
             yield q, q0, f"a={a}", err, err <= tol
         for x, (s_err, e_err) in enumerate(zip(au.twisted.tolist(),

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multipliers as mult
-from .multipliers import Injection, Kernel, prime_kernel
+from .multipliers import Kernel, prime_kernel
 from .ntheory import DomainError, PrimeTable
 
 # --- signals ---
@@ -219,8 +219,8 @@ def maximal_dyadic(f: Signal, family: str, n_max: int,
         raise DomainError(f"unknown family: {family}")
     if table is None:
         raise DomainError("prime averaging families need a sieve table")
-    if n_max < 1:
-        raise DomainError("prime averaging families need n_max >= 1")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise DomainError("prime averaging families need an integer n_max >= 1")
     run = np.zeros((1 << n_max) + len(f.values))
     for _, out in _prime_scales(f, n_max, table, weighted=(family == "weighted")):
         tail = run[run.size - out.size:]
@@ -363,8 +363,8 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
     lam = np.asarray(lambda_grid, dtype=np.float64)
     if lam.size == 0 or not np.all((lam > 0) & (lam < 1)):
         raise DomainError("lambda grid must be nonempty and lie in (0, 1)")
-    if n_max < 1:
-        raise DomainError("weak_type_sweep needs n_max >= 1")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise DomainError("weak_type_sweep needs an integer n_max >= 1")
     counts = _superlevel_counts(prime_scale_counts(F, n_max, table), lam,
                                 (1 << n_max) + len(vals))
     normalized = lam * counts / (np.log(np.e / lam) ** 2 * size)
@@ -385,10 +385,10 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
     equidistribution bound predicts the ratio stays of size ~1/Q uniformly
     in r.
     """
-    if Q < 1 or Q > 4 ** s:
-        raise DomainError("residue sampling needs 1 <= Q <= 2^(2s)")
-    if not 1 <= r <= Q:
-        raise DomainError("residue r must lie in [1, Q]")
+    if not isinstance(Q, (int, np.integer)) or Q < 1 or Q > 4 ** s:
+        raise DomainError("residue sampling needs an integer 1 <= Q <= 2^(2s)")
+    if not isinstance(r, (int, np.integer)) or not 1 <= r <= Q:
+        raise DomainError("residue r must be an integer in [1, Q]")
     arr = _circle(f, n_max, resolution, floor=1 << 14)
     Z = arr.size
     fhat, inverse = _spectrum(arr)
@@ -405,21 +405,19 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
 
 
 def l2_arc_maximal_decay(s: int, f: Signal, n_max: int,
-                         resolution: int | None = None,
-                         injection: Injection | None = None) -> float:
+                         resolution: int | None = None) -> float:
     """|| sup_{0 <= n <= n_max} |F^{-1}(nu_n^s f_hat)| ||_2 / ||f||_2 on the
     realization circle (at least 2^14 points).
 
     The single-level maximal bound predicts decay ~2^(-s/2) in the level.
     """
     arr = _circle(f, n_max, resolution, floor=1 << 14).astype(np.complex128)
-    sup = _multiplier_sup(arr, (mult.nu_n_s_grid(n, s, arr.size, injection)
+    sup = _multiplier_sup(arr, (mult.nu_n_s_grid(n, s, arr.size)
                                 for n in range(n_max + 1)))
     return float(np.linalg.norm(sup) / f.lp_norm(2.0))
 
 
 def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
-                   injection: Injection | None = None,
                    resolution: int | None = None) -> tuple[Signal, Signal]:
     """The low/high frequency split of M_{2^n} f at threshold t.
 
@@ -427,8 +425,8 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
     common grid.  For n < t: A = M_{2^n} f and B = 0.  A + B reconstructs
     M_{2^n} f exactly.
     """
-    if n < 0 or not t >= 0:
-        raise DomainError("ab_split_apply needs n >= 0 and t >= 0")
+    if not isinstance(n, (int, np.integer)) or n < 0 or not t >= 0:
+        raise DomainError("ab_split_apply needs an integer n >= 0 and t >= 0")
     if n < t:
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
@@ -436,7 +434,7 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
     arr = _circle(f, n, resolution).astype(np.complex128)
     Z = arr.size
     fhat = np.fft.fft(arr)
-    pi_grid = mult.pi_n_t_grid(n, t, Z, injection)
+    pi_grid = mult.pi_n_t_grid(n, t, Z)
     m_grid = mult.prime_multiplier_grid(N, Z, table)
     a_vals = np.fft.ifft(fhat * pi_grid)
     b_vals = np.fft.ifft(fhat * (m_grid - pi_grid))
@@ -445,7 +443,6 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
 
 
 def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
-                      injection: Injection | None = None,
                       resolution: int | None = None) -> float:
     """|| sup_{t <= n <= n_max} |B_n^t f| ||_2 / ||f||_2 on the realization
     circle, B_n^t = m_{2^n} - Pi_n^t."""
@@ -455,7 +452,7 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
 
     def remainders():
         for n in range(math.ceil(t), n_max + 1):
-            pi_grid = mult.pi_n_t_grid(n, t, arr.size, injection)
+            pi_grid = mult.pi_n_t_grid(n, t, arr.size)
             yield mult.prime_multiplier_grid(1 << n, arr.size, table) - pi_grid
 
     return float(np.linalg.norm(_multiplier_sup(arr, remainders())) / f.lp_norm(2.0))
@@ -463,11 +460,11 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
 
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:
     """|| sup_n |M_{2^n} f| ||_p / ||f||_p for each p in ps, each in (1, 2],
-    all taken from one maximal function.  f must be nonzero."""
+    all taken from one maximal function.  f must be finite and nonzero."""
     if not ps or not all(1.0 < p <= 2.0 for p in ps):
         raise DomainError("need at least one p, each in (1, 2]")
-    if not np.any(f.values):
-        raise DomainError("ell^p ratios need a nonzero signal")
+    if not (np.all(np.isfinite(f.values)) and np.any(f.values)):
+        raise DomainError("ell^p ratios need a finite, nonzero signal")
     g = maximal_dyadic(f, "weighted", n_max, table)
     return [float(g.lp_norm(p) / f.lp_norm(p)) for p in ps]
 

@@ -10,9 +10,11 @@ with e(x) = exp(2 pi i x).  Near a reduced rational a/q it is modelled by
                            - G(chi_q, a) M_hat^beta_N(theta)   (exceptional case)
 
 where M^beta_N is the Cesaro-type kernel with weights
-(n^beta - (n-1)^beta)/(beta N) on sites 1..N, and the exceptional term is
-only present when a real zero beta of the quadratic L-function mod q is
-supplied (synthetically, unless a scan ever finds one).
+(n^beta - (n-1)^beta)/(beta N) on sites 1..N.  By the Landau-Page theorem
+at most one real character has a zero this close to 1, so the model takes
+at most one exceptional pair (chi, beta), supplied by the caller
+(synthetically, unless a scan ever finds one); its term sits on the arcs
+a/q whose q is the modulus of chi.
 
 The glued approximant at dyadic scale N = 2^n is
 
@@ -39,8 +41,8 @@ arithmetic.  Level 0, the one arc 1/1, covers the whole circle; its plan is
 exactly antisymmetric about theta = 0, so M_hat_N is evaluated on theta >= 0
 only and the rest is filled by M_hat_N(-theta) = conj(M_hat_N(theta)), with
 the same bits as the direct evaluation.  m_N on a grid goes through one
-unnormalized inverse FFT of the folded log p weights.  On an injected arc
-window, M_hat^beta_N comes from one FFT of the weights modulated by
+unnormalized inverse FFT of the folded log p weights.  On an exceptional
+arc window, M_hat^beta_N comes from one FFT of the weights modulated by
 e(-n a/q) and folded mod G; the direct sum of fourier_M_beta is its oracle
 and the route for arbitrary theta.
 """
@@ -87,8 +89,8 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
     """
     if not 0.5 <= beta <= 1.0:
         raise DomainError("beta must lie in [1/2, 1]")
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    if not isinstance(N, (int, np.integer)) or N < 0:
+        raise DomainError("N must be an integer >= 0")
     if N == 0:
         return Kernel(sites=np.empty(0, dtype=np.int64), weights=np.empty(0))
     n = np.arange(1, N + 1, dtype=np.float64)
@@ -114,8 +116,12 @@ def prime_kernel(N: int, table: PrimeTable, weighted: bool) -> Kernel:
 
 
 def fourier_kernel(kernel: Kernel, xi: float | np.ndarray) -> np.ndarray | complex:
-    """K_hat(xi) = sum of w(site) e(xi site), matching the e(+) convention of m_N."""
+    """K_hat(xi) = sum of w(site) e(xi site), matching the e(+) convention of m_N.
+
+    A non-finite xi is a DomainError."""
     xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    if not np.isfinite(xv).all():
+        raise DomainError("xi must be finite")
     out = np.zeros(xv.shape, dtype=np.complex128)
     # chunk the sites to bound the outer-product workspace
     step = max(1, (1 << 22) // max(xv.size, 1))
@@ -164,7 +170,7 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
     which _add_level's mirrored level-0 pass relies on.  Otherwise the
     direct sum over the N weights of kernel_M_beta, O(N) per point.  The
     direct sum is the oracle for the folded-FFT route that nu_n_s_grid takes
-    on injected arc windows.
+    on exceptional arc windows.
     """
     if not isinstance(N, (int, np.integer)) or N < 0:
         raise DomainError("N must be an integer >= 0")
@@ -357,42 +363,21 @@ def enumerate_arcs(s: int) -> tuple[RationalPoint, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ApproximantSpec:
-    """One local model L[a,q; N]: principal term plus optional exceptional term."""
-
-    a: int
-    q: int
-    N: int
-    exceptional: tuple[DirichletCharacter, float] | None = None
-
-
-def _exceptional_gauss(spec: ApproximantSpec) -> complex:
-    """G(chi, a), the coefficient of the exceptional term of spec."""
-    chi, _ = spec.exceptional
-    if chi.modulus != spec.q:
-        raise DomainError("exceptional character modulus must match the arc")
-    return gauss.gauss_sum_bruteforce(chi, spec.a)
-
-
-def approximant_hat(spec: ApproximantSpec, theta: float | np.ndarray):
-    """L_hat[a,q; N](theta) per the major-arc model."""
-    g0 = gauss.ramanujan_gauss_principal(spec.q, spec.a)
-    out = g0 * np.atleast_1d(fourier_M_beta(spec.N, 1.0, theta))
-    if spec.exceptional is not None:
-        beta = spec.exceptional[1]
-        out = out - _exceptional_gauss(spec) * np.atleast_1d(fourier_M_beta(spec.N, beta, theta))
+def approximant_hat(a: int, q: int, N: int, theta: float | np.ndarray,
+                    exceptional: tuple[DirichletCharacter, float] | None = None):
+    """L_hat[a,q; N](theta) per the major-arc model: G(1_q, a) M_hat_N(theta),
+    less G(chi, a) M_hat^beta_N(theta) when the exceptional pair (chi, beta)
+    is given, whose modulus must be q."""
+    out = gauss.ramanujan_gauss_principal(q, a) * np.atleast_1d(fourier_M_beta(N, 1.0, theta))
+    if exceptional is not None:
+        chi, beta = exceptional
+        if chi.modulus != q:
+            raise DomainError("exceptional character modulus must match the arc")
+        out = out - gauss.gauss_sum_bruteforce(chi, a) * np.atleast_1d(
+            fourier_M_beta(N, beta, theta))
     if np.ndim(theta) == 0:
         return complex(out[0])
     return out
-
-
-Injection = dict[int, tuple[DirichletCharacter, float]]
-
-
-def _arc_spec(arc: RationalPoint, N: int, injection: Injection | None) -> ApproximantSpec:
-    exc = injection.get(arc.q) if injection else None
-    return ApproximantSpec(a=arc.a, q=arc.q, N=N, exceptional=exc)
 
 
 def _dyadic_scale(n: int) -> int:
@@ -407,11 +392,14 @@ def _circular(theta: np.ndarray) -> np.ndarray:
     return (theta + 0.5) % 1.0 - 0.5
 
 
-def nu_n_s(n: int, s: int, xi: float | np.ndarray, injection: Injection | None = None):
+def nu_n_s(n: int, s: int, xi: float | np.ndarray,
+           exceptional: tuple[DirichletCharacter, float] | None = None):
     """nu_n^s(xi): the level-s layer of the glued approximant at scale 2^n.
 
     At most one arc contributes at any xi because the eta_s supports are
-    disjoint within a level.  A non-finite xi is a DomainError.
+    disjoint within a level.  The exceptional pair (chi, beta), if given,
+    adds its term on the arcs a/q with q the modulus of chi.  A non-finite
+    xi is a DomainError.
     """
     xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if not np.isfinite(xv).all():
@@ -419,26 +407,34 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray, injection: Injection | None =
     out = np.zeros(xv.shape, dtype=np.complex128)
     radius = eta_support_radius(s)
     N = _dyadic_scale(n)
+    q_exc = exceptional[0].modulus if exceptional is not None else None
     for arc in enumerate_arcs(s):
         theta = _circular(xv - arc.value)
         mask = np.abs(theta) < radius
         if not mask.any():
             continue
-        spec = _arc_spec(arc, N, injection)
         th = theta[mask]
-        out[mask] += np.atleast_1d(approximant_hat(spec, th)) * eta_s(s, th)
+        exc = exceptional if arc.q == q_exc else None
+        out[mask] += np.atleast_1d(approximant_hat(arc.a, arc.q, N, th, exc)) * eta_s(s, th)
     if np.ndim(xi) == 0:
         return complex(out[0])
     return out
 
 
-def nu_n(n: int, xi: float | np.ndarray, s_max: int = DEFAULT_S_MAX,
-         injection: Injection | None = None):
+def _check_s_max(s_max: int) -> int:
+    """s_max, the top level of a glued sum, if it is an integer >= 0; else
+    DomainError."""
+    if not isinstance(s_max, (int, np.integer)) or s_max < 0:
+        raise DomainError("s_max must be an integer >= 0")
+    return int(s_max)
+
+
+def nu_n(n: int, xi: float | np.ndarray, s_max: int = DEFAULT_S_MAX):
     """nu_n(xi) = sum of the level layers s = 0..s_max."""
     xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     out = np.zeros(xv.shape, dtype=np.complex128)
-    for s in range(s_max + 1):
-        out += np.atleast_1d(nu_n_s(n, s, xv, injection))
+    for s in range(_check_s_max(s_max) + 1):
+        out += np.atleast_1d(nu_n_s(n, s, xv))
     if np.ndim(xi) == 0:
         return complex(out[0])
     return out
@@ -456,12 +452,11 @@ def _levels_for_t(t: float) -> int:
     return s
 
 
-def pi_n_t(n: int, t: float, xi: float | np.ndarray,
-           injection: Injection | None = None):
+def pi_n_t(n: int, t: float, xi: float | np.ndarray):
     """Pi_n^t(xi): levels s <= sqrt(t) only.  Requires n >= t."""
     if n < t:
         raise DomainError("Pi_n^t needs n >= t")
-    return nu_n(n, xi, s_max=_levels_for_t(t), injection=injection)
+    return nu_n(n, xi, s_max=_levels_for_t(t))
 
 
 # --- grid sampling, one pass per level ---
@@ -539,16 +534,18 @@ def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) ->
                              resolution)
 
 
-def _add_level(out: np.ndarray, n: int, s: int, injection: Injection | None) -> None:
+def _add_level(out: np.ndarray, n: int, s: int,
+               exceptional: tuple[DirichletCharacter, float] | None) -> None:
     """Add nu_n^s at j/len(out) into out, in one pass over the level's plan.
 
     The principal term is one closed-form M_hat_N call over the window
     points.  On a mirrored plan (level 0) the call covers the centre and the
     right half only, and the left half is the conjugate of the right half
     reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit for bit; the
-    centre theta = 0 keeps its direct value 1 + 0j.  An injected exceptional
-    term takes M_hat^beta_N from one folded FFT per arc (_mbeta_arc_grid),
-    read at the window's indices.
+    centre theta = 0 keeps its direct value 1 + 0j.  The exceptional pair
+    (chi, beta), if given, adds its term on the level's arcs a/q with q the
+    modulus of chi, M_hat^beta_N from one folded FFT per arc
+    (_mbeta_arc_grid) read at the window's indices.
     """
     plan = _eta_windows(s, out.size)
     N = _dyadic_scale(n)
@@ -560,40 +557,38 @@ def _add_level(out: np.ndarray, n: int, s: int, injection: Injection | None) -> 
     else:
         mhat = fourier_M_beta(N, 1.0, plan.theta)
     vals = plan.g0 * mhat
-    for arc, lo, hi in plan.spans:
-        if injection and arc.q in injection:
-            spec = _arc_spec(arc, N, injection)
-            mbeta = _mbeta_arc_grid(N, spec.exceptional[1], arc, out.size)
-            vals[lo:hi] -= _exceptional_gauss(spec) * mbeta[plan.idx[lo:hi]]
+    if exceptional is not None:
+        chi, beta = exceptional
+        for arc, lo, hi in plan.spans:
+            if arc.q == chi.modulus:
+                mbeta = _mbeta_arc_grid(N, beta, arc, out.size)
+                vals[lo:hi] -= gauss.gauss_sum_bruteforce(chi, arc.a) * mbeta[plan.idx[lo:hi]]
     out[plan.idx] += vals * plan.eta
 
 
 def nu_n_s_grid(n: int, s: int, resolution: int,
-                injection: Injection | None = None) -> np.ndarray:
+                exceptional: tuple[DirichletCharacter, float] | None = None) -> np.ndarray:
     """nu_n^s sampled at j/resolution: one pass over the level's window plan
     (_eta_windows, cached per (s, resolution)) into a fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    _add_level(out, n, s, injection)
+    _add_level(out, n, s, exceptional)
     return out
 
 
 def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
-              injection: Injection | None = None) -> np.ndarray:
+              exceptional: tuple[DirichletCharacter, float] | None = None) -> np.ndarray:
     """nu_n sampled at j/resolution: the levels s = 0..s_max added one pass
     each into one fresh array."""
-    if s_max < 0:
-        raise DomainError("s_max must be >= 0")
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    for s in range(s_max + 1):
-        _add_level(out, n, s, injection)
+    for s in range(_check_s_max(s_max) + 1):
+        _add_level(out, n, s, exceptional)
     return out
 
 
-def pi_n_t_grid(n: int, t: float, resolution: int,
-                injection: Injection | None = None) -> np.ndarray:
+def pi_n_t_grid(n: int, t: float, resolution: int) -> np.ndarray:
     if n < t:
         raise DomainError("Pi_n^t needs n >= t")
-    return nu_n_grid(n, resolution, s_max=_levels_for_t(t), injection=injection)
+    return nu_n_grid(n, resolution, s_max=_levels_for_t(t))
 
 
 # --- error reports ---
@@ -601,7 +596,7 @@ def pi_n_t_grid(n: int, t: float, resolution: int,
 
 def approximation_error(n: int, resolution: int, table: PrimeTable,
                         s_max: int = DEFAULT_S_MAX,
-                        injection: Injection | None = None) -> float:
+                        exceptional: tuple[DirichletCharacter, float] | None = None) -> float:
     """E(n) = max over the grid of |m_{2^n} - nu_n|.
 
     The resolution must be a power of two, at least 2^(n/2); the theory makes
@@ -612,7 +607,7 @@ def approximation_error(n: int, resolution: int, table: PrimeTable,
     if _check_resolution(resolution) < 2 ** (n / 2):
         raise DomainError("grid resolution must be at least 2^(n/2)")
     m = prime_multiplier_grid(N, resolution, table)
-    nu = nu_n_grid(n, resolution, s_max=s_max, injection=injection)
+    nu = nu_n_grid(n, resolution, s_max=s_max, exceptional=exceptional)
     return float(np.max(np.abs(m - nu)))
 
 
@@ -621,8 +616,8 @@ def partial_summation_bracket(N: int, table: PrimeTable) -> float:
 
     Equals pi(N) exactly; the float evaluation is an identity check.
     """
-    if N < 2:
-        raise DomainError("the bracket needs N >= 2")
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise DomainError("the bracket needs an integer N >= 2")
     n = np.arange(2, N, dtype=np.float64)
     p = table.primes_upto(N)
     logp = np.log(p.astype(np.float64))

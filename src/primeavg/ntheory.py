@@ -84,8 +84,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     Returns:
         PrimeTable with the ascending prime list.
     """
-    if limit < 2:
-        raise DomainError("sieve limit must be >= 2")
+    if not isinstance(limit, (int, np.integer)) or limit < 2:
+        raise DomainError("sieve limit must be an integer >= 2")
     if limit > SIEVE_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
     table = _TABLES.get(limit)
@@ -126,8 +126,8 @@ def factorize(n: int) -> Factorization:
     share the cached objects); mobius, euler_phi, is_squarefree and divisors
     all read it.
     """
-    if n < 1:
-        raise DomainError("factorize requires n >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError("factorize requires an integer n >= 1")
     if n > (1 << 32):
         raise CapacityError("factorize is capped at 2^32")
     m = n

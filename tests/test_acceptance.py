@@ -289,7 +289,7 @@ def test_criterion_12_no_exceptional_zeros():
 
     base = mu.nu_n_grid(12, 1 << 14)
     injected = mu.nu_n_grid(12, 1 << 14,
-                            injection={5: ch.synthetic_exceptional(5, 0.9)})
+                            exceptional=ch.synthetic_exceptional(5, 0.9))
     deviation = float(np.max(np.abs(base - injected)))
     ok = not found and min_l1 > 0.0 and deviation > 1e-3
     _report(12, f"scan clean for q <= 400, min L(1, chi) = {min_l1:.4f}, "

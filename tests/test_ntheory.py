@@ -84,6 +84,17 @@ def test_sieve_domain_and_capacity():
     assert t.primes_upto(2).tolist() == [2]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: nt.factorize(np.nan), lambda: nt.factorize(2.5), lambda: nt.mobius(np.nan),
+    lambda: nt.euler_phi(np.nan), lambda: nt.sieve_primes(2.5)],
+    ids=["factorize-nan", "factorize-2.5", "mobius-nan", "phi-nan", "sieve-2.5"])
+def test_arithmetic_needs_integer_arguments(call):
+    # nan has no prime factor below it, so unchecked it would factor as the
+    # empty product and give mobius(nan) == phi(nan) == 1
+    with pytest.raises(nt.DomainError):
+        call()
+
+
 def test_primes_upto_respects_table_limit(table_small):
     with pytest.raises(nt.CapacityError):
         table_small.primes_upto((1 << 16) + 1)
