@@ -214,13 +214,16 @@ def maximal_dyadic(f: Signal, family: str, n_max: int,
                    table: PrimeTable | None = None) -> Signal:
     """sup over n = 1..n_max of |op_{2^n} f|, op = A ('averages') or M
     ('weighted'): the exact maximal function on [f.offset - 2^n_max,
-    f.support_end), each scale correlated on its own circle."""
+    f.support_end), each scale correlated on its own circle.  f must be
+    finite."""
     if family not in ("averages", "weighted"):
         raise DomainError(f"unknown family: {family}")
     if table is None:
         raise DomainError("prime averaging families need a sieve table")
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise DomainError("prime averaging families need an integer n_max >= 1")
+    if not np.all(np.isfinite(f.values)):
+        raise DomainError("maximal_dyadic needs a finite signal")
     run = np.zeros((1 << n_max) + len(f.values))
     for _, out in _prime_scales(f, n_max, table, weighted=(family == "weighted")):
         tail = run[run.size - out.size:]
@@ -291,9 +294,11 @@ def _mbeta_multiplier_grid(N: int, beta: float, Z: int) -> np.ndarray:
 def weak_norm(g: Signal | np.ndarray) -> float:
     """Discrete weak-ell^1 norm: max over k >= 1 of k * v_k, v sorted descending.
 
-    Equals sup over lam of lam * #{|g| >= lam}.
+    Equals sup over lam of lam * #{|g| >= lam}.  g must be finite.
     """
     v = np.abs(g.values if isinstance(g, Signal) else np.asarray(g))
+    if not np.all(np.isfinite(v)):
+        raise DomainError("weak_norm needs finite values")
     v = np.sort(v.ravel())[::-1]
     if v.size == 0:
         return 0.0
@@ -301,7 +306,10 @@ def weak_norm(g: Signal | np.ndarray) -> float:
 
 
 def default_lambda_grid(j_max: int = 10) -> np.ndarray:
-    """Geometric lambda grid 2^-1, ..., 2^-j_max (decreasing)."""
+    """Geometric lambda grid 2^-1, ..., 2^-j_max (decreasing), for an
+    integer j_max >= 1."""
+    if not isinstance(j_max, (int, np.integer)) or j_max < 1:
+        raise DomainError("the lambda grid needs an integer j_max >= 1")
     return 0.5 ** np.arange(1, j_max + 1)
 
 
@@ -423,10 +431,13 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
 
     For n >= t: A = F^{-1}(Pi_n^t f_hat) and B = M_{2^n} f - A, realized on a
     common grid.  For n < t: A = M_{2^n} f and B = 0.  A + B reconstructs
-    M_{2^n} f exactly.
+    M_{2^n} f exactly.  Needs an integer n >= 1 (2^0 = 1 has no prime) and
+    t >= 0.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0 or not t >= 0:
-        raise DomainError("ab_split_apply needs an integer n >= 0 and t >= 0")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"ab_split_apply needs an integer n >= 1, got n = {n}")
+    if not t >= 0:
+        raise DomainError(f"ab_split_apply needs t >= 0, got t = {t}")
     if n < t:
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
@@ -445,9 +456,10 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
 def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
                       resolution: int | None = None) -> float:
     """|| sup_{t <= n <= n_max} |B_n^t f| ||_2 / ||f||_2 on the realization
-    circle, B_n^t = m_{2^n} - Pi_n^t."""
-    if not 0 <= t <= n_max:
-        raise DomainError("b_part_maximal_l2 needs 0 <= t <= n_max")
+    circle, B_n^t = m_{2^n} - Pi_n^t.  Needs 0 < t <= n_max: the scales run
+    from ceil(t), and m_N needs N >= 2."""
+    if not 0 < t <= n_max:
+        raise DomainError(f"b_part_maximal_l2 needs 0 < t <= n_max, got t = {t}")
     arr = _circle(f, n_max, resolution).astype(np.complex128)
 
     def remainders():

@@ -37,10 +37,14 @@ other size is a DomainError.  The windows of a level's arcs on the supports
 of eta_s form one flat plan, cached per (s, G); each level is added into the
 caller's array in one vectorized pass over its plan, and no sampled grid is
 memoized.  The principal term is the closed form M_hat_N, in real
-arithmetic.  Level 0, the one arc 1/1, covers the whole circle; its plan is
-exactly antisymmetric about theta = 0, so M_hat_N is evaluated on theta >= 0
-only and the rest is filled by M_hat_N(-theta) = conj(M_hat_N(theta)), with
-the same bits as the direct evaluation.  m_N on a grid goes through one
+arithmetic, from one kernel that fourier_M_beta shares.  Its factor
+1/sin(pi theta) does not depend on the scale, so the plan holds it and a
+level pass scales it by 2^-n = 1/N, which is exact; every scale reuses the
+plan's trigonometry.  Level 0, the one arc 1/1, covers the whole circle;
+its plan is exactly antisymmetric about theta = 0, so M_hat_N is evaluated
+on theta >= 0 only and the rest is filled by
+M_hat_N(-theta) = conj(M_hat_N(theta)).  A level pass gives the same bits as
+fourier_M_beta evaluated on every window point.  m_N on a grid goes through one
 unnormalized inverse FFT of the folded log p weights.  On an exceptional
 arc window, M_hat^beta_N comes from one FFT of the weights modulated by
 e(-n a/q) and folded mod G; the direct sum of fourier_M_beta is its oracle
@@ -99,14 +103,17 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
 
 
 def kernel_delta(n: int) -> Kernel:
-    """The point mass at site n."""
+    """The point mass at the integer site n."""
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError("the site n must be an integer")
     return Kernel(sites=np.array([n], dtype=np.int64), weights=np.array([1.0]))
 
 
 def prime_kernel(N: int, table: PrimeTable, weighted: bool) -> Kernel:
-    """Averaging kernel over primes <= N: log p / theta(N), or 1/pi(N)."""
-    if N < 2:
-        raise DomainError("prime averages need N >= 2")
+    """Averaging kernel over primes <= N: log p / theta(N), or 1/pi(N), for
+    an integer N >= 2."""
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise DomainError("prime averages need an integer N >= 2")
     p = table.primes_upto(N)
     if weighted:
         w = np.log(p.astype(np.float64)) / table.theta(N)
@@ -158,19 +165,34 @@ def fourier_kernel_grid(kernel: Kernel, resolution: int) -> np.ndarray:
     return _folded_transform(kernel.sites, kernel.weights, _check_resolution(resolution))
 
 
+def _mhat_closed(N: int, d: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """The closed form of M_hat_N at reduced frequencies d, given
+    r = 1 / (N sin(pi d)) (or 0 where d = 0): out.real = cos(y) s1 r and
+    out.imag = sin(y) s1 r, y = pi d (N+1), s1 = sin(pi N d), each product
+    taken left to right.  fourier_M_beta and _add_level share it, so the two
+    give the same bits wherever their r agree."""
+    y = np.pi * d * (N + 1)
+    s1 = np.sin(np.pi * N * d)
+    np.multiply(np.cos(y), s1, out=out.real)
+    out.real *= r
+    np.sin(y, out=y)
+    np.multiply(y, s1, out=out.imag)
+    out.imag *= r
+
+
 def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
     """M_hat^beta_N(theta) for an integer N >= 0 at finite theta.
 
     For beta = 1 the closed geometric form
     e((N+1) d/2) sin(pi N d) / (N sin(pi d)), d = theta - round(theta), in
-    real arithmetic: the real and imaginary parts are cos(y) and sin(y),
-    y = pi d (N+1), times sin(pi N d), times 1 / (N sin(pi d)).  These are
-    the bits numpy gives for the complex form exp(i y) * sin(pi N d) /
-    (N sin(pi d)), and M_hat_N(-theta) is exactly conj(M_hat_N(theta)),
-    which _add_level's mirrored level-0 pass relies on.  Otherwise the
-    direct sum over the N weights of kernel_M_beta, O(N) per point.  The
-    direct sum is the oracle for the folded-FFT route that nu_n_s_grid takes
-    on exceptional arc windows.
+    real arithmetic (_mhat_closed): the real and imaginary parts are cos(y)
+    and sin(y), y = pi d (N+1), times sin(pi N d), times 1 / (N sin(pi d)),
+    and 1 at d = 0.  These are the bits numpy gives for the complex form
+    exp(i y) * sin(pi N d) / (N sin(pi d)), and M_hat_N(-theta) is exactly
+    conj(M_hat_N(theta)), which _add_level's mirrored level-0 pass relies
+    on.  Otherwise the direct sum over the N weights of kernel_M_beta, O(N)
+    per point.  The direct sum is the oracle for the folded-FFT route that
+    nu_n_s_grid takes on exceptional arc windows.
     """
     if not isinstance(N, (int, np.integer)) or N < 0:
         raise DomainError("N must be an integer >= 0")
@@ -181,16 +203,11 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
         out = np.zeros(tv.shape, dtype=np.complex128)
     elif beta == 1.0:
         d = tv - np.round(tv)
-        out = np.empty(tv.shape, dtype=np.complex128)
         zero = d == 0.0
-        nz = ~zero
-        dn = d[nz]
+        out = np.empty(tv.shape, dtype=np.complex128)
+        r = np.divide(1.0, N * np.sin(np.pi * d), out=np.zeros(d.shape), where=~zero)
+        _mhat_closed(N, d, r, out)
         out[zero] = 1.0
-        y = np.pi * dn * (N + 1)
-        s1 = np.sin(np.pi * N * dn)
-        r = 1.0 / (N * np.sin(np.pi * dn))
-        out.real[nz] = np.cos(y) * s1 * r
-        out.imag[nz] = np.sin(y) * s1 * r
     else:
         out = np.atleast_1d(fourier_kernel(kernel_M_beta(N, beta), tv))
     if np.ndim(theta) == 0:
@@ -469,13 +486,16 @@ class _WindowPlan:
     point with eta_s(theta) > 0.  spans lists (arc, start, stop) for each arc
     with a nonempty window; its points are [start, stop) of every array.
     Indices are distinct across the level, as the eta_s supports are disjoint.
-    mirror is True when theta has odd length and is exactly antisymmetric
-    about its centre, with no zero off the centre: theta[i] == -theta[-1-i].
+    inv_sin is 1 / sin(pi theta), and 0 where theta = 0: the part of M_hat_N
+    that does not depend on the scale.  mirror is True when theta has odd
+    length and is exactly antisymmetric about its centre, with no zero off
+    the centre: theta[i] == -theta[-1-i].
     """
 
     spans: tuple[tuple[RationalPoint, int, int], ...]
     idx: np.ndarray
     theta: np.ndarray
+    inv_sin: np.ndarray
     eta: np.ndarray
     g0: np.ndarray
     mirror: bool
@@ -513,9 +533,11 @@ def _eta_windows(s: int, resolution: int) -> _WindowPlan:
     h = theta.size // 2
     mirror = theta.size % 2 == 1 and bool(
         np.all((theta[:h] == -theta[:h:-1]) & (theta[:h] != 0.0)))
+    inv_sin = np.divide(1.0, np.sin(np.pi * theta), out=np.zeros(theta.size),
+                        where=theta != 0.0)
     plan = _WindowPlan(spans=spans, idx=np.mod(j[keep], G), theta=theta,
-                       eta=ev, g0=g0[arc_of], mirror=mirror)
-    for a in (plan.idx, plan.theta, plan.eta, plan.g0):
+                       inv_sin=inv_sin, eta=ev, g0=g0[arc_of], mirror=mirror)
+    for a in (plan.idx, plan.theta, plan.inv_sin, plan.eta, plan.g0):
         a.flags.writeable = False  # shared by every caller of the memo
     return plan
 
@@ -538,32 +560,36 @@ def _add_level(out: np.ndarray, n: int, s: int,
                exceptional: tuple[DirichletCharacter, float] | None) -> None:
     """Add nu_n^s at j/len(out) into out, in one pass over the level's plan.
 
-    The principal term is one closed-form M_hat_N call over the window
-    points.  On a mirrored plan (level 0) the call covers the centre and the
-    right half only, and the left half is the conjugate of the right half
-    reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit for bit; the
-    centre theta = 0 keeps its direct value 1 + 0j.  The exceptional pair
-    (chi, beta), if given, adds its term on the level's arcs a/q with q the
-    modulus of chi, M_hat^beta_N from one folded FFT per arc
-    (_mbeta_arc_grid) read at the window's indices.
+    The principal term is the closed form M_hat_N (_mhat_closed) over the
+    window points, with r = inv_sin * 2^-n read from the plan: N = 2^n, so
+    N sin(pi theta) is exact and 1 / (N sin(pi theta)) = 2^-n / sin(pi theta)
+    bit for bit, the value fourier_M_beta computes.  |theta| < 1/2 on every
+    window, so theta is already reduced.  Points with theta = 0 take the
+    direct value 1 + 0j.  On a mirrored plan (level 0) the closed form covers
+    the centre and the right half only, and the left half is the conjugate
+    of the right half reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit
+    for bit.  The exceptional pair (chi, beta), if given, adds its term on
+    the level's arcs a/q with q the modulus of chi, M_hat^beta_N from one
+    folded FFT per arc (_mbeta_arc_grid) read at the window's indices.
     """
     plan = _eta_windows(s, out.size)
     N = _dyadic_scale(n)
+    vals = np.empty(plan.theta.size, dtype=np.complex128)
+    h = plan.theta.size // 2 if plan.mirror else 0
+    theta = plan.theta[h:]
+    _mhat_closed(N, theta, plan.inv_sin[h:] * (1.0 / N), vals[h:])
+    vals[h:][theta == 0.0] = 1.0
     if plan.mirror:
-        h = plan.theta.size // 2
-        mhat = np.empty(plan.theta.size, dtype=np.complex128)
-        mhat[h:] = fourier_M_beta(N, 1.0, plan.theta[h:])
-        np.conjugate(mhat[:h:-1], out=mhat[:h])
-    else:
-        mhat = fourier_M_beta(N, 1.0, plan.theta)
-    vals = plan.g0 * mhat
+        np.conjugate(vals[:h:-1], out=vals[:h])
+    vals *= plan.g0
     if exceptional is not None:
         chi, beta = exceptional
         for arc, lo, hi in plan.spans:
             if arc.q == chi.modulus:
                 mbeta = _mbeta_arc_grid(N, beta, arc, out.size)
                 vals[lo:hi] -= gauss.gauss_sum_bruteforce(chi, arc.a) * mbeta[plan.idx[lo:hi]]
-    out[plan.idx] += vals * plan.eta
+    vals *= plan.eta
+    out[plan.idx] += vals
 
 
 def nu_n_s_grid(n: int, s: int, resolution: int,

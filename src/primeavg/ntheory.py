@@ -43,11 +43,18 @@ class PrimeTable:
     _log_primes: np.ndarray | None = field(default=None, repr=False)
     _theta_cum: np.ndarray | None = field(default=None, repr=False)
 
+    def _rank(self, x: float, name: str) -> int:
+        """The number of primes <= x: DomainError on a non-finite x,
+        CapacityError past the sieve limit."""
+        if not (isinstance(x, (int, np.integer)) or math.isfinite(x)):
+            raise DomainError(f"{name}({x}) needs a finite argument")
+        if x > self.limit:
+            raise CapacityError(f"{name}({x}) exceeds sieve limit {self.limit}")
+        return int(np.searchsorted(self.prime_list, math.floor(x), side="right"))
+
     def count(self, n: float) -> int:
         """Number of primes <= n."""
-        if n > self.limit:
-            raise CapacityError(f"count({n}) exceeds sieve limit {self.limit}")
-        return int(np.searchsorted(self.prime_list, math.floor(n), side="right"))
+        return self._rank(n, "count")
 
     def log_primes(self) -> np.ndarray:
         """log p for each prime in prime_list, cached."""
@@ -57,19 +64,14 @@ class PrimeTable:
 
     def theta(self, x: float) -> float:
         """Chebyshev theta: sum of log p over primes p <= x."""
-        if x > self.limit:
-            raise CapacityError(f"theta({x}) exceeds sieve limit {self.limit}")
+        k = self._rank(x, "theta")
         if self._theta_cum is None:
             self._theta_cum = np.concatenate(([0.0], np.cumsum(self.log_primes())))
-        k = np.searchsorted(self.prime_list, math.floor(x), side="right")
         return float(self._theta_cum[k])
 
     def primes_upto(self, n: float) -> np.ndarray:
         """View of prime_list restricted to primes <= n."""
-        if n > self.limit:
-            raise CapacityError(f"primes_upto({n}) exceeds sieve limit {self.limit}")
-        k = np.searchsorted(self.prime_list, math.floor(n), side="right")
-        return self.prime_list[:k]
+        return self.prime_list[:self._rank(n, "primes_upto")]
 
 
 _TABLES: dict[int, PrimeTable] = {}

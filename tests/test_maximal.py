@@ -436,6 +436,16 @@ _NOT_INTEGER_OR_NOT_FINITE = {
         mx.Signal(offset=0, values=np.array([1.0, np.nan])), [1.5], 3, t),
     "residue-Q": lambda f, F, t: mx.residue_equidistribution(f, 2.5, 1, 1, 0.75, 3),
     "residue-r": lambda f, F, t: mx.residue_equidistribution(f, 4, 1.5, 1, 0.75, 3),
+    "dyadic-nan-signal": lambda f, F, t: mx.maximal_dyadic(
+        mx.Signal(offset=0, values=np.array([1.0, np.nan])), "averages", 3, t),
+    "dyadic-inf-signal": lambda f, F, t: mx.maximal_dyadic(
+        mx.Signal(offset=0, values=np.array([np.inf, 1.0])), "weighted", 3, t),
+    "weak-norm-nan": lambda f, F, t: mx.weak_norm(np.array([1.0, np.nan])),
+    "weak-norm-inf": lambda f, F, t: mx.weak_norm(
+        mx.Signal(offset=0, values=np.array([-np.inf, 1.0]))),
+    "all-scales-nan-N": lambda f, F, t: mx.prime_average_all_scales(f, np.nan, t, True),
+    "lambda-grid-fractional": lambda f, F, t: mx.default_lambda_grid(2.5),
+    "lambda-grid-empty": lambda f, F, t: mx.default_lambda_grid(0),
 }
 
 
@@ -445,6 +455,21 @@ def test_counts_must_be_integers_and_signals_finite(call, table_small, rng):
     f = mx.random_signal(rng, 16, complex_values=False)
     with pytest.raises(DomainError):
         call(f, mx.Signal.interval(0, 8), table_small)
+
+
+_SCALE_ONE_IS_NOT_PRIME = {
+    "b-part-t-0": (lambda f, t: mx.b_part_maximal_l2(0.0, f, 4, t), "t = 0.0"),
+    "split-n-0": (lambda f, t: mx.ab_split_apply(1.0, 0, f, t), "n = 0"),
+    "split-t-0-n-0": (lambda f, t: mx.ab_split_apply(0.0, 0, f, t), "n = 0"),
+}
+
+
+@pytest.mark.parametrize("call,named", _SCALE_ONE_IS_NOT_PRIME.values(),
+                         ids=_SCALE_ONE_IS_NOT_PRIME.keys())
+def test_b_part_entry_points_reject_scale_one(call, named, table_small, rng):
+    # N = 2^0 = 1 has no prime; the entry point names the argument at fault
+    with pytest.raises(DomainError, match=named):
+        call(mx.random_signal(rng, 16, complex_values=True), table_small)
 
 
 def test_lp_maximal_ratios_share_one_maximal_function(table_small, rng):

@@ -114,6 +114,9 @@ _BAD_N_OR_THETA = {
     "inf-kernel": lambda: mp.fourier_kernel(mp.kernel_delta(3), np.inf),
     "nan-kernel": lambda: mp.fourier_kernel(mp.kernel_delta(3), np.array([0.1, np.nan])),
     "nan-m-n": lambda: mp.prime_multiplier(100, np.nan, sieve_primes(128)),
+    "fractional-m-n-grid": lambda: mp.prime_multiplier_grid(2.5, 64, sieve_primes(128)),
+    "fractional-prime-kernel": lambda: mp.prime_kernel(10.5, sieve_primes(128), True),
+    "fractional-delta": lambda: mp.kernel_delta(2.5),
 }
 
 
@@ -271,6 +274,19 @@ def test_level0_grid_equals_pointwise_bit_for_bit(G):
     xi = np.arange(G) / G
     for n in [0, 1, 3, 10, 20]:
         assert np.array_equal(mp.nu_n_s_grid(n, 0, G), mp.nu_n_s(n, 0, xi))
+
+
+@pytest.mark.parametrize("G", [1 << 4, 1 << 10, 1 << 14, 1 << 18])
+@pytest.mark.parametrize("s", range(5))
+def test_level_pass_equals_public_closed_form_bit_for_bit(s, G):
+    # the level pass reads 1/sin(pi theta) from the plan and scales it by
+    # 2^-n; assembled from fourier_M_beta on the same plan, the bits agree
+    plan = mp._eta_windows(s, G)
+    for n in [0, 1, 5, 12, 17, 20]:
+        want = np.zeros(G, dtype=np.complex128)
+        want[plan.idx] += plan.g0 * mp.fourier_M_beta(1 << n, 1.0, plan.theta) * plan.eta
+        got = mp.nu_n_s_grid(n, s, G)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
 
 def test_only_an_exactly_antisymmetric_plan_is_mirrored():

@@ -98,3 +98,10 @@ def test_arithmetic_needs_integer_arguments(call):
 def test_primes_upto_respects_table_limit(table_small):
     with pytest.raises(nt.CapacityError):
         table_small.primes_upto((1 << 16) + 1)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("lookup", ["count", "theta", "primes_upto"])
+def test_prime_lookups_need_a_finite_argument(lookup, x, table_small):
+    with pytest.raises(nt.DomainError, match=lookup):
+        getattr(table_small, lookup)(x)
