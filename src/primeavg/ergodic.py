@@ -86,8 +86,9 @@ class DynamicalSystem:
     def rotation(cls, alpha, cf_depth: int | None = None) -> "DynamicalSystem":
         """Rotation by alpha in [0, 1); 'golden' and 'silver' name the two
         quadratic irrationals (sqrt(5)-1)/2 and sqrt(2)-1, whose continued
-        fractions are all 1s and all 2s.  cf_depth caps the number of
-        partial quotients kept before the convergent is chosen."""
+        fractions are all 1s and all 2s.  cf_depth, which must be positive
+        (alpha = 0 included), caps the number of partial quotients kept
+        before the convergent is chosen."""
         if alpha == "golden":
             cf = [1] * 64
         elif alpha == "silver":
@@ -96,8 +97,6 @@ class DynamicalSystem:
             a = float(alpha)
             if not 0.0 <= a < 1.0:
                 raise DomainError("rotation angle must lie in [0, 1)")
-            if a == 0.0:
-                return cls(kind="rotation", num=0, den=1)
             frac = Fraction(a)
             cf = _cf_of_fraction(frac)
         if cf_depth is not None:

@@ -56,12 +56,9 @@ def roots_of_unity(q: int) -> np.ndarray:
 
 
 def gauss_sum_bruteforce(chi: DirichletCharacter, n: int) -> complex:
-    """G(chi, n) summed directly over the units mod q."""
-    q = chi.modulus
-    units = chi.unit_residues()
-    roots = roots_of_unity(q)
-    val = chi.values[units] @ roots[(units * (n % q)) % q]
-    return complex(val) / euler_phi(q)
+    """G(chi, n) = (1/phi(q)) sum over units a mod q of chi(a) e(a n / q):
+    the direct twisted sum over phi(q)."""
+    return twisted_character_sum_bruteforce(chi, n) / euler_phi(chi.modulus)
 
 
 def gauss_sum_bruteforce_all(chi: DirichletCharacter) -> np.ndarray:
@@ -315,10 +312,10 @@ def _quadratic_audit(q_min: int, q_max: int):
                 tau_sq=abs(t * t - q0 * complex(dec.primitive_char(-1))))
 
 
-def verify_quadratic_range(q_max: int, q_min: int = 1) -> list[dict]:
+def verify_quadratic_range(q_max: int) -> list[dict]:
     """Exhaustive closed-form vs brute-force audit over all quadratic characters.
 
-    For every modulus q_min <= q <= q_max and every character with chi^2 principal
+    For every modulus 1 <= q <= q_max and every character with chi^2 principal
     (the principal character included), compares the three closed forms
     against direct summation: G(chi, a) over all units a, the twisted sum
     over every x in [0, q), and the Gauss exponential sum over every
@@ -331,7 +328,7 @@ def verify_quadratic_range(q_max: int, q_min: int = 1) -> list[dict]:
     modulus bound ratio, and check/failure counts.
     """
     records = []
-    for au in _quadratic_audit(q_min, q_max):
+    for au in _quadratic_audit(1, q_max):
         q, chi = au.q, au.chi
         # |G(chi, a)| <= sqrt(q0)/phi(q) over the units, so this never exceeds 1
         bound_ratio = float(np.max(np.abs(au.g_brute[au.units]))

@@ -21,10 +21,12 @@ direct correlation).
 
 The multiplier maxima (the residue-class norms of the eta_s-filtered
 M^beta averages, the single arc levels nu_n^s, and the remainders
-B_n^t = m_{2^n} - Pi_n^t) sample each multiplier on one grid, the next
-power of two at least support + 2^n_max, which realizes the operator on a
-circle of that circumference; _multiplier_sup transforms the signal once
-and keeps the running sup over the grids.
+B_n^t = m_{2^n} - Pi_n^t) sample each multiplier on one grid, which
+realizes the operator on a circle of that circumference: the given
+power-of-two resolution (the residue-class and arc-level maxima always
+take one), else the next power of two above support + 2^n_max.
+_multiplier_sup transforms the signal once and keeps the running sup over
+the grids.
 
 weak_type_sweep measures lambda * |{sup_n A_{2^n} 1_F > lambda}| normalized
 by log^2(e/lambda) |F| on a lambda grid.  Since A_N 1_F = k/pi(N) with an
@@ -161,11 +163,11 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-def _grid_size(f: Signal, reach: int, floor: int = 0, resolution: int | None = None) -> int:
+def _grid_size(f: Signal, reach: int, resolution: int | None = None) -> int:
     """The circle size: `resolution` if given, which must be a positive power
-    of two, else the next power of two above support + reach, at least floor."""
+    of two, else the next power of two above support + reach."""
     if resolution is None:
-        return max(_next_pow2(len(f.values) + reach + 1), floor)
+        return _next_pow2(len(f.values) + reach + 1)
     return mult._check_resolution(resolution)
 
 
@@ -210,16 +212,13 @@ def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
         yield k.sites.size, counts.astype(np.int64)
 
 
-def maximal_dyadic(f: Signal, family: str, n_max: int,
-                   table: PrimeTable | None = None) -> Signal:
+def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable) -> Signal:
     """sup over n = 1..n_max of |op_{2^n} f|, op = A ('averages') or M
     ('weighted'): the exact maximal function on [f.offset - 2^n_max,
     f.support_end), each scale correlated on its own circle.  f must be
     finite."""
     if family not in ("averages", "weighted"):
         raise DomainError(f"unknown family: {family}")
-    if table is None:
-        raise DomainError("prime averaging families need a sieve table")
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise DomainError("prime averaging families need an integer n_max >= 1")
     if not np.all(np.isfinite(f.values)):
@@ -234,18 +233,17 @@ def maximal_dyadic(f: Signal, family: str, n_max: int,
 # --- multiplier maxima on one realization circle ---
 
 
-def _circle(f: Signal, n_max: int, resolution: int | None,
-            floor: int = 0) -> np.ndarray:
+def _circle(f: Signal, n_max: int, resolution: int | None) -> np.ndarray:
     """f on the circle that realizes the multipliers at scales up to 2^n_max,
     at index 2^n_max: the kernel's reach to the left of f.  The circle is
-    `resolution` points, or _grid_size's default with the given floor; one
-    shorter than support + reach would wrap the kernel."""
+    _grid_size(f, 2^n_max, resolution) points; one shorter than support +
+    reach would wrap the kernel."""
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise DomainError("n_max must be an integer >= 0")
     if not (f.values.size and np.all(np.isfinite(f.values)) and np.any(f.values)):
         raise DomainError("multiplier maxima need a finite, nonzero signal")
     reach = 1 << n_max
-    Z = _grid_size(f, reach, floor, resolution)
+    Z = _grid_size(f, reach, resolution)
     if len(f.values) + reach > Z:
         raise DomainError(f"grid resolution {Z} is below support + kernel reach "
                           f"{len(f.values) + reach}")
@@ -305,7 +303,7 @@ def weak_norm(g: Signal | np.ndarray) -> float:
     return float(np.max(v * np.arange(1, v.size + 1)))
 
 
-def default_lambda_grid(j_max: int = 10) -> np.ndarray:
+def default_lambda_grid(j_max: int) -> np.ndarray:
     """Geometric lambda grid 2^-1, ..., 2^-j_max (decreasing), for an
     integer j_max >= 1."""
     if not isinstance(j_max, (int, np.integer)) or j_max < 1:
@@ -384,9 +382,10 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
 
 
 def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
-                             n_max: int, resolution: int | None = None) -> dict:
+                             n_max: int, resolution: int) -> dict:
     """Weak norm of sup_{0 <= n <= n_max} |M^beta_{2^n} (eta_s-filtered f)|
-    along Qx + r, on the realization circle (at least 2^14 points).
+    along Qx + r, on the circle of `resolution` points, a power of two at
+    least support + 2^n_max.
 
     Requires Q <= 2^(2s).  Returns the weak norm, the ell^1 norm of the
     filtered signal on the same residue class, and their ratio; the
@@ -397,7 +396,7 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
         raise DomainError("residue sampling needs an integer 1 <= Q <= 2^(2s)")
     if not isinstance(r, (int, np.integer)) or not 1 <= r <= Q:
         raise DomainError("residue r must be an integer in [1, Q]")
-    arr = _circle(f, n_max, resolution, floor=1 << 14)
+    arr = _circle(f, n_max, resolution)
     Z = arr.size
     fhat, inverse = _spectrum(arr)
     eta_grid = mult.eta_s(s, _signed_frequencies(Z)).astype(np.complex128)
@@ -412,27 +411,26 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
             "ratio": weak / l1 if l1 > 0 else math.inf}
 
 
-def l2_arc_maximal_decay(s: int, f: Signal, n_max: int,
-                         resolution: int | None = None) -> float:
+def l2_arc_maximal_decay(s: int, f: Signal, n_max: int, resolution: int) -> float:
     """|| sup_{0 <= n <= n_max} |F^{-1}(nu_n^s f_hat)| ||_2 / ||f||_2 on the
-    realization circle (at least 2^14 points).
+    circle of `resolution` points, a power of two at least support + 2^n_max.
 
     The single-level maximal bound predicts decay ~2^(-s/2) in the level.
     """
-    arr = _circle(f, n_max, resolution, floor=1 << 14).astype(np.complex128)
+    arr = _circle(f, n_max, resolution).astype(np.complex128)
     sup = _multiplier_sup(arr, (mult.nu_n_s_grid(n, s, arr.size)
                                 for n in range(n_max + 1)))
     return float(np.linalg.norm(sup) / f.lp_norm(2.0))
 
 
-def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
-                   resolution: int | None = None) -> tuple[Signal, Signal]:
+def ab_split_apply(t: float, n: int, f: Signal,
+                   table: PrimeTable) -> tuple[Signal, Signal]:
     """The low/high frequency split of M_{2^n} f at threshold t.
 
-    For n >= t: A = F^{-1}(Pi_n^t f_hat) and B = M_{2^n} f - A, realized on a
-    common grid.  For n < t: A = M_{2^n} f and B = 0.  A + B reconstructs
-    M_{2^n} f exactly.  Needs an integer n >= 1 (2^0 = 1 has no prime) and
-    t >= 0.
+    For n >= t: A = F^{-1}(Pi_n^t f_hat) and B = M_{2^n} f - A, realized on
+    one circle, the next power of two above support + 2^n points.  For
+    n < t: A = M_{2^n} f and B = 0.  A + B reconstructs M_{2^n} f exactly.
+    Needs an integer n >= 1 (2^0 = 1 has no prime) and t >= 0.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"ab_split_apply needs an integer n >= 1, got n = {n}")
@@ -442,7 +440,7 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
     N = 1 << n
-    arr = _circle(f, n, resolution).astype(np.complex128)
+    arr = _circle(f, n, None).astype(np.complex128)
     Z = arr.size
     fhat = np.fft.fft(arr)
     pi_grid = mult.pi_n_t_grid(n, t, Z)
@@ -455,8 +453,9 @@ def ab_split_apply(t: float, n: int, f: Signal, table: PrimeTable,
 
 def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
                       resolution: int | None = None) -> float:
-    """|| sup_{t <= n <= n_max} |B_n^t f| ||_2 / ||f||_2 on the realization
-    circle, B_n^t = m_{2^n} - Pi_n^t.  Needs 0 < t <= n_max: the scales run
+    """|| sup_{t <= n <= n_max} |B_n^t f| ||_2 / ||f||_2 on the circle of
+    `resolution` points, else of the next power of two above support +
+    2^n_max, B_n^t = m_{2^n} - Pi_n^t.  Needs 0 < t <= n_max: the scales run
     from ceil(t), and m_N needs N >= 2."""
     if not 0 < t <= n_max:
         raise DomainError(f"b_part_maximal_l2 needs 0 < t <= n_max, got t = {t}")

@@ -216,17 +216,14 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
 
 
 def prime_multiplier(N: int, xi: float | np.ndarray, table: PrimeTable):
-    """m_N(xi) = (1/theta(N)) sum_{p <= N} e(xi p) log p, summed directly."""
-    if N < 2:
-        raise DomainError("m_N needs N >= 2")
-    k = prime_kernel(N, table, weighted=True)
-    return fourier_kernel(k, xi)
+    """m_N(xi) = (1/theta(N)) sum_{p <= N} e(xi p) log p, summed directly,
+    for an integer N >= 2."""
+    return fourier_kernel(prime_kernel(N, table, weighted=True), xi)
 
 
 def prime_multiplier_grid(N: int, resolution: int, table: PrimeTable) -> np.ndarray:
-    """m_N sampled at j/resolution through one FFT of the folded log weights."""
-    if N < 2:
-        raise DomainError("m_N needs N >= 2")
+    """m_N sampled at j/resolution through one FFT of the folded log weights,
+    for an integer N >= 2."""
     return fourier_kernel_grid(prime_kernel(N, table, weighted=True), resolution)
 
 
@@ -458,15 +455,10 @@ def nu_n(n: int, xi: float | np.ndarray, s_max: int = DEFAULT_S_MAX):
 
 
 def _levels_for_t(t: float) -> int:
-    """floor(sqrt(t)), guarded against float dust at perfect squares."""
-    if not t >= 0:
-        raise DomainError("t must be >= 0")
-    s = int(math.sqrt(t))
-    while (s + 1) * (s + 1) <= t:
-        s += 1
-    while s * s > t:
-        s -= 1
-    return s
+    """floor(sqrt(t)) = isqrt(floor(t)) for a finite t >= 0, exact in integers."""
+    if not 0 <= t < math.inf:
+        raise DomainError("t must be finite and >= 0")
+    return math.isqrt(math.floor(t))
 
 
 def pi_n_t(n: int, t: float, xi: float | np.ndarray):

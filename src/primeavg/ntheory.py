@@ -40,7 +40,6 @@ class PrimeTable:
 
     limit: int
     prime_list: np.ndarray
-    _log_primes: np.ndarray | None = field(default=None, repr=False)
     _theta_cum: np.ndarray | None = field(default=None, repr=False)
 
     def _rank(self, x: float, name: str) -> int:
@@ -56,17 +55,12 @@ class PrimeTable:
         """Number of primes <= n."""
         return self._rank(n, "count")
 
-    def log_primes(self) -> np.ndarray:
-        """log p for each prime in prime_list, cached."""
-        if self._log_primes is None:
-            self._log_primes = np.log(self.prime_list.astype(np.float64))
-        return self._log_primes
-
     def theta(self, x: float) -> float:
         """Chebyshev theta: sum of log p over primes p <= x."""
         k = self._rank(x, "theta")
         if self._theta_cum is None:
-            self._theta_cum = np.concatenate(([0.0], np.cumsum(self.log_primes())))
+            logs = np.log(self.prime_list.astype(np.float64))
+            self._theta_cum = np.concatenate(([0.0], np.cumsum(logs)))
         return float(self._theta_cum[k])
 
     def primes_upto(self, n: float) -> np.ndarray:

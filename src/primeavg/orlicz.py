@@ -44,6 +44,9 @@ _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 _MEASURE_SLACK = 1e-12
 
+# absolute tolerance of orlicz_norm, shared out over the steps and panels
+_TOL = 1e-9
+
 # |split - whole| at or below this share of the panel value is rounding
 # noise of the two 64-point sums, which no further halving can reduce
 _ROUNDING_FLOOR = 64 * np.finfo(np.float64).eps
@@ -182,18 +185,15 @@ def _phi_inv_adaptive(lo: float, hi: float, tol: float, whole: float,
             + _phi_inv_adaptive(mid, hi, 0.5 * tol, right, depth + 1))
 
 
-def orlicz_norm(rearrangement: StepRearrangement, tol: float = 1e-9) -> float:
+def orlicz_norm(rearrangement: StepRearrangement) -> float:
     """integral_0^1 f*(t) phi(1/t) dt for a step rearrangement.
 
     Reduces to sum over steps of a_i * integral phi(1/t) dt and integrates
-    each step adaptively; the absolute error is below 1e-8 at the default
-    tolerance, or near rounding relative to the norm where a step value is
-    so large that its share of tol falls below the rounding floor of the
-    panel values.  Exactly linear under scaling of the values.  tol must be
-    finite and positive.
+    each step adaptively; the absolute error is below 1e-8, or near rounding
+    relative to the norm where a step value is so large that its share of
+    the tolerance _TOL falls below the rounding floor of the panel values.
+    Exactly linear under scaling of the values.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError("orlicz_norm needs a finite tol > 0")
     if rearrangement.values.size == 0:
         return 0.0
     cuts = rearrangement.cuts
@@ -205,7 +205,7 @@ def orlicz_norm(rearrangement: StepRearrangement, tol: float = 1e-9) -> float:
         if hi <= lo:
             continue
         whole, = _phi_inv_panels(np.array([lo, hi]))
-        total += a * _phi_inv_adaptive(lo, hi, tol / (nsteps * max(a, 1.0)), whole)
+        total += a * _phi_inv_adaptive(lo, hi, _TOL / (nsteps * max(a, 1.0)), whole)
     return total
 
 

@@ -41,8 +41,10 @@ def test_rotation_from_float_and_depth():
     assert Fraction(shallow.num, shallow.den) == Fraction(2, 3)
     with pytest.raises(DomainError):
         er.DynamicalSystem.rotation(1.5)
-    with pytest.raises(DomainError):
-        er.DynamicalSystem.rotation("golden", cf_depth=0)
+    # the cf_depth check holds at alpha = 0 too, whose expansion is empty
+    for alpha in ("golden", 0.5, 0.0):
+        with pytest.raises(DomainError):
+            er.DynamicalSystem.rotation(alpha, cf_depth=0)
 
 
 def test_shift_system_and_validation():

@@ -49,6 +49,22 @@ def test_tau_memo_returns_the_direct_sum(q):
         assert gs.tau(chi) == first
 
 
+def test_gauss_bruteforce_is_the_twisted_sum_over_phi_bit_for_bit():
+    # tau, and through it every gauss-verify report, reads these exact bits:
+    # the units sum chi(a) e(a x / q) as one dot product, then / phi(q)
+    got, want = [], []
+    for q in range(1, 25):
+        roots = gs.roots_of_unity(q)
+        for chi in enumerate_characters(q):
+            units = chi.unit_residues()
+            for x in range(-q, 2 * q):
+                got.append(gs.gauss_sum_bruteforce(chi, x))
+                want.append(complex(chi.values[units] @ roots[(units * (x % q)) % q])
+                            / euler_phi(q))
+    got, want = np.array(got), np.array(want)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_closed_form_matches_bruteforce_sample():
     for q in [3, 4, 5, 8, 9, 12, 15, 21, 45]:
         for chi in [principal_character(q)] + enumerate_quadratic_characters(q):
@@ -231,15 +247,17 @@ def test_audit_rejects_empty_ranges():
     with pytest.raises(DomainError):
         gs.verify_quadratic_range(0)
     with pytest.raises(DomainError):
-        gs.verify_quadratic_range(5, q_min=6)
+        list(gs.verify_quadratic_rows(5, q_min=6))
     with pytest.raises(DomainError):
         list(gs.verify_quadratic_rows(-5))
     # non-integer bounds
-    for bad in (dict(q_max=5.5), dict(q_max=4.5), dict(q_max=10, q_min=1.0)):
+    for bad in (dict(q_max=5.5), dict(q_max=4.5)):
         with pytest.raises(DomainError):
             gs.verify_quadratic_range(**bad)
         with pytest.raises(DomainError):
             list(gs.verify_quadratic_rows(**bad))
+    with pytest.raises(DomainError):
+        list(gs.verify_quadratic_rows(10, q_min=1.0))
     for q, a in ((5.0, 2), (5, 2.0), (0, 1)):
         with pytest.raises(DomainError):
             gs.ramanujan_gauss_principal(q, a)

@@ -344,6 +344,21 @@ def test_pi_levels_cutoff():
     assert mp._levels_for_t(8.999999) == 2
 
 
+def test_level_count_is_exact_at_squares_and_huge_t():
+    # floor(sqrt(t)) at k^2 and at the floats on either side of it
+    for k in range(1, 3000):
+        t = float(k * k)
+        assert mp._levels_for_t(t) == k
+        assert mp._levels_for_t(math.nextafter(t, math.inf)) == k
+        assert mp._levels_for_t(math.nextafter(t, -math.inf)) == k - 1
+    # a t far past any loop's reach, as pi_n_t meets it whenever n >= t
+    s = mp._levels_for_t(1e50)
+    assert s * s <= int(1e50) < (s + 1) * (s + 1)
+    for bad in (math.inf, -math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError):
+            mp._levels_for_t(bad)
+
+
 @pytest.mark.parametrize("q", [3, 5, 6])
 def test_injected_nu_grid_matches_pointwise(q):
     # q = 6 has no primitive quadratic character; the model takes any
