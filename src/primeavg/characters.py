@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .ntheory import CapacityError, DomainError, divisors, euler_phi, factorize
+from .ntheory import CapacityError, DomainError, _integer, divisors, euler_phi, factorize
 
 ENUM_CAP = 10 ** 6
 _BISECT_STEPS = 60  # halvings of a sign-change bracket in the zero scan
@@ -76,8 +76,7 @@ class DirichletCharacter:
                         np.mod(self.phases * (order // self.order), order), -1)
 
     def __call__(self, n: int | np.ndarray) -> complex | np.ndarray:
-        idx = np.mod(n, self.modulus)
-        return self.values[idx]
+        return self.values[np.mod(_integer(n, "n", points=True), self.modulus)]
 
     @property
     def kind(self) -> str:
@@ -152,6 +151,8 @@ class _GroupData:
                         break
                     idx[i] = 0
             unit_mask = dlog[:, 0] >= 0
+        for arr in (dlog, unit_mask):
+            arr.flags.writeable = False  # shared by every caller of the memo
         self.dlog = dlog
         self.unit_mask = unit_mask
 
@@ -182,17 +183,11 @@ def _primitive_root(p: int, e: int) -> int:
     return g
 
 
-def _modulus(q: int) -> int:
-    """q as a Python int, checked to be an integer >= 1 before _group_data's
-    untyped memo, where 5.0 would find the entry for 5 (and a numpy integer
-    would reach pow() in _primitive_root)."""
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise DomainError("modulus must be an integer >= 1")
-    return int(q)
-
-
 @lru_cache(maxsize=512)
 def _group_data(q: int) -> _GroupData:
+    """The memo of (Z/q)^*, keyed by value: callers pass q through _integer
+    first, as 5.0 would find the entry for 5 (and a numpy integer would
+    reach pow() in _primitive_root)."""
     return _GroupData(q)
 
 
@@ -218,7 +213,7 @@ def _char_from_phases(q: int, phases: np.ndarray, order: int) -> DirichletCharac
 
 def principal_character(q: int) -> DirichletCharacter:
     """The principal character mod q: 1 on units, 0 elsewhere."""
-    q = _modulus(q)
+    q = _integer(q, "q", 1)
     g = _group_data(q)
     return _char_from_exponents(q, tuple(0 for _ in g.gens))
 
@@ -230,7 +225,7 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     generators, so repeated calls enumerate identically.  q is capped at
     ENUM_CAP.
     """
-    q = _modulus(q)
+    q = _integer(q, "q", 1)
     if q > ENUM_CAP:
         raise CapacityError(f"enumeration modulus {q} exceeds cap {ENUM_CAP}")
     g = _group_data(q)
@@ -239,7 +234,7 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
 
 def enumerate_quadratic_characters(q: int) -> list[DirichletCharacter]:
     """The quadratic characters mod q (order matches enumerate_characters)."""
-    q = _modulus(q)
+    q = _integer(q, "q", 1)
     g = _group_data(q)
     choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in g.orders]
     out = []
@@ -399,10 +394,8 @@ def exceptional_zero_scan(q: int, c: float = 1.0) -> ExceptionalZeroResult:
     block on the grid is built once for q and shared by every character
     (_quadratic_l_values).
     """
-    if not isinstance(q, (int, np.integer)) or q < 3:
-        raise DomainError("zero scan requires an integer q >= 3")
-    q = int(q)
-    if not (math.isfinite(c) and c > 0):
+    q = _integer(q, "q", 3)
+    if not 0 < c < math.inf:
         raise DomainError("the zero-region constant c must be finite and positive")
     lo = max(0.5, 1.0 - c / math.log(q))
     hi = 1.0

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -54,7 +55,7 @@ def _fmt_complex(x) -> str:
 
 
 # the first base class a value's type derives from picks its formatter
-_FMT_CHAIN = (((bool, np.bool_), _fmt_bool), ((int, np.integer), _fmt_int),
+_FMT_CHAIN = (((bool, np.bool_), _fmt_bool), (numbers.Integral, _fmt_int),
               ((float, np.floating), _fmt_float),
               ((complex, np.complexfloating), _fmt_complex))
 _FMT_BY_TYPE: dict = {}  # type -> formatter, resolved through _FMT_CHAIN once

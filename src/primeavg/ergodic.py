@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .maximal import Signal, _superlevel_counts, prime_scale_counts
-from .ntheory import DomainError, PrimeTable
+from .ntheory import DomainError, PrimeTable, _finite, _integer
 
 _DEN_MIN = 1 << 33
 _DEN_MAX = 1 << 38
@@ -100,17 +100,13 @@ class DynamicalSystem:
             frac = Fraction(a)
             cf = _cf_of_fraction(frac)
         if cf_depth is not None:
-            if cf_depth < 1:
-                raise DomainError("cf_depth must be positive")
-            cf = cf[:cf_depth]
+            cf = cf[:_integer(cf_depth, "cf_depth", 1)]
         num, den = _convergent_in_range(cf)
         return cls(kind="rotation", num=num, den=den)
 
     @classmethod
     def shift(cls, m: int) -> "DynamicalSystem":
-        if m < 1:
-            raise DomainError("cyclic shift needs a positive modulus")
-        return cls(kind="shift", modulus=m)
+        return cls(kind="shift", modulus=_integer(m, "modulus m", 1))
 
     @property
     def alpha(self) -> float:
@@ -121,14 +117,13 @@ class DynamicalSystem:
     def orbit_positions(self, x0, ks: np.ndarray) -> np.ndarray:
         """T^k x0 for each k in ks; floats in [0,1) for rotations, int
         residues for shifts.  k is capped at 2^25 to keep the rotation's
-        integer arithmetic inside int64."""
-        ks = np.asarray(ks, dtype=np.int64)
+        integer arithmetic inside int64; x0 must be finite."""
+        ks = np.asarray(_integer(ks, "k", points=True), dtype=np.int64)
         if ks.size and (ks.min() < 0 or ks.max() >= _ORBIT_CAP):
             raise DomainError("orbit indices must lie in [0, 2^25)")
+        _finite(x0, "starting point x0")
         if self.kind == "shift":
             return np.mod(int(x0) + ks, self.modulus)
-        if not math.isfinite(x0):
-            raise DomainError("starting point must be finite")
         # k * alpha mod 1 in exact integer arithmetic; x0 enters once, as a
         # float, so rational alphas (including the identity) keep it intact.
         rot = np.mod(ks * self.num, self.den).astype(np.float64) / self.den
@@ -137,18 +132,15 @@ class DynamicalSystem:
 
 def interval_indicator(a: float, b: float):
     """1_{[a,b)} on the circle, wrapping when a > b; a and b must be finite."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("interval endpoints must be finite")
+    _finite((a, b), "interval endpoints")
     if a <= b:
         return lambda x: ((np.asarray(x) >= a) & (np.asarray(x) < b)).astype(np.float64)
     return lambda x: ((np.asarray(x) >= a) | (np.asarray(x) < b)).astype(np.float64)
 
 
 def orbit_average(system: DynamicalSystem, f, x0, N: int, table: PrimeTable):
-    """A_N f(x0) = (1/pi(N)) sum over primes p <= N of f(T^p x0)."""
-    if N < 2:
-        raise DomainError("prime averages need N >= 2")
-    ps = table.primes_upto(N)
+    """A_N f(x0) = (1/pi(N)) sum over primes p <= N of f(T^p x0), N >= 2."""
+    ps = table.primes_upto(_integer(N, "N", 2))
     vals = np.asarray(f(system.orbit_positions(x0, ps)))
     out = vals.mean()
     return complex(out) if np.iscomplexobj(vals) else float(out)
@@ -176,7 +168,7 @@ def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
     One orbit enumeration serves every scale: cumulative sums are cut at
     the prime-counting boundaries pi(2^n).
     """
-    if not 1 <= n_max <= 24:
+    if _integer(n_max, "n_max", 1) > 24:
         raise DomainError("n_max must lie in [1, 24]")
     ps = table.primes_upto(1 << n_max)
     vals = np.asarray(f(system.orbit_positions(x0, ps)))
@@ -233,37 +225,34 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
     those integers with lambda exactly (as weak_type_sweep does), so they
     agree too.
     """
-    if not 2 <= L < R:
-        raise DomainError("need 2 <= L < R")
+    L = _integer(L, "L", 2)
+    R = _integer(R, "R", L + 1)
     if lambda_grid is None:
         lambda_grid = np.asarray([0.75, 0.5, 0.25, 0.125])
     lam = np.asarray(lambda_grid, dtype=np.float64)
-    if not np.all((lam > 0) & (lam < 1)):
-        raise DomainError("lambda grid must lie in (0, 1)")
     member = np.asarray(indicator(system.orbit_positions(x0, np.arange(R + 1))))
-    if not np.all((member == 0) | (member == 1)):
-        raise DomainError("indicator must take values in {0, 1}")
-    member = member.astype(np.int64)
     W = R - L + 1
     n_top = int(math.log2(L))
     scales = np.asarray([1 << n for n in range(1, n_top + 1)], dtype=np.int64)
 
+    # integer side first, as prime_scale_counts checks that the sampled set
+    # is 0/1 before the orbit side takes it as integers
+    F = Signal(offset=0, values=member.astype(np.float64))
+    signal_sums = np.zeros((scales.size, W), dtype=np.int64)
+    for i, (_, k) in enumerate(prime_scale_counts(F, n_top, table)):
+        N = int(scales[i])
+        signal_sums[i] = k[N: N + W]  # k[0] is the count at n = -N
+
     # orbit side: shifted-slice accumulation, incremental across scales
+    member = member.astype(np.int64)
     acc = np.zeros(W, dtype=np.int64)
-    orbit_sums = np.zeros((scales.size, W), dtype=np.int64)
+    orbit_sums = np.zeros_like(signal_sums)
     prev = 0
     for i, N in enumerate(scales):
         for p in table.primes_upto(int(N))[prev:]:
             acc += member[int(p): int(p) + W]
         prev = table.count(int(N))
         orbit_sums[i] = acc
-
-    # integer side: exact prime counts of the sampled set
-    F = Signal(offset=0, values=member.astype(np.float64))
-    signal_sums = np.zeros_like(orbit_sums)
-    for i, (_, k) in enumerate(prime_scale_counts(F, n_top, table)):
-        N = int(scales[i])
-        signal_sums[i] = k[N: N + W]  # k[0] is the count at n = -N
 
     discrepancy = int(np.max(np.abs(orbit_sums - signal_sums)))
     counts = [table.count(int(N)) for N in scales]

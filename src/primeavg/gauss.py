@@ -46,13 +46,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter, conductor
-from .ntheory import DomainError, divisors, euler_phi, is_squarefree, mobius
+from .ntheory import DomainError, _integer, divisors, euler_phi, is_squarefree, mobius
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def roots_of_unity(q: int) -> np.ndarray:
-    """exp(2 pi i k / q) for k in [0, q)."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    """exp(2 pi i k / q) for k in [0, q), read-only: the memo shares it."""
+    q = _integer(q, "q", 1)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    roots.flags.writeable = False
+    return roots
 
 
 def gauss_sum_bruteforce(chi: DirichletCharacter, n: int) -> complex:
@@ -87,12 +90,10 @@ def _points(x, q: int) -> np.ndarray:
     Every closed form here depends on its point only through the residue
     mod q (the conductor q0 divides q), so reducing first changes no value.
     """
-    if isinstance(x, (int, np.integer)):
-        return np.asarray(int(x) % q, dtype=np.int64)
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "iu":
-        raise DomainError("character-sum points must be integers")
-    return np.mod(arr, q).astype(np.int64)
+    x = _integer(x, "point", points=True)
+    if isinstance(x, int):
+        return np.asarray(x % q, dtype=np.int64)
+    return np.mod(x, q).astype(np.int64)
 
 
 def _as_complex(re, im, like: np.ndarray):
@@ -150,6 +151,7 @@ def gauss_sum_closed(chi: DirichletCharacter,
 
 def twisted_character_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex:
     """sum over units a mod q of chi(a) e(a x / q), summed directly."""
+    x = _integer(x, "x")
     q = chi.modulus
     units = chi.unit_residues()
     roots = roots_of_unity(q)
@@ -194,6 +196,7 @@ def twisted_character_sum_closed(chi: DirichletCharacter,
 
 def gauss_exponential_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex:
     """sum over units a mod q of G(chi, a) e(x a / q), with G computed directly."""
+    x = _integer(x, "x")
     q = chi.modulus
     units = chi.unit_residues()
     roots = roots_of_unity(q)
@@ -232,9 +235,7 @@ def gauss_exponential_sum(chi: DirichletCharacter,
 def ramanujan_gauss_principal(q: int, a: int | np.ndarray) -> float | np.ndarray:
     """G(1_q, a) = c_q(a)/phi(q) = mu(q/g)/phi(q/g), g = gcd(q, a), for an
     integer a or an integer array."""
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise DomainError("modulus must be an integer >= 1")
-    q = int(q)
+    q = _integer(q, "q", 1)
     a = _points(a, q)
     by_gcd = np.zeros(q + 1)
     for g in divisors(q):
@@ -283,11 +284,8 @@ def _quadratic_audit(q_min: int, q_max: int):
     """
     from .characters import enumerate_quadratic_characters, principal_character
 
-    if not all(isinstance(v, (int, np.integer)) for v in (q_min, q_max)):
-        raise DomainError("the quadratic audit needs integer q_min and q_max")
-    if q_min < 1 or q_max < q_min:
-        raise DomainError("the quadratic audit needs 1 <= q_min <= q_max")
-    for q in range(q_min, q_max + 1):
+    q_min = _integer(q_min, "q_min", 1)
+    for q in range(q_min, _integer(q_max, "q_max", q_min) + 1):
         xs = np.arange(q)
         roots = roots_of_unity(q)
         mat = roots[np.outer(xs, xs) % q]

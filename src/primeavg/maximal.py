@@ -44,7 +44,7 @@ import numpy as np
 
 from . import multipliers as mult
 from .multipliers import Kernel, prime_kernel
-from .ntheory import DomainError, PrimeTable
+from .ntheory import DomainError, PrimeTable, _finite, _integer
 
 # --- signals ---
 
@@ -58,17 +58,21 @@ class Signal:
 
     @classmethod
     def delta(cls, at: int = 0) -> "Signal":
-        return cls(offset=at, values=np.array([1.0]))
+        return cls(offset=_integer(at, "at"), values=np.array([1.0]))
 
     @classmethod
     def interval(cls, start: int, length: int) -> "Signal":
-        return cls(offset=start, values=np.ones(length))
+        return cls(offset=_integer(start, "start"),
+                   values=np.ones(_integer(length, "length", 0)))
 
     @classmethod
     def indicator(cls, points: np.ndarray | list) -> "Signal":
-        pts = np.asarray(sorted(set(int(p) for p in points)), dtype=np.int64)
+        """1_F for the integer points of F (repeats allowed); the empty set
+        gives a single zero."""
+        pts = np.asarray(points)
         if pts.size == 0:
             return cls(offset=0, values=np.zeros(1))
+        pts = np.unique(_integer(pts, "points", points=True)).astype(np.int64)
         vals = np.zeros(int(pts[-1] - pts[0]) + 1)
         vals[pts - pts[0]] = 1.0
         return cls(offset=int(pts[0]), values=vals)
@@ -87,8 +91,9 @@ class Signal:
         return float(np.sum(self.values).real)
 
     def at(self, x: int | np.ndarray):
-        """f(x) with zero extension outside the stored window."""
-        xi = np.atleast_1d(np.asarray(x, dtype=np.int64)) - self.offset
+        """f(x) with zero extension outside the stored window, x integer."""
+        xi = np.atleast_1d(np.asarray(_integer(x, "x", points=True), dtype=np.int64))
+        xi = xi - self.offset
         ok = (xi >= 0) & (xi < len(self.values))
         out = np.zeros(xi.shape, dtype=self.values.dtype)
         out[ok] = self.values[xi[ok]]
@@ -97,7 +102,8 @@ class Signal:
 
 def random_signal(rng: np.random.Generator, length: int, complex_values: bool = True,
                   offset: int = 0) -> Signal:
-    """A Gaussian signal of the given length, scaled to unit ell^2 norm."""
+    """A Gaussian signal of the given length >= 1, scaled to unit ell^2 norm."""
+    length = _integer(length, "length", 1)
     v = rng.standard_normal(length)
     if complex_values:
         v = v + 1j * rng.standard_normal(length)
@@ -200,10 +206,13 @@ def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
     """Yield (pi(N), counts) for N = 2^n, n = 1..n_max, where counts[i] is
     the exact number of primes p <= N with x + p in F, at x = F.offset - N + i.
 
-    F must be a 0/1 indicator.  The FFT correlation pi(N) * A_N 1_F is rounded
-    to int64; a rounding residual of 1/4 or more means roundoff could have
-    changed a count, and raises ArithmeticError.
+    F must be a 0/1 indicator, else DomainError; weak_type_sweep and
+    ergodic.transference_sample rely on this check.  The FFT correlation
+    pi(N) * A_N 1_F is rounded to int64; a rounding residual of 1/4 or more
+    means roundoff could have changed a count, and raises ArithmeticError.
     """
+    if not np.all((F.values == 0) | (F.values == 1)):
+        raise DomainError("prime counts need a 0/1 indicator signal")
     for k, out in _prime_scales(F, n_max, table, weighted=False):
         scaled = out * k.sites.size
         counts = np.rint(scaled)
@@ -216,13 +225,11 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable) -> Sig
     """sup over n = 1..n_max of |op_{2^n} f|, op = A ('averages') or M
     ('weighted'): the exact maximal function on [f.offset - 2^n_max,
     f.support_end), each scale correlated on its own circle.  f must be
-    finite."""
+    finite; lp_maximal_ratios relies on this check."""
     if family not in ("averages", "weighted"):
         raise DomainError(f"unknown family: {family}")
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise DomainError("prime averaging families need an integer n_max >= 1")
-    if not np.all(np.isfinite(f.values)):
-        raise DomainError("maximal_dyadic needs a finite signal")
+    n_max = _integer(n_max, "n_max", 1)
+    _finite(f.values, "signal")
     run = np.zeros((1 << n_max) + len(f.values))
     for _, out in _prime_scales(f, n_max, table, weighted=(family == "weighted")):
         tail = run[run.size - out.size:]
@@ -238,11 +245,9 @@ def _circle(f: Signal, n_max: int, resolution: int | None) -> np.ndarray:
     at index 2^n_max: the kernel's reach to the left of f.  The circle is
     _grid_size(f, 2^n_max, resolution) points; one shorter than support +
     reach would wrap the kernel."""
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise DomainError("n_max must be an integer >= 0")
-    if not (f.values.size and np.all(np.isfinite(f.values)) and np.any(f.values)):
-        raise DomainError("multiplier maxima need a finite, nonzero signal")
-    reach = 1 << n_max
+    reach = 1 << _integer(n_max, "n_max", 0)
+    if not np.any(_finite(f.values, "signal")):
+        raise DomainError("multiplier maxima need a nonzero signal")
     Z = _grid_size(f, reach, resolution)
     if len(f.values) + reach > Z:
         raise DomainError(f"grid resolution {Z} is below support + kernel reach "
@@ -273,12 +278,6 @@ def _multiplier_sup(arr: np.ndarray, grids) -> np.ndarray:
     return run
 
 
-def _signed_frequencies(Z: int) -> np.ndarray:
-    """j/Z reduced to [-1/2, 1/2) in FFT index order."""
-    j = np.arange(Z, dtype=np.float64) / Z
-    return (j + 0.5) % 1.0 - 0.5
-
-
 def _mbeta_multiplier_grid(N: int, beta: float, Z: int) -> np.ndarray:
     if beta == 1.0:
         return np.asarray(mult.fourier_M_beta(N, beta, np.arange(Z, dtype=np.float64) / Z),
@@ -294,9 +293,7 @@ def weak_norm(g: Signal | np.ndarray) -> float:
 
     Equals sup over lam of lam * #{|g| >= lam}.  g must be finite.
     """
-    v = np.abs(g.values if isinstance(g, Signal) else np.asarray(g))
-    if not np.all(np.isfinite(v)):
-        raise DomainError("weak_norm needs finite values")
+    v = np.abs(_finite(g.values if isinstance(g, Signal) else g, "weak_norm values"))
     v = np.sort(v.ravel())[::-1]
     if v.size == 0:
         return 0.0
@@ -306,9 +303,7 @@ def weak_norm(g: Signal | np.ndarray) -> float:
 def default_lambda_grid(j_max: int) -> np.ndarray:
     """Geometric lambda grid 2^-1, ..., 2^-j_max (decreasing), for an
     integer j_max >= 1."""
-    if not isinstance(j_max, (int, np.integer)) or j_max < 1:
-        raise DomainError("the lambda grid needs an integer j_max >= 1")
-    return 0.5 ** np.arange(1, j_max + 1)
+    return 0.5 ** np.arange(1, _integer(j_max, "j_max", 1) + 1)
 
 
 @dataclass(frozen=True)
@@ -336,7 +331,11 @@ def _superlevel_counts(scales, lam: np.ndarray, width: int) -> np.ndarray:
     scales yields (pi_N, k_N) with integer counts k_N over the last k_N.size
     of `width` points.  k / pi_N > lambda iff k > floor(lambda * pi_N), and
     every float lambda is a ratio of integers, so that floor is exact too.
+    The lambda grid must be nonempty and lie in (0, 1): weak_type_sweep and
+    ergodic.transference_sample rely on this check.
     """
+    if lam.size == 0 or not np.all((lam > 0) & (lam < 1)):
+        raise DomainError("lambda grid must be nonempty and lie in (0, 1)")
     # level[x] = how many of the smallest lambdas x exceeds at some scale
     ascending = np.sort(lam)
     ratios = [float(l).as_integer_ratio() for l in ascending]
@@ -360,19 +359,13 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
     compared with lambda in integers (_superlevel_counts).
     Counts are nonincreasing in lambda and zero for lambda >= 1.
     """
-    vals = np.asarray(F.values)
-    if not np.all((vals == 0) | (vals == 1)):
-        raise DomainError("weak_type_sweep expects a 0/1 indicator signal")
-    size = float(vals.sum())
+    size = float(np.sum(F.values))
     if size == 0:
         raise DomainError("weak_type_sweep needs a nonempty set")
     lam = np.asarray(lambda_grid, dtype=np.float64)
-    if lam.size == 0 or not np.all((lam > 0) & (lam < 1)):
-        raise DomainError("lambda grid must be nonempty and lie in (0, 1)")
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise DomainError("weak_type_sweep needs an integer n_max >= 1")
+    n_max = _integer(n_max, "n_max", 1)
     counts = _superlevel_counts(prime_scale_counts(F, n_max, table), lam,
-                                (1 << n_max) + len(vals))
+                                (1 << n_max) + len(F.values))
     normalized = lam * counts / (np.log(np.e / lam) ** 2 * size)
     return WeakTypeReport(lambda_grid=lam, counts=counts, normalized=normalized,
                           set_size=size, n_max=n_max)
@@ -392,14 +385,15 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
     equidistribution bound predicts the ratio stays of size ~1/Q uniformly
     in r.
     """
-    if not isinstance(Q, (int, np.integer)) or Q < 1 or Q > 4 ** s:
-        raise DomainError("residue sampling needs an integer 1 <= Q <= 2^(2s)")
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= Q:
-        raise DomainError("residue r must be an integer in [1, Q]")
+    if _integer(Q, "Q", 1) > 4 ** s:
+        raise DomainError("residue sampling needs Q <= 2^(2s)")
+    if _integer(r, "r", 1) > Q:
+        raise DomainError("residue r must lie in [1, Q]")
     arr = _circle(f, n_max, resolution)
     Z = arr.size
     fhat, inverse = _spectrum(arr)
-    eta_grid = mult.eta_s(s, _signed_frequencies(Z)).astype(np.complex128)
+    eta_grid = mult.eta_s(s, mult._circular(np.arange(Z, dtype=np.float64) / Z))
+    eta_grid = eta_grid.astype(np.complex128)
     filtered = inverse(fhat * eta_grid[: fhat.size], Z)
     sup = _multiplier_sup(filtered, (_mbeta_multiplier_grid(1 << n, beta, Z)
                                      for n in range(n_max + 1)))
@@ -432,8 +426,7 @@ def ab_split_apply(t: float, n: int, f: Signal,
     n < t: A = M_{2^n} f and B = 0.  A + B reconstructs M_{2^n} f exactly.
     Needs an integer n >= 1 (2^0 = 1 has no prime) and t >= 0.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"ab_split_apply needs an integer n >= 1, got n = {n}")
+    n = _integer(n, "n", 1)
     if not t >= 0:
         raise DomainError(f"ab_split_apply needs t >= 0, got t = {t}")
     if n < t:
@@ -442,11 +435,11 @@ def ab_split_apply(t: float, n: int, f: Signal,
     N = 1 << n
     arr = _circle(f, n, None).astype(np.complex128)
     Z = arr.size
-    fhat = np.fft.fft(arr)
+    fhat, inverse = _spectrum(arr)
     pi_grid = mult.pi_n_t_grid(n, t, Z)
     m_grid = mult.prime_multiplier_grid(N, Z, table)
-    a_vals = np.fft.ifft(fhat * pi_grid)
-    b_vals = np.fft.ifft(fhat * (m_grid - pi_grid))
+    a_vals = inverse(fhat * pi_grid, Z)
+    b_vals = inverse(fhat * (m_grid - pi_grid), Z)
     off = f.offset - N
     return Signal(offset=off, values=a_vals), Signal(offset=off, values=b_vals)
 
@@ -471,11 +464,12 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
 
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:
     """|| sup_n |M_{2^n} f| ||_p / ||f||_p for each p in ps, each in (1, 2],
-    all taken from one maximal function.  f must be finite and nonzero."""
+    all taken from one maximal function.  f must be nonzero, and finite, which
+    maximal_dyadic checks."""
     if not ps or not all(1.0 < p <= 2.0 for p in ps):
         raise DomainError("need at least one p, each in (1, 2]")
-    if not (np.all(np.isfinite(f.values)) and np.any(f.values)):
-        raise DomainError("ell^p ratios need a finite, nonzero signal")
+    if not np.any(f.values):
+        raise DomainError("ell^p ratios need a nonzero signal")
     g = maximal_dyadic(f, "weighted", n_max, table)
     return [float(g.lp_norm(p) / f.lp_norm(p)) for p in ps]
 

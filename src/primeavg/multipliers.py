@@ -61,7 +61,7 @@ import numpy as np
 
 from . import gauss
 from .characters import DirichletCharacter
-from .ntheory import DomainError, PrimeTable, is_squarefree
+from .ntheory import DomainError, PrimeTable, _finite, _integer, is_squarefree
 
 DEFAULT_S_MAX = 6
 
@@ -93,8 +93,7 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
     """
     if not 0.5 <= beta <= 1.0:
         raise DomainError("beta must lie in [1/2, 1]")
-    if not isinstance(N, (int, np.integer)) or N < 0:
-        raise DomainError("N must be an integer >= 0")
+    N = _integer(N, "N", 0)
     if N == 0:
         return Kernel(sites=np.empty(0, dtype=np.int64), weights=np.empty(0))
     n = np.arange(1, N + 1, dtype=np.float64)
@@ -104,31 +103,27 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
 
 def kernel_delta(n: int) -> Kernel:
     """The point mass at the integer site n."""
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError("the site n must be an integer")
-    return Kernel(sites=np.array([n], dtype=np.int64), weights=np.array([1.0]))
+    return Kernel(sites=np.array([_integer(n, "site n")], dtype=np.int64),
+                  weights=np.array([1.0]))
 
 
 def prime_kernel(N: int, table: PrimeTable, weighted: bool) -> Kernel:
     """Averaging kernel over primes <= N: log p / theta(N), or 1/pi(N), for
     an integer N >= 2."""
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise DomainError("prime averages need an integer N >= 2")
-    p = table.primes_upto(N)
+    N = _integer(N, "N", 2)
+    p = table.primes_upto(N)  # a read-only view into the sieve memo
     if weighted:
         w = np.log(p.astype(np.float64)) / table.theta(N)
     else:
         w = np.full(p.size, 1.0 / p.size)
-    return Kernel(sites=p.copy(), weights=w)
+    return Kernel(sites=p, weights=w)
 
 
 def fourier_kernel(kernel: Kernel, xi: float | np.ndarray) -> np.ndarray | complex:
     """K_hat(xi) = sum of w(site) e(xi site), matching the e(+) convention of m_N.
 
     A non-finite xi is a DomainError."""
-    xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if not np.isfinite(xv).all():
-        raise DomainError("xi must be finite")
+    xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
     out = np.zeros(xv.shape, dtype=np.complex128)
     # chunk the sites to bound the outer-product workspace
     step = max(1, (1 << 22) // max(xv.size, 1))
@@ -143,8 +138,8 @@ def fourier_kernel(kernel: Kernel, xi: float | np.ndarray) -> np.ndarray | compl
 
 def _check_resolution(resolution: int) -> int:
     """resolution, if it is a positive power-of-two integer; else DomainError."""
-    if (not isinstance(resolution, (int, np.integer)) or resolution < 1
-            or resolution & (resolution - 1)):
+    resolution = _integer(resolution, "grid resolution", 1)
+    if resolution & (resolution - 1):
         raise DomainError("grid resolution must be a positive power of two")
     return resolution
 
@@ -194,11 +189,8 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
     per point.  The direct sum is the oracle for the folded-FFT route that
     nu_n_s_grid takes on exceptional arc windows.
     """
-    if not isinstance(N, (int, np.integer)) or N < 0:
-        raise DomainError("N must be an integer >= 0")
-    tv = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if not np.isfinite(tv).all():
-        raise DomainError("theta must be finite")
+    N = _integer(N, "N", 0)
+    tv = np.atleast_1d(_finite(np.asarray(theta, dtype=np.float64), "theta"))
     if N == 0:
         out = np.zeros(tv.shape, dtype=np.complex128)
     elif beta == 1.0:
@@ -300,9 +292,7 @@ def eta(xi: float | np.ndarray):
     table's oracle.  eta is even and exactly 0/1 off the transition bands.
     A non-finite xi is a DomainError.
     """
-    xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if not np.isfinite(xv).all():
-        raise DomainError("xi must be finite")
+    xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
     a = np.abs(xv)
     out = np.zeros(a.shape)
     out[a <= 0.25] = 1.0
@@ -324,11 +314,8 @@ def eta_s(s: int, xi: float | np.ndarray):
 
     |xi| is capped at 1 before scaling, where eta_s is already 0, so that a
     large finite xi cannot overflow; a non-finite xi is a DomainError."""
-    if not isinstance(s, (int, np.integer)) or s < 0:
-        raise DomainError("level s must be an integer >= 0")
-    xv = np.asarray(xi, dtype=np.float64)
-    if not np.isfinite(xv).all():
-        raise DomainError("xi must be finite")
+    s = _integer(s, "level s", 0)
+    xv = _finite(np.asarray(xi, dtype=np.float64), "xi")
     return eta(np.minimum(np.abs(xv), 1.0) * float(2 ** (4 * s)))
 
 
@@ -357,14 +344,15 @@ def arc_admissible(q: int) -> bool:
     return is_squarefree(q) or (q % 4 == 0 and is_squarefree(q // 4))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def enumerate_arcs(s: int) -> tuple[RationalPoint, ...]:
     """Level-s arcs: reduced a/q with 2^s <= q < 2^(s+1) and admissible q.
 
     Level 0 is the single point 1/1.  The count is below 2^(2(s+1)).
+    Memoized per value and argument type, so the check below runs before
+    an entry is shared.
     """
-    if not isinstance(s, (int, np.integer)) or s < 0:
-        raise DomainError("level s must be an integer >= 0")
+    s = _integer(s, "level s", 0)
     if s == 0:
         return (RationalPoint(a=1, q=1, s=0),)
     out = []
@@ -394,13 +382,6 @@ def approximant_hat(a: int, q: int, N: int, theta: float | np.ndarray,
     return out
 
 
-def _dyadic_scale(n: int) -> int:
-    """N = 2^n for an integer scale index n >= 0; else DomainError."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError("scale index n must be an integer >= 0")
-    return 1 << int(n)
-
-
 def _circular(theta: np.ndarray) -> np.ndarray:
     """Reduce to the fundamental window [-1/2, 1/2)."""
     return (theta + 0.5) % 1.0 - 0.5
@@ -415,12 +396,10 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray,
     adds its term on the arcs a/q with q the modulus of chi.  A non-finite
     xi is a DomainError.
     """
-    xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if not np.isfinite(xv).all():
-        raise DomainError("xi must be finite")
+    xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
     out = np.zeros(xv.shape, dtype=np.complex128)
     radius = eta_support_radius(s)
-    N = _dyadic_scale(n)
+    N = 1 << _integer(n, "scale index n", 0)
     q_exc = exceptional[0].modulus if exceptional is not None else None
     for arc in enumerate_arcs(s):
         theta = _circular(xv - arc.value)
@@ -435,19 +414,11 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray,
     return out
 
 
-def _check_s_max(s_max: int) -> int:
-    """s_max, the top level of a glued sum, if it is an integer >= 0; else
-    DomainError."""
-    if not isinstance(s_max, (int, np.integer)) or s_max < 0:
-        raise DomainError("s_max must be an integer >= 0")
-    return int(s_max)
-
-
 def nu_n(n: int, xi: float | np.ndarray, s_max: int = DEFAULT_S_MAX):
     """nu_n(xi) = sum of the level layers s = 0..s_max."""
     xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     out = np.zeros(xv.shape, dtype=np.complex128)
-    for s in range(_check_s_max(s_max) + 1):
+    for s in range(_integer(s_max, "s_max", 0) + 1):
         out += np.atleast_1d(nu_n_s(n, s, xv))
     if np.ndim(xi) == 0:
         return complex(out[0])
@@ -548,9 +519,10 @@ def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) ->
                              resolution)
 
 
-def _add_level(out: np.ndarray, n: int, s: int,
+def _add_level(out: np.ndarray, N: int, s: int,
                exceptional: tuple[DirichletCharacter, float] | None) -> None:
-    """Add nu_n^s at j/len(out) into out, in one pass over the level's plan.
+    """Add nu_n^s at j/len(out) into out, N = 2^n, in one pass over the
+    level's plan.
 
     The principal term is the closed form M_hat_N (_mhat_closed) over the
     window points, with r = inv_sin * 2^-n read from the plan: N = 2^n, so
@@ -565,7 +537,6 @@ def _add_level(out: np.ndarray, n: int, s: int,
     folded FFT per arc (_mbeta_arc_grid) read at the window's indices.
     """
     plan = _eta_windows(s, out.size)
-    N = _dyadic_scale(n)
     vals = np.empty(plan.theta.size, dtype=np.complex128)
     h = plan.theta.size // 2 if plan.mirror else 0
     theta = plan.theta[h:]
@@ -589,7 +560,7 @@ def nu_n_s_grid(n: int, s: int, resolution: int,
     """nu_n^s sampled at j/resolution: one pass over the level's window plan
     (_eta_windows, cached per (s, resolution)) into a fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    _add_level(out, n, s, exceptional)
+    _add_level(out, 1 << _integer(n, "scale index n", 0), s, exceptional)
     return out
 
 
@@ -598,8 +569,9 @@ def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
     """nu_n sampled at j/resolution: the levels s = 0..s_max added one pass
     each into one fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    for s in range(_check_s_max(s_max) + 1):
-        _add_level(out, n, s, exceptional)
+    N = 1 << _integer(n, "scale index n", 0)
+    for s in range(_integer(s_max, "s_max", 0) + 1):
+        _add_level(out, N, s, exceptional)
     return out
 
 
@@ -621,11 +593,10 @@ def approximation_error(n: int, resolution: int, table: PrimeTable,
     E(n) decay like exp(-c sqrt(n)), which the acceptance suite checks as a
     trend E(n+4) < E(n).
     """
-    N = _dyadic_scale(n)
-    if _check_resolution(resolution) < 2 ** (n / 2):
-        raise DomainError("grid resolution must be at least 2^(n/2)")
-    m = prime_multiplier_grid(N, resolution, table)
     nu = nu_n_grid(n, resolution, s_max=s_max, exceptional=exceptional)
+    if resolution < 2 ** (n / 2):
+        raise DomainError("grid resolution must be at least 2^(n/2)")
+    m = prime_multiplier_grid(1 << n, resolution, table)
     return float(np.max(np.abs(m - nu)))
 
 
@@ -634,8 +605,7 @@ def partial_summation_bracket(N: int, table: PrimeTable) -> float:
 
     Equals pi(N) exactly; the float evaluation is an identity check.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise DomainError("the bracket needs an integer N >= 2")
+    N = _integer(N, "N", 2)
     n = np.arange(2, N, dtype=np.float64)
     p = table.primes_upto(N)
     logp = np.log(p.astype(np.float64))

@@ -6,7 +6,9 @@ log-weighted count theta(N) = sum of log p over primes p <= N
 (PrimeTable.theta), and the classical multiplicative functions (mobius,
 euler_phi, is_squarefree, divisors, all read from one memoized factorize).
 
-All logarithms are natural.
+It also holds the argument rules every module checks against: DomainError,
+the integer rule (_integer) and the finite rule (_finite).  All logarithms
+are natural.
 """
 
 from __future__ import annotations
@@ -28,14 +30,43 @@ class DomainError(ValueError):
     """Raised when an argument is outside the documented domain."""
 
 
+def _integer(x, name: str, low: float = -math.inf, points: bool = False):
+    """The integer rule of every entry point: x is a Python or NumPy integer,
+    never a bool, and at least `low`; it is returned as an int.  With
+    points=True, an array of an integer dtype also passes, unbounded and
+    as is, and an empty one (as from an empty list) comes back as int64.
+    Anything else is a DomainError naming the argument."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        if x >= low:
+            return int(x)
+    elif points:
+        arr = np.asarray(x)
+        if arr.size == 0:
+            return arr.astype(np.int64)
+        if arr.dtype.kind in "iu":
+            return arr
+    bound = f" >= {low}" if low > -math.inf else ""
+    raise DomainError(f"need an integer {name}{bound}, got {name} = {x}")
+
+
+def _finite(x, name: str) -> np.ndarray:
+    """The finite rule: x as an array, real or complex with its dtype
+    unchanged, if every entry is finite; else a DomainError naming it."""
+    arr = np.asarray(x)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
 @dataclass
 class PrimeTable:
     """Sieve output over [0, limit].
 
     Attributes:
         limit: Largest integer covered by the sieve.
-        prime_list: Ascending int64 array of the primes <= limit.  Treated
-            as immutable once built.
+        prime_list: Ascending int64 array of the primes <= limit, read-only
+            (shared by every caller of the memo, as is the lazily filled
+            theta table).
     """
 
     limit: int
@@ -45,7 +76,7 @@ class PrimeTable:
     def _rank(self, x: float, name: str) -> int:
         """The number of primes <= x: DomainError on a non-finite x,
         CapacityError past the sieve limit."""
-        if not (isinstance(x, (int, np.integer)) or math.isfinite(x)):
+        if not -math.inf < x < math.inf:  # exact for integers of any size
             raise DomainError(f"{name}({x}) needs a finite argument")
         if x > self.limit:
             raise CapacityError(f"{name}({x}) exceeds sieve limit {self.limit}")
@@ -61,6 +92,7 @@ class PrimeTable:
         if self._theta_cum is None:
             logs = np.log(self.prime_list.astype(np.float64))
             self._theta_cum = np.concatenate(([0.0], np.cumsum(logs)))
+            self._theta_cum.flags.writeable = False
         return float(self._theta_cum[k])
 
     def primes_upto(self, n: float) -> np.ndarray:
@@ -80,8 +112,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     Returns:
         PrimeTable with the ascending prime list.
     """
-    if not isinstance(limit, (int, np.integer)) or limit < 2:
-        raise DomainError("sieve limit must be an integer >= 2")
+    limit = _integer(limit, "limit", 2)
     if limit > SIEVE_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
     table = _TABLES.get(limit)
@@ -92,6 +123,7 @@ def sieve_primes(limit: int) -> PrimeTable:
             if flags[i]:
                 flags[i * i:: i] = False
         primes = np.flatnonzero(flags).astype(np.int64)
+        primes.flags.writeable = False
         table = _TABLES[limit] = PrimeTable(limit=limit, prime_list=primes)
     return table
 
@@ -122,8 +154,7 @@ def factorize(n: int) -> Factorization:
     share the cached objects); mobius, euler_phi, is_squarefree and divisors
     all read it.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError("factorize requires an integer n >= 1")
+    n = _integer(n, "n", 1)
     if n > (1 << 32):
         raise CapacityError("factorize is capped at 2^32")
     m = n

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ntheory import DomainError
+from .ntheory import DomainError, _finite, _integer
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
@@ -55,7 +55,7 @@ _ROUNDING_FLOOR = 64 * np.finfo(np.float64).eps
 def phi_weight(t):
     """phi(t) = log^2(1+t) * log(1+log t) for t >= 1; phi(1) = 0."""
     arr = np.asarray(t, dtype=np.float64)
-    if np.any(arr < 1.0):
+    if not np.all(arr >= 1.0):  # nan too
         raise DomainError("phi_weight is defined for t >= 1")
     out = np.log1p(arr) ** 2 * np.log1p(np.log(arr))
     return float(out) if np.ndim(t) == 0 else out
@@ -73,12 +73,10 @@ class StepRearrangement:
     measures: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        m = np.asarray(self.measures, dtype=np.float64)
+        v = _finite(np.asarray(self.values, dtype=np.float64), "step values")
+        m = _finite(np.asarray(self.measures, dtype=np.float64), "measures")
         if v.shape != m.shape or v.ndim != 1:
             raise DomainError("values and measures must be matching 1-d arrays")
-        if not (np.isfinite(v).all() and np.isfinite(m).all()):
-            raise DomainError("values and measures must be finite")
         if v.size:
             if np.any(m <= 0):
                 raise DomainError("measures must be positive")
@@ -103,7 +101,7 @@ class StepRearrangement:
     def evaluate(self, t):
         """f*(t), right-continuous, zero past the total measure."""
         tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if np.any(tt < 0):
+        if not np.all(tt >= 0):  # nan too
             raise DomainError("rearrangement argument must be >= 0")
         ext = np.concatenate([self.values, [0.0]])
         idx = np.searchsorted(self.cuts[1:], tt, side="right")
@@ -111,7 +109,8 @@ class StepRearrangement:
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def distribution(self, s: float) -> float:
-        """mu{f* > s} = sum of measures over steps with value > s."""
+        """mu{f* > s} = sum of measures over steps with value > s, s finite."""
+        _finite(s, "level s")
         return float(self.measures[self.values > s].sum()) if self.values.size else 0.0
 
     def scale(self, c: float) -> "StepRearrangement":
@@ -128,28 +127,17 @@ def decreasing_rearrangement(pairs) -> StepRearrangement:
     total measure above 1, are domain errors: the underlying space is a
     probability space.
     """
-    vals = []
-    meas = []
-    total = 0.0
-    for v, m in pairs:
-        m = float(m)
-        if not (math.isfinite(m) and math.isfinite(abs(v))):
-            raise DomainError("magnitudes and measures must be finite")
-        if m < 0:
-            raise DomainError("measures must be nonnegative")
-        if m == 0:
-            continue
-        total += m
-        a = abs(v)
-        if a > 0:
-            vals.append(float(a))
-            meas.append(m)
-    if total > 1.0 + _MEASURE_SLACK:
+    pairs = list(pairs)
+    mags = _finite([float(abs(v)) for v, _ in pairs], "magnitudes")
+    meas = _finite([float(m) for _, m in pairs], "measures")
+    if np.any(meas < 0):
+        raise DomainError("measures must be nonnegative")
+    if sum(meas.tolist()) > 1.0 + _MEASURE_SLACK:  # summed in input order
         raise DomainError("total measure exceeds 1")
-    if not vals:
+    keep = (mags > 0) & (meas > 0)
+    if not keep.any():
         return StepRearrangement(values=np.zeros(0), measures=np.zeros(0))
-    v = np.asarray(vals)
-    m = np.asarray(meas)
+    v, m = mags[keep], meas[keep]
     order = np.argsort(v)[::-1]
     v, m = v[order], m[order]
     uv, start = np.unique(-v, return_index=True)  # negate: unique sorts ascending
@@ -215,8 +203,7 @@ def dyadic_layers(rearrangement: StepRearrangement, j_max: int = 50) -> list[tup
     The nominal layer measures are the dyadic gaps 2^-j; for j beyond the
     resolution of the rearrangement a_j saturates at the top value.
     """
-    if not isinstance(j_max, (int, np.integer)) or j_max < 1:
-        raise DomainError("j_max must be an integer >= 1")
+    j_max = _integer(j_max, "j_max", 1)
     ts = 0.5 ** np.arange(1, j_max + 1)
     heights = rearrangement.evaluate(ts) if rearrangement.values.size else np.zeros(j_max)
     return [(float(a), float(t)) for a, t in zip(np.atleast_1d(heights), ts)]

@@ -1,0 +1,73 @@
+"""Inputs outside an entry point's domain raise DomainError.
+
+Each case is one call that once died with a raw TypeError, ValueError,
+IndexError or ArithmeticError, accepted a bool or a float as an integer,
+or returned nan or 0.0 for a nan input.  The integer and finite rules
+they now go through live in ntheory (_integer, _finite).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import primeavg.ergodic as er
+import primeavg.gauss as ga
+import primeavg.maximal as mx
+import primeavg.multipliers as mp
+import primeavg.ntheory as nt
+from primeavg.characters import enumerate_quadratic_characters
+from primeavg.orlicz import StepRearrangement, phi_weight
+
+_SHIFT = er.DynamicalSystem.shift(5)
+_HALF = er.interval_indicator(0.0, 0.5)
+_CHI = enumerate_quadratic_characters(5)[0]
+_STEPS = StepRearrangement(values=np.array([2.0, 1.0]), measures=np.array([0.25, 0.5]))
+
+
+def _position(x):
+    return np.asarray(x, dtype=np.float64)
+
+
+_CASES = {
+    "convergence-n-max-2.5": lambda t: er.convergence_diagnostic(_SHIFT, _position, 0, 2.5, t),
+    "convergence-n-max-true": lambda t: er.convergence_diagnostic(
+        _SHIFT, _position, 0, True, t),
+    "transference-R-100.5": lambda t: er.transference_sample(_SHIFT, _HALF, 0, 100.5, 16, t),
+    "transference-L-16.5": lambda t: er.transference_sample(_SHIFT, _HALF, 0, 100, 16.5, t),
+    "transference-empty-grid": lambda t: er.transference_sample(
+        _SHIFT, _HALF, 0, 100, 16, t, lambda_grid=[]),
+    "shift-2.5": lambda t: er.DynamicalSystem.shift(2.5),
+    "shift-orbit-nan": lambda t: _SHIFT.orbit_positions(math.nan, np.arange(4)),
+    "rotation-cf-depth-2.5": lambda t: er.DynamicalSystem.rotation("golden", cf_depth=2.5),
+    "orbit-index-1.5": lambda t: _SHIFT.orbit_positions(0, [1.5, 3]),
+    "interval-negative": lambda t: mx.Signal.interval(0, -1),
+    "interval-2.5": lambda t: mx.Signal.interval(0, 2.5),
+    "indicator-nan": lambda t: mx.Signal.indicator([math.nan]),
+    "indicator-1.5": lambda t: mx.Signal.indicator([1.5, 3]),
+    "delta-at-1.5": lambda t: mx.Signal.delta(at=1.5),
+    "signal-at-1.5": lambda t: mx.Signal.interval(0, 4).at(1.5),
+    "random-signal-empty": lambda t: mx.random_signal(np.random.default_rng(0), 0),
+    "scale-counts-not-0-1": lambda t: list(mx.prime_scale_counts(
+        mx.Signal(offset=0, values=np.array([0.5, 1.0])), 3, t)),
+    "gauss-brute-1.5": lambda t: ga.gauss_sum_bruteforce(_CHI, 1.5),
+    "twisted-brute-nan": lambda t: ga.twisted_character_sum_bruteforce(_CHI, math.nan),
+    "expsum-brute-1.5": lambda t: ga.gauss_exponential_sum_bruteforce(_CHI, 1.5),
+    "chi-1.5": lambda t: _CHI(1.5),
+    "phi-weight-nan": lambda t: phi_weight(math.nan),
+    "rearrangement-evaluate-nan": lambda t: _STEPS.evaluate(math.nan),
+    "rearrangement-distribution-nan": lambda t: _STEPS.distribution(math.nan),
+    "maximal-dyadic-true": lambda t: mx.maximal_dyadic(mx.Signal.delta(), "weighted", True, t),
+    "eta-s-true": lambda t: mp.eta_s(True, 0.0),
+    "enumerate-arcs-true": lambda t: mp.enumerate_arcs(True),
+    "factorize-true": lambda t: nt.factorize(True),
+    "lambda-grid-true": lambda t: mx.default_lambda_grid(True),
+    "integer-rule-bool": lambda t: nt._integer(True, "n", 0),
+    "integer-rule-numpy-bool": lambda t: nt._integer(np.True_, "n", 0),
+}
+
+
+@pytest.mark.parametrize("call", _CASES.values(), ids=_CASES.keys())
+def test_outside_the_domain_is_a_domain_error(call, table_small):
+    with pytest.raises(nt.DomainError):
+        call(table_small)

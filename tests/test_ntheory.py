@@ -105,3 +105,25 @@ def test_primes_upto_respects_table_limit(table_small):
 def test_prime_lookups_need_a_finite_argument(lookup, x, table_small):
     with pytest.raises(nt.DomainError, match=lookup):
         getattr(table_small, lookup)(x)
+
+
+def _memo_arrays(table):
+    from primeavg import characters, gauss, multipliers
+
+    table.theta(100)  # fills the lazy theta table
+    group = characters._group_data(15)
+    return {"prime-list": table.prime_list, "primes-upto": table.primes_upto(100),
+            "theta-table": table._theta_cum, "roots-of-unity": gauss.roots_of_unity(12),
+            "group-dlog": group.dlog, "group-units": group.unit_mask,
+            "prime-kernel-sites": multipliers.prime_kernel(100, table, True).sites}
+
+
+@pytest.mark.parametrize("name", ["prime-list", "primes-upto", "theta-table",
+                                  "roots-of-unity", "group-dlog", "group-units",
+                                  "prime-kernel-sites"])
+def test_memoized_arrays_are_read_only(name, table_small):
+    # each array is shared by every caller of its memo, so a write into one
+    # caller's copy would corrupt the others
+    arr = _memo_arrays(table_small)[name]
+    with pytest.raises(ValueError):
+        arr[0] = arr[0]
