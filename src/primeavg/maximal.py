@@ -25,8 +25,11 @@ B_n^t = m_{2^n} - Pi_n^t) sample each multiplier on one grid, which
 realizes the operator on a circle of that circumference: the given
 power-of-two resolution (the residue-class and arc-level maxima always
 take one), else the next power of two above support + 2^n_max.
-_multiplier_sup transforms the signal once and keeps the running sup over
-the grids.
+_multiplier_sup transforms the signal once, in place, and keeps the running
+sup over the grids, each taken as the work buffer of its own step.  The
+B-part takes its remainder grids from multipliers, which builds the window
+plans of their levels before any grid-sized array and then runs every scale
+through two grid buffers allocated once per call.
 
 weak_type_sweep measures lambda * |{sup_n A_{2^n} 1_F > lambda}| normalized
 by log^2(e/lambda) |F| on a lambda grid.  Since A_N 1_F = k/pi(N) with an
@@ -206,11 +209,13 @@ def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
     """Yield (pi(N), counts) for N = 2^n, n = 1..n_max, where counts[i] is
     the exact number of primes p <= N with x + p in F, at x = F.offset - N + i.
 
-    F must be a 0/1 indicator, else DomainError; weak_type_sweep and
-    ergodic.transference_sample rely on this check.  The FFT correlation
-    pi(N) * A_N 1_F is rounded to int64; a rounding residual of 1/4 or more
-    means roundoff could have changed a count, and raises ArithmeticError.
+    F must be a 0/1 indicator and n_max an integer >= 1, else DomainError;
+    weak_type_sweep and ergodic.transference_sample rely on the first check.
+    The FFT correlation pi(N) * A_N 1_F is rounded to int64; a rounding
+    residual of 1/4 or more means roundoff could have changed a count, and
+    raises ArithmeticError.
     """
+    n_max = _integer(n_max, "n_max", 1)
     if not np.all((F.values == 0) | (F.values == 1)):
         raise DomainError("prime counts need a 0/1 indicator signal")
     for k, out in _prime_scales(F, n_max, table, weighted=False):
@@ -240,11 +245,11 @@ def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable) -> Sig
 # --- multiplier maxima on one realization circle ---
 
 
-def _circle(f: Signal, n_max: int, resolution: int | None) -> np.ndarray:
-    """f on the circle that realizes the multipliers at scales up to 2^n_max,
-    at index 2^n_max: the kernel's reach to the left of f.  The circle is
-    _grid_size(f, 2^n_max, resolution) points; one shorter than support +
-    reach would wrap the kernel."""
+def _circle_size(f: Signal, n_max: int, resolution: int | None) -> int:
+    """The size of the circle that realizes the multipliers at scales up to
+    2^n_max for f: _grid_size(f, 2^n_max, resolution).  f must be finite and
+    nonzero, and one circle shorter than support + reach would wrap the
+    kernel."""
     reach = 1 << _integer(n_max, "n_max", 0)
     if not np.any(_finite(f.values, "signal")):
         raise DomainError("multiplier maxima need a nonzero signal")
@@ -252,8 +257,17 @@ def _circle(f: Signal, n_max: int, resolution: int | None) -> np.ndarray:
     if len(f.values) + reach > Z:
         raise DomainError(f"grid resolution {Z} is below support + kernel reach "
                           f"{len(f.values) + reach}")
-    arr = np.zeros(Z, dtype=np.complex128 if np.iscomplexobj(f.values) else np.float64)
-    arr[reach: reach + len(f.values)] = f.values
+    return Z
+
+
+def _circle(f: Signal, n_max: int, Z: int, dtype=None) -> np.ndarray:
+    """f on the circle of Z = _circle_size(f, n_max, ...) points, at index
+    2^n_max: the kernel's reach to the left of f.  The dtype is f's kind
+    (real or complex) unless given."""
+    if dtype is None:
+        dtype = np.complex128 if np.iscomplexobj(f.values) else np.float64
+    arr = np.zeros(Z, dtype=dtype)
+    arr[1 << n_max: (1 << n_max) + len(f.values)] = f.values
     return arr
 
 
@@ -261,20 +275,28 @@ def _spectrum(arr: np.ndarray):
     """(arr_hat, inverse) on the circle of len(arr); F^{-1}(m * arr_hat) is
     inverse(arr_hat * grid[:arr_hat.size], len(arr)) for a grid sampling m at
     j/len(arr) with the e(+) convention, i.e. circular correlation against the
-    kernel of m.  A real arr goes through rfft, which needs a Hermitian grid
-    (m(-xi) = conj m(xi), true for all kernels here)."""
+    kernel of m.  A complex arr is transformed in place, so arr is used up.
+    A real arr goes through rfft, which needs a Hermitian grid (m(-xi) =
+    conj m(xi), true for all kernels here)."""
     if np.iscomplexobj(arr):
-        return np.fft.fft(arr), np.fft.ifft
+        return np.fft.fft(arr, out=arr), np.fft.ifft
     return np.fft.rfft(arr), np.fft.irfft
 
 
 def _multiplier_sup(arr: np.ndarray, grids) -> np.ndarray:
     """sup over the grids of |F^{-1}(grid * arr_hat)| on the circle of
-    len(arr), arr transformed once; zeros if there are no grids."""
+    len(arr), arr transformed once (_spectrum, which uses it up); zeros if
+    there are no grids.  Each grid is the work buffer of its own step: the
+    product, and for a complex arr its inverse transform, are written over
+    it, so one buffer may serve every scale."""
+    Z, real_in = arr.size, not np.iscomplexobj(arr)
     fhat, inverse = _spectrum(arr)
-    run = np.zeros(arr.size)
+    run = np.zeros(Z)
+    mag = np.empty(Z)
     for grid in grids:
-        np.maximum(run, np.abs(inverse(fhat * grid[: fhat.size], arr.size)), out=run)
+        prod = np.multiply(fhat, grid[: fhat.size], out=grid[: fhat.size])
+        np.abs(inverse(prod, Z, out=mag if real_in else prod), out=mag)
+        np.maximum(run, mag, out=run)
     return run
 
 
@@ -389,17 +411,16 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
         raise DomainError("residue sampling needs Q <= 2^(2s)")
     if _integer(r, "r", 1) > Q:
         raise DomainError("residue r must lie in [1, Q]")
-    arr = _circle(f, n_max, resolution)
-    Z = arr.size
-    fhat, inverse = _spectrum(arr)
+    Z = _circle_size(f, n_max, resolution)
+    fhat, inverse = _spectrum(_circle(f, n_max, Z))
     eta_grid = mult.eta_s(s, mult._circular(np.arange(Z, dtype=np.float64) / Z))
     eta_grid = eta_grid.astype(np.complex128)
     filtered = inverse(fhat * eta_grid[: fhat.size], Z)
+    cls = np.mod(f.offset - (1 << n_max) + np.arange(Z) - r, Q) == 0
+    l1 = float(np.sum(np.abs(filtered[cls])))
     sup = _multiplier_sup(filtered, (_mbeta_multiplier_grid(1 << n, beta, Z)
                                      for n in range(n_max + 1)))
-    cls = np.mod(f.offset - (1 << n_max) + np.arange(Z) - r, Q) == 0
     weak = weak_norm(sup[cls])
-    l1 = float(np.sum(np.abs(filtered[cls])))
     return {"Q": Q, "r": r, "s": s, "beta": beta,
             "weak_norm": weak, "l1_norm": l1,
             "ratio": weak / l1 if l1 > 0 else math.inf}
@@ -411,9 +432,9 @@ def l2_arc_maximal_decay(s: int, f: Signal, n_max: int, resolution: int) -> floa
 
     The single-level maximal bound predicts decay ~2^(-s/2) in the level.
     """
-    arr = _circle(f, n_max, resolution).astype(np.complex128)
-    sup = _multiplier_sup(arr, (mult.nu_n_s_grid(n, s, arr.size)
-                                for n in range(n_max + 1)))
+    Z = _circle_size(f, n_max, resolution)
+    sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128),
+                          (mult.nu_n_s_grid(n, s, Z) for n in range(n_max + 1)))
     return float(np.linalg.norm(sup) / f.lp_norm(2.0))
 
 
@@ -424,7 +445,8 @@ def ab_split_apply(t: float, n: int, f: Signal,
     For n >= t: A = F^{-1}(Pi_n^t f_hat) and B = M_{2^n} f - A, realized on
     one circle, the next power of two above support + 2^n points.  For
     n < t: A = M_{2^n} f and B = 0.  A + B reconstructs M_{2^n} f exactly.
-    Needs an integer n >= 1 (2^0 = 1 has no prime) and t >= 0.
+    Needs an integer n >= 1 (2^0 = 1 has no prime) and t >= 0.  The grids of
+    Pi_n^t and m_{2^n} - Pi_n^t turn into A and B in place.
     """
     n = _integer(n, "n", 1)
     if not t >= 0:
@@ -433,13 +455,13 @@ def ab_split_apply(t: float, n: int, f: Signal,
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
     N = 1 << n
-    arr = _circle(f, n, None).astype(np.complex128)
-    Z = arr.size
-    fhat, inverse = _spectrum(arr)
-    pi_grid = mult.pi_n_t_grid(n, t, Z)
-    m_grid = mult.prime_multiplier_grid(N, Z, table)
-    a_vals = inverse(fhat * pi_grid, Z)
-    b_vals = inverse(fhat * (m_grid - pi_grid), Z)
+    Z = _circle_size(f, n, None)
+    a_vals = mult.pi_n_t_grid(n, t, Z)  # first, so its plans are built below the circle
+    fhat, inverse = _spectrum(_circle(f, n, Z, np.complex128))
+    b_vals = mult.prime_multiplier_grid(N, Z, table)
+    b_vals -= a_vals
+    for vals in (a_vals, b_vals):  # each multiplier becomes its part, in place
+        inverse(np.multiply(fhat, vals, out=vals), Z, out=vals)
     off = f.offset - N
     return Signal(offset=off, values=a_vals), Signal(offset=off, values=b_vals)
 
@@ -449,17 +471,19 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     """|| sup_{t <= n <= n_max} |B_n^t f| ||_2 / ||f||_2 on the circle of
     `resolution` points, else of the next power of two above support +
     2^n_max, B_n^t = m_{2^n} - Pi_n^t.  Needs 0 < t <= n_max: the scales run
-    from ceil(t), and m_N needs N >= 2."""
+    from ceil(t), and m_N needs N >= 2.
+
+    The remainder grids come from mult._remainder_grids, which builds the
+    window plans of the levels s <= sqrt(t) before anything the size of the
+    circle and then hands every scale the same buffer; f is transformed
+    once.  Each norm has the bits of the public grids
+    prime_multiplier_grid(2^n, ...) - pi_n_t_grid(n, t, ...)."""
     if not 0 < t <= n_max:
         raise DomainError(f"b_part_maximal_l2 needs 0 < t <= n_max, got t = {t}")
-    arr = _circle(f, n_max, resolution).astype(np.complex128)
-
-    def remainders():
-        for n in range(math.ceil(t), n_max + 1):
-            pi_grid = mult.pi_n_t_grid(n, t, arr.size)
-            yield mult.prime_multiplier_grid(1 << n, arr.size, table) - pi_grid
-
-    return float(np.linalg.norm(_multiplier_sup(arr, remainders())) / f.lp_norm(2.0))
+    Z = _circle_size(f, n_max, resolution)
+    grids = mult._remainder_grids(t, range(math.ceil(t), n_max + 1), Z, table)
+    sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128), grids)
+    return float(np.linalg.norm(sup) / f.lp_norm(2.0))
 
 
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:

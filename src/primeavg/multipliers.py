@@ -41,11 +41,17 @@ arithmetic, from one kernel that fourier_M_beta shares.  Its factor
 1/sin(pi theta) does not depend on the scale, so the plan holds it and a
 level pass scales it by 2^-n = 1/N, which is exact; every scale reuses the
 plan's trigonometry.  Level 0, the one arc 1/1, covers the whole circle;
-its plan is exactly antisymmetric about theta = 0, so M_hat_N is evaluated
-on theta >= 0 only and the rest is filled by
-M_hat_N(-theta) = conj(M_hat_N(theta)).  A level pass gives the same bits as
-fourier_M_beta evaluated on every window point.  m_N on a grid goes through one
-unnormalized inverse FFT of the folded log p weights.  On an exceptional
+its window is exactly antisymmetric about theta = 0, so its plan holds the
+centre and the right half only, at grid indices 0..h: no index array and
+no G(1_1, 1) = 1 factor.  M_hat_N is evaluated on theta >= 0, the left
+half is filled by M_hat_N(-theta) = conj(M_hat_N(theta)) times eta
+reversed, and each half is added into the grid as one slice.  A level pass
+gives the same bits as fourier_M_beta evaluated on every window point.  m_N
+on a grid goes through one unnormalized inverse FFT of the folded log p
+weights, in place, into a buffer the caller may pass.  The B-part's
+remainders m_{2^n} - Pi_n^t (_remainder_grids) build the window plans of
+their levels first and then reuse two such buffers for every scale, with
+the bits of the two public grids subtracted.  On an exceptional
 arc window, M_hat^beta_N comes from one FFT of the weights modulated by
 e(-n a/q) and folded mod G; the direct sum of fourier_M_beta is its oracle
 and the route for arbitrary theta.
@@ -144,15 +150,21 @@ def _check_resolution(resolution: int) -> int:
     return resolution
 
 
-def _folded_transform(sites: np.ndarray, weights: np.ndarray, resolution: int) -> np.ndarray:
+def _folded_transform(sites: np.ndarray, weights: np.ndarray, resolution: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """sum over sites of w e(+j site/G) for j = 0..G-1: one unnormalized inverse
-    FFT of the weights folded mod G.  Complex weights fold their two parts
-    separately."""
+    FFT of the weights folded mod G.  The fold adds each part of the weights
+    into a zeroed complex array in site order, and the transform runs in place
+    on it; `out`, a complex array of G points, is that array when given."""
+    if out is None:
+        out = np.zeros(resolution, dtype=np.complex128)
+    else:
+        out.fill(0.0)
     idx = (sites % resolution).astype(np.int64)
-    folded = np.bincount(idx, weights=weights.real, minlength=resolution)
+    np.add.at(out.real, idx, weights.real)
     if np.iscomplexobj(weights):
-        folded = folded + 1j * np.bincount(idx, weights=weights.imag, minlength=resolution)
-    return np.fft.ifft(folded, norm="forward")
+        np.add.at(out.imag, idx, weights.imag)
+    return np.fft.ifft(out, norm="forward", out=out)
 
 
 def fourier_kernel_grid(kernel: Kernel, resolution: int) -> np.ndarray:
@@ -320,7 +332,8 @@ def eta_s(s: int, xi: float | np.ndarray):
 
 
 def eta_support_radius(s: int) -> float:
-    return 0.5 * 2.0 ** (-4 * s)
+    """2^(-4s-1), the half-width of the eta_s support, for an integer level s >= 0."""
+    return 0.5 * 2.0 ** (-4 * _integer(s, "level s", 0))
 
 
 # --- arcs and approximants ---
@@ -445,33 +458,48 @@ def pi_n_t(n: int, t: float, xi: float | np.ndarray):
 @dataclass(frozen=True)
 class _WindowPlan:
     """The level-s arc windows on a grid of G points, flattened into one set of
-    arrays: grid index, theta = j/G - a/q, eta_s(theta) and G(1_q, a) for each
-    point with eta_s(theta) > 0.  spans lists (arc, start, stop) for each arc
-    with a nonempty window; its points are [start, stop) of every array.
-    Indices are distinct across the level, as the eta_s supports are disjoint.
-    inv_sin is 1 / sin(pi theta), and 0 where theta = 0: the part of M_hat_N
-    that does not depend on the scale.  mirror is True when theta has odd
-    length and is exactly antisymmetric about its centre, with no zero off
-    the centre: theta[i] == -theta[-1-i].
+    arrays: theta = j/G - a/q, inv_sin = 1 / sin(pi theta) (0 where theta = 0,
+    the part of M_hat_N that does not depend on the scale) and eta_s(theta).
+
+    A full plan holds every point with eta_s(theta) > 0, with its grid index
+    idx and g0 = G(1_q, a).  spans lists (arc, start, stop) for each arc with a
+    nonempty window; its points are [start, stop) of every array.  Indices are
+    distinct across the level, as the eta_s supports are disjoint.
+
+    A mirrored plan is level 0, the one arc 1/1, where theta = j/G - 1 is
+    exactly antisymmetric about its centre (as on every power-of-two grid).
+    It holds the centre and the right half only: point i has theta = i/G,
+    sits at grid index i, and its mirror image -theta sits at G - i, for
+    i = 0..h, h the last point with eta_s > 0 (eta is even, and a few points
+    below h may have eta 0 and add a zero).  Its grid indices are thus the two
+    runs [0, h] and [G - h, G), and its g0 is 1, so idx and g0 are None.
     """
 
     spans: tuple[tuple[RationalPoint, int, int], ...]
-    idx: np.ndarray
+    idx: np.ndarray | None
     theta: np.ndarray
     inv_sin: np.ndarray
     eta: np.ndarray
-    g0: np.ndarray
-    mirror: bool
+    g0: np.ndarray | None
+
+    @property
+    def mirror(self) -> bool:
+        return self.idx is None
 
 
-@lru_cache(maxsize=64)
-def _eta_windows(s: int, resolution: int) -> _WindowPlan:
-    """The window plan of level s on j/resolution, j = 0..resolution-1.
+def _frozen_plan(spans, idx, theta, eta, g0) -> _WindowPlan:
+    """The plan of these points, with inv_sin, every array read-only."""
+    inv_sin = np.divide(1.0, np.sin(np.pi * theta), out=np.zeros(theta.size),
+                        where=theta != 0.0)
+    plan = _WindowPlan(spans=spans, idx=idx, theta=theta, inv_sin=inv_sin, eta=eta, g0=g0)
+    for a in (idx, theta, inv_sin, eta, g0):
+        if a is not None:
+            a.flags.writeable = False  # shared by every caller of the memo
+    return plan
 
-    Level 0 is the one arc 1/1, theta = j/G - 1 for j symmetric about G: on a
-    power-of-two grid these values are exact, so the plan is mirrored.  The
-    symmetry is checked here, never assumed.
-    """
+
+def _full_windows(s: int, resolution: int) -> _WindowPlan:
+    """The full window plan of level s on j/resolution, j = 0..resolution-1."""
     arcs = enumerate_arcs(s)
     radius = eta_support_radius(s)
     G = resolution
@@ -492,17 +520,33 @@ def _eta_windows(s: int, resolution: int) -> _WindowPlan:
     spans = tuple((arc, int(lo), int(hi))
                   for arc, lo, hi in zip(arcs, bounds[:-1], bounds[1:]) if hi > lo)
     g0 = np.array([gauss.ramanujan_gauss_principal(arc.q, arc.a) for arc in arcs])
-    theta = theta[keep]
-    h = theta.size // 2
-    mirror = theta.size % 2 == 1 and bool(
-        np.all((theta[:h] == -theta[:h:-1]) & (theta[:h] != 0.0)))
-    inv_sin = np.divide(1.0, np.sin(np.pi * theta), out=np.zeros(theta.size),
-                        where=theta != 0.0)
-    plan = _WindowPlan(spans=spans, idx=np.mod(j[keep], G), theta=theta,
-                       inv_sin=inv_sin, eta=ev, g0=g0[arc_of], mirror=mirror)
-    for a in (plan.idx, plan.theta, plan.inv_sin, plan.eta, plan.g0):
-        a.flags.writeable = False  # shared by every caller of the memo
-    return plan
+    return _frozen_plan(spans, np.mod(j[keep], G), theta[keep], ev, g0[arc_of])
+
+
+def _mirrored_level0(resolution: int) -> _WindowPlan | None:
+    """The mirrored plan of level 0 on j/resolution, built from theta >= 0,
+    or None if theta = j/G - 1 is not exactly antisymmetric on the window."""
+    G = resolution
+    i = np.arange((G + 1) // 2, dtype=np.int64)  # j = G + i, the points with 0 <= theta < 1/2
+    theta = (G + i) / G - 1.0
+    ev = eta_s(0, theta)
+    h = int(np.flatnonzero(ev > 0.0)[-1])
+    theta, ev = theta[:h + 1], ev[:h + 1]
+    left = (G - i[1:h + 1]) / G - 1.0
+    if not np.all((left == -theta[1:]) & (left != 0.0)):
+        return None
+    arc = enumerate_arcs(0)[0]
+    return _frozen_plan(((arc, 0, h + 1),), None, theta, ev, None)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _eta_windows(s: int, resolution: int) -> _WindowPlan:
+    """The window plan of level s on j/resolution, cached per (s, resolution)
+    and argument type, so the level is checked before an entry is shared:
+    mirrored for level 0 when theta = j/G - 1 is exactly antisymmetric, which
+    is checked here, never assumed, and full otherwise."""
+    plan = _mirrored_level0(resolution) if _integer(s, "level s", 0) == 0 else None
+    return plan or _full_windows(s, resolution)
 
 
 def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) -> np.ndarray:
@@ -530,20 +574,34 @@ def _add_level(out: np.ndarray, N: int, s: int,
     bit for bit, the value fourier_M_beta computes.  |theta| < 1/2 on every
     window, so theta is already reduced.  Points with theta = 0 take the
     direct value 1 + 0j.  On a mirrored plan (level 0) the closed form covers
-    the centre and the right half only, and the left half is the conjugate
-    of the right half reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit
-    for bit.  The exceptional pair (chi, beta), if given, adds its term on
+    the centre and the right half only; the left half is the conjugate of
+    the right half reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit
+    for bit, times eta reversed, and each half is added into out as one
+    slice.  The exceptional pair (chi, beta), if given, adds its term on
     the level's arcs a/q with q the modulus of chi, M_hat^beta_N from one
-    folded FFT per arc (_mbeta_arc_grid) read at the window's indices.
+    folded FFT per arc (_mbeta_arc_grid) read at the window's indices; on
+    the mirrored plan (a modulus of 1) those are the slices of the two
+    halves, and the term is taken off each half before eta.
     """
     plan = _eta_windows(s, out.size)
     vals = np.empty(plan.theta.size, dtype=np.complex128)
-    h = plan.theta.size // 2 if plan.mirror else 0
-    theta = plan.theta[h:]
-    _mhat_closed(N, theta, plan.inv_sin[h:] * (1.0 / N), vals[h:])
-    vals[h:][theta == 0.0] = 1.0
+    _mhat_closed(N, plan.theta, plan.inv_sin * (1.0 / N), vals)
+    vals[plan.theta == 0.0] = 1.0
     if plan.mirror:
-        np.conjugate(vals[:h:-1], out=vals[:h])
+        h = vals.size - 1
+        left = np.conjugate(vals[:0:-1])
+        if exceptional is not None and exceptional[0].modulus == 1:
+            chi, beta = exceptional
+            arc = plan.spans[0][0]
+            tau = gauss.gauss_sum_bruteforce(chi, arc.a)
+            mbeta = _mbeta_arc_grid(N, beta, arc, out.size)
+            vals -= tau * mbeta[:h + 1]
+            left -= tau * mbeta[out.size - h:]
+        left *= plan.eta[:0:-1]
+        out[out.size - h:] += left
+        vals *= plan.eta
+        out[:h + 1] += vals
+        return
     vals *= plan.g0
     if exceptional is not None:
         chi, beta = exceptional
@@ -569,16 +627,52 @@ def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
     """nu_n sampled at j/resolution: the levels s = 0..s_max added one pass
     each into one fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    N = 1 << _integer(n, "scale index n", 0)
-    for s in range(_integer(s_max, "s_max", 0) + 1):
-        _add_level(out, N, s, exceptional)
+    _add_levels(out, 1 << _integer(n, "scale index n", 0), _integer(s_max, "s_max", 0),
+                exceptional)
     return out
+
+
+def _add_levels(out: np.ndarray, N: int, s_max: int,
+                exceptional: tuple[DirichletCharacter, float] | None) -> None:
+    """Add nu_n^s for s = 0..s_max at j/len(out) into out, N = 2^n, one
+    level pass each."""
+    for s in range(s_max + 1):
+        _add_level(out, N, s, exceptional)
 
 
 def pi_n_t_grid(n: int, t: float, resolution: int) -> np.ndarray:
     if n < t:
         raise DomainError("Pi_n^t needs n >= t")
     return nu_n_grid(n, resolution, s_max=_levels_for_t(t))
+
+
+def _remainder_grids(t: float, ns, resolution: int, table: PrimeTable):
+    """m_{2^n} - Pi_n^t at j/resolution for each n in ns (each n >= t): the
+    bits of prime_multiplier_grid(2^n, ...) - pi_n_t_grid(n, t, ...).
+
+    The window plans of the levels s <= sqrt(t) are built at the call,
+    before the two grid buffers that every scale then reuses: m_{2^n} is
+    folded and transformed in place in one, Pi_n^t is added level by level
+    into the other, zeroed per scale, and their difference is written over
+    the first.  The grid yielded for a scale is that buffer, so it holds
+    only until the next is drawn, and the consumer may write over it.
+    """
+    G = _check_resolution(resolution)
+    s_max = _levels_for_t(t)
+    for s in range(s_max + 1):
+        _eta_windows(s, G)
+    m = np.empty(G, dtype=np.complex128)
+    pi = np.empty(G, dtype=np.complex128)
+
+    def grids():
+        for n in ns:
+            k = prime_kernel(1 << n, table, weighted=True)
+            _folded_transform(k.sites, k.weights, G, out=m)
+            pi.fill(0.0)
+            _add_levels(pi, 1 << n, s_max, None)
+            yield np.subtract(m, pi, out=m)
+
+    return grids()
 
 
 # --- error reports ---

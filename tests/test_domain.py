@@ -2,7 +2,8 @@
 
 Each case is one call that once died with a raw TypeError, ValueError,
 IndexError or ArithmeticError, accepted a bool or a float as an integer,
-or returned nan or 0.0 for a nan input.  The integer and finite rules
+or returned a number (nan, inf or 0.0 among them) for a nan or infinite
+input.  The integer and finite rules
 they now go through live in ntheory (_integer, _finite).
 """
 
@@ -50,6 +51,12 @@ _CASES = {
     "random-signal-empty": lambda t: mx.random_signal(np.random.default_rng(0), 0),
     "scale-counts-not-0-1": lambda t: list(mx.prime_scale_counts(
         mx.Signal(offset=0, values=np.array([0.5, 1.0])), 3, t)),
+    "scale-counts-n-max-2.5": lambda t: list(mx.prime_scale_counts(
+        mx.Signal.interval(0, 4), 2.5, t)),
+    "scale-counts-n-max-true": lambda t: list(mx.prime_scale_counts(
+        mx.Signal.interval(0, 4), True, t)),
+    "scale-counts-n-max-0": lambda t: list(mx.prime_scale_counts(
+        mx.Signal.interval(0, 4), 0, t)),
     "gauss-brute-1.5": lambda t: ga.gauss_sum_bruteforce(_CHI, 1.5),
     "twisted-brute-nan": lambda t: ga.twisted_character_sum_bruteforce(_CHI, math.nan),
     "expsum-brute-1.5": lambda t: ga.gauss_exponential_sum_bruteforce(_CHI, 1.5),
@@ -60,6 +67,15 @@ _CASES = {
     "maximal-dyadic-true": lambda t: mx.maximal_dyadic(mx.Signal.delta(), "weighted", True, t),
     "eta-s-true": lambda t: mp.eta_s(True, 0.0),
     "enumerate-arcs-true": lambda t: mp.enumerate_arcs(True),
+    "eta-radius-nan": lambda t: mp.eta_support_radius(math.nan),
+    "eta-radius-minus-inf": lambda t: mp.eta_support_radius(-math.inf),
+    "eta-radius-2.5": lambda t: mp.eta_support_radius(2.5),
+    # the window plans are memoized; the entry of level 1 (0) must not
+    # answer for True (False)
+    "nu-grid-level-true-after-level-1": lambda t: (mp.nu_n_s_grid(0, 1, 64),
+                                                   mp.nu_n_s_grid(0, True, 64)),
+    "nu-grid-level-false-after-level-0": lambda t: (mp.nu_n_s_grid(0, 0, 64),
+                                                    mp.nu_n_s_grid(0, False, 64)),
     "factorize-true": lambda t: nt.factorize(True),
     "lambda-grid-true": lambda t: mx.default_lambda_grid(True),
     "integer-rule-bool": lambda t: nt._integer(True, "n", 0),

@@ -6,11 +6,13 @@ are checked on random signals at fixed seeds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import primeavg.maximal as mx
+import primeavg.multipliers as mult
 from primeavg.multipliers import kernel_M_beta, kernel_delta
 from primeavg.ntheory import DomainError
 
@@ -403,6 +405,68 @@ def test_b_part_l2_decreases_in_t(table_small, rng):
                 mx.Signal(offset=0, values=np.zeros(0))):
         with pytest.raises(DomainError):
             mx.b_part_maximal_l2(4.0, bad, 6, table_small)
+
+
+def _public_circle_spectrum(f, n_max, G):
+    # f at index 2^n_max on the complex circle of G points, transformed once
+    arr = np.zeros(G, dtype=np.complex128)
+    arr[1 << n_max: (1 << n_max) + len(f.values)] = f.values
+    return np.fft.fft(arr)
+
+
+@pytest.mark.parametrize("G", [1 << 12, 1 << 14])
+@pytest.mark.parametrize("complex_values", [True, False])
+def test_b_part_equals_public_grids_bit_for_bit(G, complex_values, table_small):
+    # the buffered loop against the route through the public grids: one
+    # inverse FFT of fhat * (m_N - Pi_n^t) per scale, its modulus folded
+    # into a running max
+    f = mx.random_signal(np.random.default_rng(G + complex_values), 200,
+                         complex_values=complex_values, offset=-7)
+    n_max = 10
+    fhat = _public_circle_spectrum(f, n_max, G)
+    for t in (4.0, 9.0):
+        run = np.zeros(G)
+        for n in range(math.ceil(t), n_max + 1):
+            grid = (mult.prime_multiplier_grid(1 << n, G, table_small)
+                    - mult.pi_n_t_grid(n, t, G))
+            run = np.maximum(run, np.abs(np.fft.ifft(fhat * grid)))
+        want = np.linalg.norm(run) / f.lp_norm(2.0)
+        assert mx.b_part_maximal_l2(t, f, n_max, table_small, resolution=G) == want, t
+
+
+def test_ab_split_equals_public_grids_bit_for_bit(table_small):
+    f = mx.random_signal(np.random.default_rng(5), 100, complex_values=True)
+    for t, n in ((4.0, 6), (9.0, 11)):
+        a, b = mx.ab_split_apply(t, n, f, table_small)
+        G = a.values.size
+        fhat = _public_circle_spectrum(f, n, G)
+        pi_grid = mult.pi_n_t_grid(n, t, G)
+        m_grid = mult.prime_multiplier_grid(1 << n, G, table_small)
+        assert np.array_equal(a.values.view(np.uint64),
+                              np.fft.ifft(fhat * pi_grid).view(np.uint64))
+        assert np.array_equal(b.values.view(np.uint64),
+                              np.fft.ifft(fhat * (m_grid - pi_grid)).view(np.uint64))
+
+
+def test_b_part_peak_stays_within_its_working_set(table_small):
+    # cold: the window plans are built inside the call, before the grid
+    # buffers.  The unit is one complex grid: the call peaks at 7.1 of them,
+    # and the bound allows under one more; the level-0 plan holds 0.75
+    G = 1 << 16
+    grid = 16 * G
+    f = mx.random_signal(np.random.default_rng(16), 512, complex_values=True)
+    mult._eta_windows.cache_clear()
+    tracemalloc.start()
+    try:
+        mx.b_part_maximal_l2(4.0, f, 15, table_small, resolution=G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * grid, peak / grid
+    plan = mult._eta_windows(0, G)
+    held = sum(a.nbytes for a in (plan.idx, plan.theta, plan.inv_sin, plan.eta, plan.g0)
+               if a is not None)
+    assert held <= grid, held / grid
 
 
 def test_lp_maximal_ratio_domain(table_small, rng):

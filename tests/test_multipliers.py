@@ -13,7 +13,8 @@ import pytest
 from scipy.integrate import quad
 
 import primeavg.multipliers as mp
-from primeavg.characters import enumerate_quadratic_characters, synthetic_exceptional
+from primeavg.characters import (enumerate_quadratic_characters, principal_character,
+                                 synthetic_exceptional)
 from primeavg.ntheory import DomainError, sieve_primes
 
 
@@ -276,23 +277,56 @@ def test_level0_grid_equals_pointwise_bit_for_bit(G):
         assert np.array_equal(mp.nu_n_s_grid(n, 0, G), mp.nu_n_s(n, 0, xi))
 
 
+def _level0_window(G):
+    # level 0 from the definition: theta = j/G - 1 on the arc 1/1's window
+    # j in (G/2, 3G/2), kept where eta > 0, with the grid index j mod G
+    j = np.arange(G // 2 + 1, G + G // 2, dtype=np.int64)
+    theta = j / G - 1.0
+    ev = mp.eta_s(0, theta)
+    keep = ev > 0.0
+    return np.mod(j[keep], G), theta[keep], ev[keep]
+
+
 @pytest.mark.parametrize("G", [1 << 4, 1 << 10, 1 << 14, 1 << 18])
 @pytest.mark.parametrize("s", range(5))
 def test_level_pass_equals_public_closed_form_bit_for_bit(s, G):
     # the level pass reads 1/sin(pi theta) from the plan and scales it by
-    # 2^-n; assembled from fourier_M_beta on the same plan, the bits agree
-    plan = mp._eta_windows(s, G)
+    # 2^-n; assembled from fourier_M_beta on the same points, the bits agree.
+    # Level 0 is checked against its window from the definition (G(1_1, 1) =
+    # 1), not against the mirrored plan, which holds theta >= 0 only
+    if s == 0:
+        idx, theta, ev = _level0_window(G)
+        g0 = 1.0
+    else:
+        plan = mp._eta_windows(s, G)
+        idx, theta, ev, g0 = plan.idx, plan.theta, plan.eta, plan.g0
     for n in [0, 1, 5, 12, 17, 20]:
         want = np.zeros(G, dtype=np.complex128)
-        want[plan.idx] += plan.g0 * mp.fourier_M_beta(1 << n, 1.0, plan.theta) * plan.eta
+        want[idx] += g0 * mp.fourier_M_beta(1 << n, 1.0, theta) * ev
         got = mp.nu_n_s_grid(n, s, G)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
 
 def test_only_an_exactly_antisymmetric_plan_is_mirrored():
-    assert mp._eta_windows(0, 1 << 12).mirror
-    assert not mp._eta_windows(0, 48).mirror  # j/48 - 1 is rounded
-    assert not mp._eta_windows(2, 1 << 12).mirror
+    G = 1 << 12
+    plan = mp._eta_windows(0, G)
+    assert plan.mirror
+    # it holds the definition's points with theta >= 0, point i at index i;
+    # their mirror images are the definition's points with theta < 0
+    h = plan.theta.size - 1
+    assert np.array_equal(plan.theta, (G + np.arange(h + 1)) / G - 1.0)
+    assert np.array_equal(plan.eta, mp.eta_s(0, plan.theta))
+    idx, theta, ev = _level0_window(G)
+    right = np.flatnonzero(plan.eta > 0.0)
+    assert np.array_equal(idx[theta >= 0], right)
+    assert np.array_equal(theta[theta >= 0], plan.theta[right])
+    assert np.array_equal(idx[theta < 0], G - right[:0:-1])
+    assert np.array_equal(theta[theta < 0], -plan.theta[right[:0:-1]])
+    assert np.array_equal(ev[theta < 0], plan.eta[right[:0:-1]])
+    _, theta48, _ = _level0_window(48)
+    assert not np.array_equal(theta48, -theta48[::-1])  # j/48 - 1 is rounded
+    assert not mp._eta_windows(0, 48).mirror
+    assert not mp._eta_windows(2, G).mirror
 
 
 @pytest.mark.parametrize("n", [-1, 2.5])
@@ -373,6 +407,28 @@ def test_injected_nu_grid_matches_pointwise(q):
         assert np.max(np.abs(grid - direct)) <= 1e-12
 
 
+def test_modulus_one_pair_on_the_mirrored_level0_plan():
+    # a pair of modulus 1 puts its term on the level-0 arc 1/1; the mirrored
+    # plan takes it off each half by slices, with the bits of the level's
+    # window from the definition: (G(1_1, 1) M_hat_N - tau M_hat^beta_N) eta
+    chi = principal_character(1)
+    pair = (chi, 0.7)
+    arc = mp.enumerate_arcs(0)[0]
+    tau = mp.gauss.gauss_sum_bruteforce(chi, arc.a)
+    for G in [1 << 4, 1 << 10]:
+        assert mp._eta_windows(0, G).mirror
+        idx, theta, ev = _level0_window(G)
+        xi = np.arange(G) / G
+        for n in [0, 3, 7]:
+            mbeta = mp._mbeta_arc_grid(1 << n, 0.7, arc, G)
+            want = np.zeros(G, dtype=np.complex128)
+            want[idx] += (1.0 * mp.fourier_M_beta(1 << n, 1.0, theta) - tau * mbeta[idx]) * ev
+            grid = mp.nu_n_s_grid(n, 0, G, pair)
+            assert np.array_equal(grid.view(np.uint64), want.view(np.uint64)), (G, n)
+            assert np.max(np.abs(grid - mp.nu_n_s(n, 0, xi, pair))) <= 1e-12
+            assert np.max(np.abs(grid - mp.nu_n_s_grid(n, 0, G))) > 1e-3
+
+
 def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
     # dyadic centres a/q make theta = j/G - a/q exact, so the folded FFT and
     # the direct sum of fourier_M_beta see the same frequencies
@@ -383,7 +439,10 @@ def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
         for arc, lo, hi in plan.spans:
             if arc.q & (arc.q - 1):
                 continue
-            idx, theta = plan.idx[lo:hi], plan.theta[lo:hi]
+            if plan.mirror:  # level 0 holds theta >= 0 only; take its window
+                idx, theta, _ = _level0_window(G)
+            else:
+                idx, theta = plan.idx[lo:hi], plan.theta[lo:hi]
             for n in [0, 1, 5, 10]:
                 for beta in [0.5, 0.75, 0.95]:
                     folded = mp._mbeta_arc_grid(1 << n, beta, arc, G)[idx]
