@@ -27,9 +27,9 @@ power-of-two resolution (the residue-class and arc-level maxima always
 take one), else the next power of two above support + 2^n_max.
 _multiplier_sup transforms the signal once, in place, and keeps the running
 sup over the grids, each taken as the work buffer of its own step.  The
-B-part takes its remainder grids from multipliers, which builds the window
-plans of their levels before any grid-sized array and then runs every scale
-through two grid buffers allocated once per call.
+B-part and the A/B split take their grids from multipliers' one remainder
+route, which builds the window plans before any grid-sized array and then
+runs every scale through two grid buffers allocated once per call.
 
 weak_type_sweep measures lambda * |{sup_n A_{2^n} 1_F > lambda}| normalized
 by log^2(e/lambda) |F| on a lambda grid.  Since A_N 1_F = k/pi(N) with an
@@ -407,7 +407,8 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
     equidistribution bound predicts the ratio stays of size ~1/Q uniformly
     in r.
     """
-    if _integer(Q, "Q", 1) > 4 ** s:
+    s = _integer(s, "level s", 0)
+    if (_integer(Q, "Q", 1) - 1).bit_length() > 2 * s:  # Q > 4^s, in integers
         raise DomainError("residue sampling needs Q <= 2^(2s)")
     if _integer(r, "r", 1) > Q:
         raise DomainError("residue r must lie in [1, Q]")
@@ -445,8 +446,8 @@ def ab_split_apply(t: float, n: int, f: Signal,
     For n >= t: A = F^{-1}(Pi_n^t f_hat) and B = M_{2^n} f - A, realized on
     one circle, the next power of two above support + 2^n points.  For
     n < t: A = M_{2^n} f and B = 0.  A + B reconstructs M_{2^n} f exactly.
-    Needs an integer n >= 1 (2^0 = 1 has no prime) and t >= 0.  The grids of
-    Pi_n^t and m_{2^n} - Pi_n^t turn into A and B in place.
+    Needs an integer n >= 1 (2^0 = 1 has no prime) and t >= 0.  The grids
+    (m_{2^n} - Pi_n^t, Pi_n^t) of mult._remainder_grids turn into B and A.
     """
     n = _integer(n, "n", 1)
     if not t >= 0:
@@ -454,15 +455,12 @@ def ab_split_apply(t: float, n: int, f: Signal,
     if n < t:
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
-    N = 1 << n
     Z = _circle_size(f, n, None)
-    a_vals = mult.pi_n_t_grid(n, t, Z)  # first, so its plans are built below the circle
+    b_vals, a_vals = next(mult._remainder_grids([n], Z, table, mult._levels_for_t(t)))
     fhat, inverse = _spectrum(_circle(f, n, Z, np.complex128))
-    b_vals = mult.prime_multiplier_grid(N, Z, table)
-    b_vals -= a_vals
     for vals in (a_vals, b_vals):  # each multiplier becomes its part, in place
         inverse(np.multiply(fhat, vals, out=vals), Z, out=vals)
-    off = f.offset - N
+    off = f.offset - (1 << n)
     return Signal(offset=off, values=a_vals), Signal(offset=off, values=b_vals)
 
 
@@ -473,16 +471,16 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     2^n_max, B_n^t = m_{2^n} - Pi_n^t.  Needs 0 < t <= n_max: the scales run
     from ceil(t), and m_N needs N >= 2.
 
-    The remainder grids come from mult._remainder_grids, which builds the
-    window plans of the levels s <= sqrt(t) before anything the size of the
-    circle and then hands every scale the same buffer; f is transformed
-    once.  Each norm has the bits of the public grids
-    prime_multiplier_grid(2^n, ...) - pi_n_t_grid(n, t, ...)."""
+    The remainder grids are the first of each pair of mult._remainder_grids,
+    which builds the window plans of the levels s <= sqrt(t) before anything
+    the size of the circle and then hands every scale the same buffers; f
+    is transformed once."""
     if not 0 < t <= n_max:
         raise DomainError(f"b_part_maximal_l2 needs 0 < t <= n_max, got t = {t}")
     Z = _circle_size(f, n_max, resolution)
-    grids = mult._remainder_grids(t, range(math.ceil(t), n_max + 1), Z, table)
-    sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128), grids)
+    pairs = mult._remainder_grids(range(math.ceil(t), n_max + 1), Z, table,
+                                  mult._levels_for_t(t))
+    sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128), (b for b, _ in pairs))
     return float(np.linalg.norm(sup) / f.lp_norm(2.0))
 
 

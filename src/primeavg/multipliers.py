@@ -13,8 +13,9 @@ where M^beta_N is the Cesaro-type kernel with weights
 (n^beta - (n-1)^beta)/(beta N) on sites 1..N.  By the Landau-Page theorem
 at most one real character has a zero this close to 1, so the model takes
 at most one exceptional pair (chi, beta), supplied by the caller
-(synthetically, unless a scan ever finds one); its term sits on the arcs
-a/q whose q is the modulus of chi.
+(synthetically, unless a scan ever finds one), with chi real and
+non-principal and beta in [1/2, 1); its term sits on the arcs a/q whose q
+is the modulus of chi (at least 3).
 
 The glued approximant at dyadic scale N = 2^n is
 
@@ -41,25 +42,27 @@ arithmetic, from one kernel that fourier_M_beta shares.  Its factor
 1/sin(pi theta) does not depend on the scale, so the plan holds it and a
 level pass scales it by 2^-n = 1/N, which is exact; every scale reuses the
 plan's trigonometry.  Level 0, the one arc 1/1, covers the whole circle;
-its window is exactly antisymmetric about theta = 0, so its plan holds the
-centre and the right half only, at grid indices 0..h: no index array and
-no G(1_1, 1) = 1 factor.  M_hat_N is evaluated on theta >= 0, the left
-half is filled by M_hat_N(-theta) = conj(M_hat_N(theta)) times eta
-reversed, and each half is added into the grid as one slice.  A level pass
-gives the same bits as fourier_M_beta evaluated on every window point.  m_N
-on a grid goes through one unnormalized inverse FFT of the folded log p
-weights, in place, into a buffer the caller may pass.  The B-part's
-remainders m_{2^n} - Pi_n^t (_remainder_grids) build the window plans of
-their levels first and then reuse two such buffers for every scale, with
-the bits of the two public grids subtracted.  On an exceptional
-arc window, M_hat^beta_N comes from one FFT of the weights modulated by
-e(-n a/q) and folded mod G; the direct sum of fourier_M_beta is its oracle
-and the route for arbitrary theta.
+on a power-of-two grid theta = j/G - 1 is exact, so its window is exactly
+antisymmetric about theta = 0 and its plan holds the centre and the right
+half only, at grid indices 0..h: no index array and no G(1_1, 1) = 1
+factor.  M_hat_N is evaluated on theta >= 0, the left half is filled by
+M_hat_N(-theta) = conj(M_hat_N(theta)) times eta reversed, and each half is
+added into the grid as one slice.  A level pass gives the same bits as
+fourier_M_beta evaluated on every window point.  m_N on a grid goes through
+one unnormalized inverse FFT of the folded log p weights, in place, into a
+buffer the caller may pass.  Every remainder m_{2^n} - nu_n takes one
+route (_remainder_grids): the window plans of its levels are built first,
+then every scale reuses two such buffers, with the bits of the two public
+grids subtracted.
+On an exceptional arc window, M_hat^beta_N comes from one FFT of the
+weights modulated by e(-n a/q) and folded mod G; the direct sum of
+fourier_M_beta is its oracle and the route for arbitrary theta.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -295,14 +298,15 @@ def _eta_table() -> np.ndarray:
 
 
 def eta(xi: float | np.ndarray):
-    """Smooth plateau cutoff: 1 on |xi| <= 1/4, 0 on |xi| >= 1/2, else in (0, 1).
+    """Smooth plateau cutoff: 1 on |xi| <= 1/4, 0 on |xi| >= 1/2, else in [0, 1].
 
     Realized as the indicator of [-3/8, 3/8] convolved with a normalized
     C-infinity bump supported on [-1/8, 1/8].  On the transition band the
     convolution integral is read from a piecewise Chebyshev table built once
     from a fixed-order Gauss-Legendre rule (_bump_integral), which is the
     table's oracle.  eta is even and exactly 0/1 off the transition bands.
-    A non-finite xi is a DomainError.
+    The clipped table reads exactly 1 or 0 at some band points near |xi| =
+    1/4 or 1/2, within its 2e-15 error.  A non-finite xi is a DomainError.
     """
     xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
     a = np.abs(xv)
@@ -324,11 +328,14 @@ def eta(xi: float | np.ndarray):
 def eta_s(s: int, xi: float | np.ndarray):
     """eta_s(xi) = eta(2^(4s) xi): support shrinks to |xi| < 2^(-4s-1).
 
-    |xi| is capped at 1 before scaling, where eta_s is already 0, so that a
-    large finite xi cannot overflow; a non-finite xi is a DomainError."""
+    |xi| is capped at 1 before scaling and the result at 1 after (eta is 0
+    there), and the exponent at 2100, so no xi or s overflows; eta_s is
+    [xi = 0] for s >= 269.  A non-finite xi is a DomainError."""
     s = _integer(s, "level s", 0)
     xv = _finite(np.asarray(xi, dtype=np.float64), "xi")
-    return eta(np.minimum(np.abs(xv), 1.0) * float(2 ** (4 * s)))
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(np.minimum(np.abs(xv), 1.0), min(4 * s, 2100))
+    return eta(np.minimum(scaled, 1.0))
 
 
 def eta_support_radius(s: int) -> float:
@@ -378,11 +385,26 @@ def enumerate_arcs(s: int) -> tuple[RationalPoint, ...]:
     return tuple(out)
 
 
+def _exceptional_pair(exceptional) -> None:
+    """The pair rule of each entry that takes one: None, or a tuple (chi,
+    beta) of a real non-principal DirichletCharacter (kind 'quadratic', as
+    Landau-Page allows) and a real beta in [1/2, 1); else DomainError."""
+    if exceptional is None:
+        return
+    is_pair = isinstance(exceptional, tuple) and len(exceptional) == 2
+    chi, beta = exceptional if is_pair else (None, None)
+    if not (isinstance(chi, DirichletCharacter) and chi.kind == "quadratic"
+            and isinstance(beta, numbers.Real) and 0.5 <= beta < 1.0):
+        raise DomainError("the exceptional pair must be (chi, beta): chi real and "
+                          "non-principal, beta in [1/2, 1)")
+
+
 def approximant_hat(a: int, q: int, N: int, theta: float | np.ndarray,
                     exceptional: tuple[DirichletCharacter, float] | None = None):
     """L_hat[a,q; N](theta) per the major-arc model: G(1_q, a) M_hat_N(theta),
     less G(chi, a) M_hat^beta_N(theta) when the exceptional pair (chi, beta)
     is given, whose modulus must be q."""
+    _exceptional_pair(exceptional)
     out = gauss.ramanujan_gauss_principal(q, a) * np.atleast_1d(fourier_M_beta(N, 1.0, theta))
     if exceptional is not None:
         chi, beta = exceptional
@@ -409,6 +431,7 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray,
     adds its term on the arcs a/q with q the modulus of chi.  A non-finite
     xi is a DomainError.
     """
+    _exceptional_pair(exceptional)
     xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
     out = np.zeros(xv.shape, dtype=np.complex128)
     radius = eta_support_radius(s)
@@ -461,18 +484,18 @@ class _WindowPlan:
     arrays: theta = j/G - a/q, inv_sin = 1 / sin(pi theta) (0 where theta = 0,
     the part of M_hat_N that does not depend on the scale) and eta_s(theta).
 
-    A full plan holds every point with eta_s(theta) > 0, with its grid index
-    idx and g0 = G(1_q, a).  spans lists (arc, start, stop) for each arc with a
-    nonempty window; its points are [start, stop) of every array.  Indices are
-    distinct across the level, as the eta_s supports are disjoint.
+    For s >= 1 the plan holds every point with eta_s(theta) > 0, with its grid
+    index idx and g0 = G(1_q, a).  spans lists (arc, start, stop) for each arc
+    with a nonempty window; its points are [start, stop) of every array.
+    Indices are distinct across the level, as the eta_s supports are disjoint.
 
-    A mirrored plan is level 0, the one arc 1/1, where theta = j/G - 1 is
-    exactly antisymmetric about its centre (as on every power-of-two grid).
-    It holds the centre and the right half only: point i has theta = i/G,
-    sits at grid index i, and its mirror image -theta sits at G - i, for
-    i = 0..h, h the last point with eta_s > 0 (eta is even, and a few points
-    below h may have eta 0 and add a zero).  Its grid indices are thus the two
-    runs [0, h] and [G - h, G), and its g0 is 1, so idx and g0 are None.
+    Level 0's plan, the one arc 1/1, is mirrored: on a power-of-two grid
+    theta = j/G - 1 is exact and the window antisymmetric about its centre.
+    It holds the centre and the right half only: point i has theta = i/G at
+    grid index i, its mirror image -theta sits at G - i, for i = 0..h, h the
+    last point with eta_s > 0 (eta is even; a few points below h may have
+    eta 0 and add a zero).  Its indices are thus the runs [0, h] and
+    [G - h, G) and its g0 is 1, so idx and g0 are None.
     """
 
     spans: tuple[tuple[RationalPoint, int, int], ...]
@@ -481,10 +504,6 @@ class _WindowPlan:
     inv_sin: np.ndarray
     eta: np.ndarray
     g0: np.ndarray | None
-
-    @property
-    def mirror(self) -> bool:
-        return self.idx is None
 
 
 def _frozen_plan(spans, idx, theta, eta, g0) -> _WindowPlan:
@@ -499,7 +518,7 @@ def _frozen_plan(spans, idx, theta, eta, g0) -> _WindowPlan:
 
 
 def _full_windows(s: int, resolution: int) -> _WindowPlan:
-    """The full window plan of level s on j/resolution, j = 0..resolution-1."""
+    """The plan of level s >= 1 on j/resolution, j = 0..resolution-1."""
     arcs = enumerate_arcs(s)
     radius = eta_support_radius(s)
     G = resolution
@@ -523,30 +542,22 @@ def _full_windows(s: int, resolution: int) -> _WindowPlan:
     return _frozen_plan(spans, np.mod(j[keep], G), theta[keep], ev, g0[arc_of])
 
 
-def _mirrored_level0(resolution: int) -> _WindowPlan | None:
-    """The mirrored plan of level 0 on j/resolution, built from theta >= 0,
-    or None if theta = j/G - 1 is not exactly antisymmetric on the window."""
-    G = resolution
-    i = np.arange((G + 1) // 2, dtype=np.int64)  # j = G + i, the points with 0 <= theta < 1/2
-    theta = (G + i) / G - 1.0
+def _mirrored_level0(resolution: int) -> _WindowPlan:
+    """The mirrored plan of level 0 on j/resolution, from its points with
+    theta = i/resolution >= 0."""
+    theta = np.arange((resolution + 1) // 2) / resolution
     ev = eta_s(0, theta)
-    h = int(np.flatnonzero(ev > 0.0)[-1])
-    theta, ev = theta[:h + 1], ev[:h + 1]
-    left = (G - i[1:h + 1]) / G - 1.0
-    if not np.all((left == -theta[1:]) & (left != 0.0)):
-        return None
-    arc = enumerate_arcs(0)[0]
-    return _frozen_plan(((arc, 0, h + 1),), None, theta, ev, None)
+    stop = int(np.flatnonzero(ev > 0.0)[-1]) + 1  # h + 1
+    return _frozen_plan(((enumerate_arcs(0)[0], 0, stop),), None, theta[:stop], ev[:stop], None)
 
 
 @lru_cache(maxsize=64, typed=True)
 def _eta_windows(s: int, resolution: int) -> _WindowPlan:
-    """The window plan of level s on j/resolution, cached per (s, resolution)
-    and argument type, so the level is checked before an entry is shared:
-    mirrored for level 0 when theta = j/G - 1 is exactly antisymmetric, which
-    is checked here, never assumed, and full otherwise."""
-    plan = _mirrored_level0(resolution) if _integer(s, "level s", 0) == 0 else None
-    return plan or _full_windows(s, resolution)
+    """The window plan of level s on j/resolution, a power of two (every
+    route here checks it), cached per (s, resolution) and argument type, so
+    the level is checked before an entry is shared: mirrored for level 0."""
+    s = _integer(s, "level s", 0)
+    return _full_windows(s, resolution) if s else _mirrored_level0(resolution)
 
 
 def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) -> np.ndarray:
@@ -573,30 +584,22 @@ def _add_level(out: np.ndarray, N: int, s: int,
     N sin(pi theta) is exact and 1 / (N sin(pi theta)) = 2^-n / sin(pi theta)
     bit for bit, the value fourier_M_beta computes.  |theta| < 1/2 on every
     window, so theta is already reduced.  Points with theta = 0 take the
-    direct value 1 + 0j.  On a mirrored plan (level 0) the closed form covers
+    direct value 1 + 0j.  On level 0's mirrored plan the closed form covers
     the centre and the right half only; the left half is the conjugate of
     the right half reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit
     for bit, times eta reversed, and each half is added into out as one
-    slice.  The exceptional pair (chi, beta), if given, adds its term on
-    the level's arcs a/q with q the modulus of chi, M_hat^beta_N from one
-    folded FFT per arc (_mbeta_arc_grid) read at the window's indices; on
-    the mirrored plan (a modulus of 1) those are the slices of the two
-    halves, and the term is taken off each half before eta.
+    slice.  The exceptional pair (chi, beta), if given, adds its term on the
+    arcs a/q with q the modulus of chi (at least 3, so s >= 1), M_hat^beta_N
+    from one folded FFT per arc (_mbeta_arc_grid) read at the window's
+    indices.
     """
     plan = _eta_windows(s, out.size)
     vals = np.empty(plan.theta.size, dtype=np.complex128)
     _mhat_closed(N, plan.theta, plan.inv_sin * (1.0 / N), vals)
     vals[plan.theta == 0.0] = 1.0
-    if plan.mirror:
+    if s == 0:
         h = vals.size - 1
         left = np.conjugate(vals[:0:-1])
-        if exceptional is not None and exceptional[0].modulus == 1:
-            chi, beta = exceptional
-            arc = plan.spans[0][0]
-            tau = gauss.gauss_sum_bruteforce(chi, arc.a)
-            mbeta = _mbeta_arc_grid(N, beta, arc, out.size)
-            vals -= tau * mbeta[:h + 1]
-            left -= tau * mbeta[out.size - h:]
         left *= plan.eta[:0:-1]
         out[out.size - h:] += left
         vals *= plan.eta
@@ -618,6 +621,7 @@ def nu_n_s_grid(n: int, s: int, resolution: int,
     """nu_n^s sampled at j/resolution: one pass over the level's window plan
     (_eta_windows, cached per (s, resolution)) into a fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
+    _exceptional_pair(exceptional)
     _add_level(out, 1 << _integer(n, "scale index n", 0), s, exceptional)
     return out
 
@@ -627,17 +631,11 @@ def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
     """nu_n sampled at j/resolution: the levels s = 0..s_max added one pass
     each into one fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    _add_levels(out, 1 << _integer(n, "scale index n", 0), _integer(s_max, "s_max", 0),
-                exceptional)
-    return out
-
-
-def _add_levels(out: np.ndarray, N: int, s_max: int,
-                exceptional: tuple[DirichletCharacter, float] | None) -> None:
-    """Add nu_n^s for s = 0..s_max at j/len(out) into out, N = 2^n, one
-    level pass each."""
+    N, s_max = 1 << _integer(n, "scale index n", 0), _integer(s_max, "s_max", 0)
+    _exceptional_pair(exceptional)
     for s in range(s_max + 1):
         _add_level(out, N, s, exceptional)
+    return out
 
 
 def pi_n_t_grid(n: int, t: float, resolution: int) -> np.ndarray:
@@ -646,31 +644,33 @@ def pi_n_t_grid(n: int, t: float, resolution: int) -> np.ndarray:
     return nu_n_grid(n, resolution, s_max=_levels_for_t(t))
 
 
-def _remainder_grids(t: float, ns, resolution: int, table: PrimeTable):
-    """m_{2^n} - Pi_n^t at j/resolution for each n in ns (each n >= t): the
-    bits of prime_multiplier_grid(2^n, ...) - pi_n_t_grid(n, t, ...).
+def _remainder_grids(ns, resolution: int, table: PrimeTable, s_max: int,
+                     exceptional: tuple[DirichletCharacter, float] | None = None):
+    """(m_{2^n} - nu_n, nu_n) at j/resolution for each n in ns: the bits of
+    prime_multiplier_grid(2^n, ...) - nu_n_grid(n, ..., s_max, exceptional)
+    and of that nu_n_grid, whose arguments the caller checks.  With s_max =
+    floor(sqrt(t)) and each n >= t, nu_n is Pi_n^t.
 
-    The window plans of the levels s <= sqrt(t) are built at the call,
-    before the two grid buffers that every scale then reuses: m_{2^n} is
-    folded and transformed in place in one, Pi_n^t is added level by level
-    into the other, zeroed per scale, and their difference is written over
-    the first.  The grid yielded for a scale is that buffer, so it holds
-    only until the next is drawn, and the consumer may write over it.
+    The window plans are built at the call, then two grid buffers serve
+    every scale: m_{2^n} is folded and transformed in place in one, nu_n is
+    added level by level into the other, and m - nu is written over the
+    first.  A scale's pair holds until the next is drawn, and the consumer
+    may write over both.
     """
     G = _check_resolution(resolution)
-    s_max = _levels_for_t(t)
     for s in range(s_max + 1):
         _eta_windows(s, G)
     m = np.empty(G, dtype=np.complex128)
-    pi = np.empty(G, dtype=np.complex128)
+    nu = np.empty(G, dtype=np.complex128)
 
     def grids():
         for n in ns:
             k = prime_kernel(1 << n, table, weighted=True)
             _folded_transform(k.sites, k.weights, G, out=m)
-            pi.fill(0.0)
-            _add_levels(pi, 1 << n, s_max, None)
-            yield np.subtract(m, pi, out=m)
+            nu.fill(0.0)
+            for s in range(s_max + 1):
+                _add_level(nu, 1 << n, s, exceptional)
+            yield np.subtract(m, nu, out=m), nu
 
     return grids()
 
@@ -681,17 +681,18 @@ def _remainder_grids(t: float, ns, resolution: int, table: PrimeTable):
 def approximation_error(n: int, resolution: int, table: PrimeTable,
                         s_max: int = DEFAULT_S_MAX,
                         exceptional: tuple[DirichletCharacter, float] | None = None) -> float:
-    """E(n) = max over the grid of |m_{2^n} - nu_n|.
+    """E(n) = max over the grid of |m_{2^n} - nu_n|, from _remainder_grids.
 
     The resolution must be a power of two, at least 2^(n/2); the theory makes
     E(n) decay like exp(-c sqrt(n)), which the acceptance suite checks as a
     trend E(n+4) < E(n).
     """
-    nu = nu_n_grid(n, resolution, s_max=s_max, exceptional=exceptional)
-    if resolution < 2 ** (n / 2):
+    n, s_max = _integer(n, "scale index n", 0), _integer(s_max, "s_max", 0)
+    _exceptional_pair(exceptional)
+    if 2 * (_check_resolution(resolution).bit_length() - 1) < n:  # G < 2^(n/2)
         raise DomainError("grid resolution must be at least 2^(n/2)")
-    m = prime_multiplier_grid(1 << n, resolution, table)
-    return float(np.max(np.abs(m - nu)))
+    remainder, _ = next(_remainder_grids([n], resolution, table, s_max, exceptional))
+    return float(np.max(np.abs(remainder)))
 
 
 def partial_summation_bracket(N: int, table: PrimeTable) -> float:

@@ -5,6 +5,7 @@ such that the character is constant on unit residues that agree mod d.
 The L-series oracle is mpmath's Hurwitz zeta summed against the values.
 """
 
+import functools
 import math
 
 import mpmath
@@ -138,19 +139,24 @@ def test_equality_compares_phases_not_memos():
     assert quartic != 5
 
 
+@functools.lru_cache(maxsize=None)
+def _hurwitz_term(q: int, a: int, s: float):
+    """The 40-digit term of unit a in L(s, chi) = sum chi(a) term(q, a, s):
+    zeta(s, a/q) q^-s, or -psi(a/q)/q at s = 1 exactly, where the Hurwitz
+    pole residues cancel and L(1, chi) = -(1/q) sum chi(a) psi(a/q).  It does
+    not depend on chi, so each is computed once for every character mod q."""
+    with mpmath.workdps(40):
+        if s == 1.0:
+            return -mpmath.digamma(mpmath.mpf(a) / q) / q
+        return mpmath.zeta(s, mpmath.mpf(a) / q) * mpmath.power(q, -s)
+
+
 def _l_oracle(chi, s: float) -> complex:
     q = chi.modulus
     with mpmath.workdps(40):
         acc = mpmath.mpc(0)
         for a in chi.unit_residues():
-            v = mpmath.mpc(chi(int(a)))
-            if s == 1.0:
-                # the Hurwitz pole residues cancel; at s = 1 exactly use
-                # L(1, chi) = -(1/q) sum chi(a) psi(a/q)
-                acc -= v * mpmath.digamma(mpmath.mpf(int(a)) / q) / q
-            else:
-                acc += v * mpmath.zeta(s, mpmath.mpf(int(a)) / q) \
-                    * mpmath.power(q, -s)
+            acc += mpmath.mpc(chi(int(a))) * _hurwitz_term(q, int(a), s)
         return complex(acc)
 
 

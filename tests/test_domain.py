@@ -4,7 +4,9 @@ Each case is one call that once died with a raw TypeError, ValueError,
 IndexError or ArithmeticError, accepted a bool or a float as an integer,
 or returned a number (nan, inf or 0.0 among them) for a nan or infinite
 input.  The integer and finite rules
-they now go through live in ntheory (_integer, _finite).
+they now go through live in ntheory (_integer, _finite).  The exceptional
+pairs below were accepted, or met only on an arc of their modulus, before
+the pair rule of multipliers (_exceptional_pair) checked them at entry.
 """
 
 import math
@@ -17,12 +19,14 @@ import primeavg.gauss as ga
 import primeavg.maximal as mx
 import primeavg.multipliers as mp
 import primeavg.ntheory as nt
-from primeavg.characters import enumerate_quadratic_characters
+from primeavg.characters import (enumerate_characters, enumerate_quadratic_characters,
+                                 principal_character)
 from primeavg.orlicz import StepRearrangement, phi_weight
 
 _SHIFT = er.DynamicalSystem.shift(5)
 _HALF = er.interval_indicator(0.0, 0.5)
 _CHI = enumerate_quadratic_characters(5)[0]
+_CHI_COMPLEX = next(chi for chi in enumerate_characters(5) if chi.kind == "other")
 _STEPS = StepRearrangement(values=np.array([2.0, 1.0]), measures=np.array([0.25, 0.5]))
 
 
@@ -78,6 +82,16 @@ _CASES = {
                                                     mp.nu_n_s_grid(0, False, 64)),
     "factorize-true": lambda t: nt.factorize(True),
     "lambda-grid-true": lambda t: mx.default_lambda_grid(True),
+    # an exceptional pair is (real non-principal chi, beta in [1/2, 1))
+    "nu-grid-pair-beta-nan": lambda t: mp.nu_n_grid(8, 1024, 1, (_CHI, math.nan)),
+    "approximation-error-pair-beta-7": lambda t: mp.approximation_error(
+        8, 1024, t, 1, (_CHI, 7.0)),
+    "nu-s-grid-pair-principal-mod-1": lambda t: mp.nu_n_s_grid(
+        3, 0, 64, (principal_character(1), 0.7)),
+    "nu-s-pair-principal-mod-5": lambda t: mp.nu_n_s(3, 2, 0.4, (principal_character(5), 0.9)),
+    "approximant-pair-complex-mod-5": lambda t: mp.approximant_hat(
+        2, 5, 16, 0.01, (_CHI_COMPLEX, 0.9)),
+    "approximant-bare-character": lambda t: mp.approximant_hat(2, 5, 16, 0.01, _CHI),
     "integer-rule-bool": lambda t: nt._integer(True, "n", 0),
     "integer-rule-numpy-bool": lambda t: nt._integer(np.True_, "n", 0),
 }

@@ -316,6 +316,14 @@ def test_residue_equidistribution_domain(rng):
     assert out["ratio"] > 0
 
 
+def test_residue_level_past_the_float_range(rng):
+    # 2^(4s) is no float past s = 255; eta_s is [xi = 0] there, at any level
+    f = mx.random_signal(rng, 32, complex_values=False)
+    out = mx.residue_equidistribution(f, 4, 1, 256, 0.9, 3, 64)
+    assert math.isfinite(out["ratio"])
+    assert mx.residue_equidistribution(f, 4, 1, 1000, 0.9, 3, 64) == {**out, "s": 1000}
+
+
 @pytest.mark.parametrize("resolution", [0, -8, 1000, 1024.0])
 def test_explicit_grid_must_be_positive_power_of_two(table_small, rng, resolution):
     f = mx.random_signal(rng, 32, complex_values=False)

@@ -13,8 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import primeavg.multipliers as mp
-from primeavg.characters import (enumerate_quadratic_characters, principal_character,
-                                 synthetic_exceptional)
+from primeavg.characters import enumerate_quadratic_characters, synthetic_exceptional
 from primeavg.ntheory import DomainError, sieve_primes
 
 
@@ -130,6 +129,18 @@ def test_fourier_m_beta_and_eta_domain(call):
 def test_eta_s_is_zero_far_out_without_overflow():
     assert mp.eta_s(40, 1e300) == 0.0
     assert np.array_equal(mp.eta_s(3, np.array([-1e308, 2.0, 1.0])), np.zeros(3))
+    # up to s = 255 the scale 2^(4s) is a float, and eta_s is eta of the
+    # scaled |xi|; past it no overflow, and from s = 269 on eta_s is [xi = 0]
+    rng = np.random.default_rng(3)
+    for s in (0, 2, 64, 255):
+        x = np.concatenate([[0.0, 5e-324, 1e300, -1e300],
+                            rng.uniform(-2.0, 2.0, 64) * 2.0 ** (-4 * s)])
+        want = mp.eta(np.minimum(np.abs(x), 1.0) * 2.0 ** (4 * s))
+        assert np.array_equal(mp.eta_s(s, x), want), s
+    assert mp.eta_s(256, 0.1) == 0.0
+    assert mp.eta_s(256, 5e-324) == 1.0  # 2^-1074 2^1024 = 2^-50 < 1/4
+    x = np.array([0.0, 5e-324, -0.1, 1e300])
+    assert np.array_equal(mp.eta_s(1000, x), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_prime_multiplier_grid_matches_pointwise(table_small):
@@ -310,7 +321,7 @@ def test_level_pass_equals_public_closed_form_bit_for_bit(s, G):
 def test_only_an_exactly_antisymmetric_plan_is_mirrored():
     G = 1 << 12
     plan = mp._eta_windows(0, G)
-    assert plan.mirror
+    assert plan.idx is None and plan.g0 is None
     # it holds the definition's points with theta >= 0, point i at index i;
     # their mirror images are the definition's points with theta < 0
     h = plan.theta.size - 1
@@ -323,10 +334,7 @@ def test_only_an_exactly_antisymmetric_plan_is_mirrored():
     assert np.array_equal(idx[theta < 0], G - right[:0:-1])
     assert np.array_equal(theta[theta < 0], -plan.theta[right[:0:-1]])
     assert np.array_equal(ev[theta < 0], plan.eta[right[:0:-1]])
-    _, theta48, _ = _level0_window(48)
-    assert not np.array_equal(theta48, -theta48[::-1])  # j/48 - 1 is rounded
-    assert not mp._eta_windows(0, 48).mirror
-    assert not mp._eta_windows(2, G).mirror
+    assert mp._eta_windows(2, G).idx is not None
 
 
 @pytest.mark.parametrize("n", [-1, 2.5])
@@ -407,28 +415,6 @@ def test_injected_nu_grid_matches_pointwise(q):
         assert np.max(np.abs(grid - direct)) <= 1e-12
 
 
-def test_modulus_one_pair_on_the_mirrored_level0_plan():
-    # a pair of modulus 1 puts its term on the level-0 arc 1/1; the mirrored
-    # plan takes it off each half by slices, with the bits of the level's
-    # window from the definition: (G(1_1, 1) M_hat_N - tau M_hat^beta_N) eta
-    chi = principal_character(1)
-    pair = (chi, 0.7)
-    arc = mp.enumerate_arcs(0)[0]
-    tau = mp.gauss.gauss_sum_bruteforce(chi, arc.a)
-    for G in [1 << 4, 1 << 10]:
-        assert mp._eta_windows(0, G).mirror
-        idx, theta, ev = _level0_window(G)
-        xi = np.arange(G) / G
-        for n in [0, 3, 7]:
-            mbeta = mp._mbeta_arc_grid(1 << n, 0.7, arc, G)
-            want = np.zeros(G, dtype=np.complex128)
-            want[idx] += (1.0 * mp.fourier_M_beta(1 << n, 1.0, theta) - tau * mbeta[idx]) * ev
-            grid = mp.nu_n_s_grid(n, 0, G, pair)
-            assert np.array_equal(grid.view(np.uint64), want.view(np.uint64)), (G, n)
-            assert np.max(np.abs(grid - mp.nu_n_s(n, 0, xi, pair))) <= 1e-12
-            assert np.max(np.abs(grid - mp.nu_n_s_grid(n, 0, G))) > 1e-3
-
-
 def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
     # dyadic centres a/q make theta = j/G - a/q exact, so the folded FFT and
     # the direct sum of fourier_M_beta see the same frequencies
@@ -439,7 +425,7 @@ def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
         for arc, lo, hi in plan.spans:
             if arc.q & (arc.q - 1):
                 continue
-            if plan.mirror:  # level 0 holds theta >= 0 only; take its window
+            if s == 0:  # level 0 holds theta >= 0 only; take its window
                 idx, theta, _ = _level0_window(G)
             else:
                 idx, theta = plan.idx[lo:hi], plan.theta[lo:hi]
@@ -505,6 +491,16 @@ def test_approximant_exceptional_modulus_must_match():
 def test_approximation_error_frozen_value(table_small):
     e8 = mp.approximation_error(8, 1 << 14, table_small)
     assert e8 == pytest.approx(0.347062, abs=5e-6)
+
+
+def test_approximation_error_equals_public_grids_bit_for_bit(table_small):
+    # the remainder route against the two public grids it subtracts
+    G = 1 << 12
+    for pair in [None, synthetic_exceptional(5, 0.9)]:
+        for n in [8, 12, 16]:
+            want = np.max(np.abs(mp.prime_multiplier_grid(1 << n, G, table_small)
+                                 - mp.nu_n_grid(n, G, 3, pair)))
+            assert mp.approximation_error(n, G, table_small, 3, pair) == want, (pair, n)
 
 
 def test_approximation_error_domain(table_small):
