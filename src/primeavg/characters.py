@@ -275,6 +275,7 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 
 _EM_K = 28          # directly summed terms
 _EM_J = 11          # Euler-Maclaurin correction depth
+_HEAD_BLOCK = 1 << 15  # powers (x+k)^(-s) of the Hurwitz head formed at once
 _EM_COEF = [float(Fraction(b) / math.factorial(2 * j))
             for j, b in enumerate([Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
                                    Fraction(-1, 30), Fraction(5, 66),
@@ -292,6 +293,21 @@ def _phi1m(u: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + u / 2.0, np.expm1(safe) / safe)
 
 
+def _hurwitz_head(x: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """The directly summed head sum_{k<K} (x_j + k)^(-s_i), as an (m, u) block.
+
+    Summed over blocks of s-rows that hold at most _HEAD_BLOCK powers, never
+    one (m, u, K) array; each row's powers and its sum over k are the ones
+    that array would give, so the blocking moves no bit.
+    """
+    xk = x[:, None] + np.arange(_EM_K, dtype=np.float64)  # (u, K)
+    head = np.empty((sv.shape[0], x.size))
+    step = max(1, _HEAD_BLOCK // xk.size)
+    for i in range(0, sv.shape[0], step):
+        head[i:i + step] = (xk ** (-sv[i:i + step, :, None])).sum(axis=2)
+    return head
+
+
 def _hurwitz_block(q: int, units: np.ndarray, s: np.ndarray) -> np.ndarray:
     """zeta(s_i, a_j/q) - 1/(s_i - 1) by Euler-Maclaurin, as an (m, u) block.
 
@@ -302,10 +318,7 @@ def _hurwitz_block(q: int, units: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     sv = s[:, None]  # (m, 1)
     x = units.astype(np.float64) / q  # (u,)
-
-    # directly summed head: sum_{k<K} (x+k)^(-s)
-    k = np.arange(_EM_K, dtype=np.float64)
-    base = ((x[None, :, None] + k[None, None, :]) ** (-sv[:, :, None])).sum(axis=2)
+    base = _hurwitz_head(x, sv)
 
     y = x[None, :] + _EM_K
     logy = np.log(y)

@@ -1,11 +1,11 @@
 """Command-line surface: experiment sweeps with deterministic reports.
 
 Every subcommand validates its flags, computes a report, and writes it as
-CSV or JSON.  Reports are byte-identical across reruns and thread counts:
-work units are mapped in a fixed order, floats are printed with 17
-significant digits, and JSON keys are sorted.  Exit codes: 0 success,
-1 usage or input error (one stderr line, no report), 2 measured-constant
-drift or verification failure.
+CSV or JSON, row by row as the rows are computed.  Reports are
+byte-identical across reruns and thread counts: work units are mapped in a
+fixed order, floats are printed with 17 significant digits, and JSON keys
+are sorted.  Exit codes: 0 success, 1 usage or input error (one stderr
+line, no report), 2 measured-constant drift or verification failure.
 
 Frozen constants live in a JSON fixture (--fixtures, taken by the two
 subcommands that measure one: weak-type-sweep and residue-equidist); a
@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import numbers
+import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -78,36 +81,76 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parallel(fn, items, threads: int) -> list:
+def _parallel(fn, items, threads: int):
+    """fn over items, yielded in order as each result is drawn: at one
+    thread fn runs only when its result is drawn, and on more it runs ahead
+    in a pool."""
     if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+        yield from ex.map(fn, items)
 
 
-def _write_report(args, meta: dict, columns: list[str], rows: list[list],
-                  summary: dict) -> None:
-    srows = [[_fmt(c) for c in row] for row in rows]
+def _write_report(args, meta: dict, columns: list[str], rows, summary: dict) -> None:
+    """Write one report to --out or stdout, row by row.
+
+    The meta lines and the columns go first, then each row of the iterable
+    `rows` is formatted and written as it is drawn, then the summary, which
+    is read only once the rows are used up, so a command may fill it while
+    they stream.  Nothing is opened before the first row has been drawn, so
+    a check that fails there leaves no report; a failure after it removes a
+    partial --out if that is a regular file.  The bytes are those of the
+    csv module over the whole report, or of json.dumps(doc, sort_keys=True,
+    indent=2) + newline.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        rows = itertools.chain([first], rows)
+    if not args.out:
+        _emit(sys.stdout, args.format, meta, columns, rows, summary)
+        return
+    with open(args.out, "w") as fh:
+        try:
+            _emit(fh, args.format, meta, columns, rows, summary)
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.unlink(args.out)
+            raise
+
+
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _json_item(value, depth: int) -> str:
+    """value as json.dumps(..., sort_keys=True, indent=2) writes it at the
+    given nesting depth: its own text, each line after the first indented."""
+    return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
+
+
+def _emit(fh, fmt: str, meta: dict, columns: list[str], rows, summary: dict) -> None:
     smeta = {k: _fmt(v) for k, v in sorted(meta.items())}
-    ssum = {k: _fmt(v) for k, v in sorted(summary.items())}
-    if args.format == "json":
-        doc = {"meta": smeta, "columns": columns, "rows": srows,
-               "summary": ssum}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        for k, v in smeta.items():
-            w.writerow([f"# {k}", v])
-        w.writerow(columns)
-        w.writerows(srows)
-        for k, v in ssum.items():
-            w.writerow([f"# {k}", v])
-        text = buf.getvalue()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if fmt == "json":
+        fh.write('{\n  "columns": ' + _json_item(columns, 1)
+                 + ',\n  "meta": ' + _json_item(smeta, 1) + ',\n  "rows": [')
+        empty = True
+        for row in rows:
+            fh.write(("\n    " if empty else ",\n    ")
+                     + _json_item([_fmt(c) for c in row], 2))
+            empty = False
+        ssum = {k: _fmt(v) for k, v in sorted(summary.items())}
+        fh.write(("]" if empty else "\n  ]")
+                 + ',\n  "summary": ' + _json_item(ssum, 1) + "\n}\n")
+        return
+    w = csv.writer(fh, lineterminator="\n")
+    for k, v in smeta.items():
+        w.writerow([f"# {k}", v])
+    w.writerow(columns)
+    for row in rows:
+        w.writerow(map(_fmt, row))
+    for k, v in sorted(summary.items()):
+        w.writerow([f"# {k}", _fmt(v)])
 
 
 def _check_frozen(args, key: str, value: float) -> int:
@@ -146,17 +189,30 @@ def _require_min(args, flag: str, low: int) -> None:
 
 def _cmd_gauss_verify(args) -> int:
     _require_min(args, "--q-max", 1)
-    qs = list(range(1, args.q_max + 1))
-    parts = _parallel(lambda q: list(verify_quadratic_rows(q, q_min=q)), qs,
-                      args.threads)
-    rows = [row for part in parts for row in part]
-    failures = sum(1 for row in rows if not row[4])
-    summary = {"checks": len(rows), "failures": failures,
-               "max_err": max((row[3] for row in rows), default=0.0)}
+    # the audit checks its bounds when called, so a q_max past ENUM_CAP
+    # fails here, before any modulus runs
+    verify_quadratic_rows(args.q_max)
+    parts = _parallel(lambda q: list(verify_quadratic_rows(q, q_min=q)),
+                      range(1, args.q_max + 1), args.threads)
+    summary = {}
+
+    def rows():
+        checks = failures = 0
+        max_err = None  # max(..., default=0.0): the first, then any larger
+        for part in parts:
+            for row in part:
+                checks += 1
+                failures += not row[4]
+                if max_err is None or row[3] > max_err:
+                    max_err = row[3]
+                yield row
+        summary.update(checks=checks, failures=failures,
+                       max_err=0.0 if max_err is None else max_err)
+
     meta = {"command": "gauss-verify", "q_max": args.q_max, "seed": args.seed}
     _write_report(args, meta, ["q", "q0", "point", "abs_err", "pass"],
-                  rows, summary)
-    return 0 if failures == 0 else 2
+                  rows(), summary)
+    return 0 if summary["failures"] == 0 else 2
 
 
 def _cmd_multiplier_error(args) -> int:
@@ -168,10 +224,10 @@ def _cmd_multiplier_error(args) -> int:
     if args.inject_beta is not None:
         exceptional = synthetic_exceptional(args.inject_q, args.inject_beta)
     table = sieve_primes((1 << args.n_max) + 1)
-    vals = _parallel(
+    vals = list(_parallel(
         lambda n: approximation_error(n, args.grid, table, s_max=args.s_max,
                                       exceptional=exceptional),
-        ns, args.threads)
+        ns, args.threads))
     columns = ["n", "grid", "s_max", "sup_error"]
     rows = [[n, args.grid, args.s_max, v] for n, v in zip(ns, vals)]
     by_n = dict(zip(ns, vals))
@@ -234,7 +290,7 @@ def _cmd_lp_sweep(args) -> int:
         ratios = maximal.lp_maximal_ratios(f, args.p_list, args.n_max, table)
         return [(seed, p, r) for p, r in zip(args.p_list, ratios)]
 
-    results = _parallel(unit, list(range(args.seed, args.seed + args.seeds)),
+    results = _parallel(unit, range(args.seed, args.seed + args.seeds),
                         args.threads)
     rows = [list(r) for part in results for r in part]
     worst: dict[float, float] = {}
@@ -261,7 +317,7 @@ def _cmd_residue(args) -> int:
             resolution=args.resolution)
         return [out["r"], out["weak_norm"], out["l1_norm"], out["ratio"]]
 
-    rows = _parallel(unit, list(range(1, args.q + 1)), args.threads)
+    rows = list(_parallel(unit, range(1, args.q + 1), args.threads))
     ratios = [row[3] for row in rows]
     summary = {"max_ratio": max(ratios), "min_ratio": min(ratios),
                "spread": max(ratios) / min(ratios) if min(ratios) > 0 else np.inf}
@@ -308,7 +364,7 @@ def _cmd_ergodic(args) -> int:
                 for n, (N, v, d, dd) in enumerate(
                     zip(tr.scales, tr.values, tr.diffs, dist), start=1)]
 
-    results = _parallel(unit, starts, args.threads)
+    results = list(_parallel(unit, starts, args.threads))
     rows = [r for part in results for r in part]
     finals = [part[-1][5] for part in results]
     summary = {"starts": len(starts),
@@ -459,6 +515,8 @@ def run(argv=None) -> int:
             raise DomainError("--threads must be >= 1")
         if getattr(args, "refreeze", False) and not args.fixtures:
             raise DomainError("--refreeze needs --fixtures")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise DomainError(f"--out directory of {args.out} does not exist")
         return args.fn(args)
     except (DomainError, CapacityError, OSError, ValueError) as e:
         sys.stderr.write(f"primeavg: error: {e}\n")

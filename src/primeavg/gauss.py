@@ -45,8 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import DirichletCharacter, conductor
-from .ntheory import DomainError, _integer, divisors, euler_phi, is_squarefree, mobius
+from .characters import (ENUM_CAP, DirichletCharacter, conductor,
+                         enumerate_quadratic_characters, principal_character)
+from .ntheory import (CapacityError, DomainError, _integer, divisors, euler_phi,
+                      is_squarefree, mobius)
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -277,37 +279,45 @@ def _abs_err(closed: np.ndarray, brute: np.ndarray) -> np.ndarray:
 def _quadratic_audit(q_min: int, q_max: int):
     """The one comparison loop behind verify_quadratic_range and _rows.
 
-    Checks the arguments of both, then for every modulus q_min <= q <= q_max
-    and every character with chi^2 principal (the principal character
-    first) yields a _CharacterAudit.  Each closed form is called once per
-    character, on the array of units or on every x in [0, q).
+    Checks the arguments of both when called, before any modulus is
+    audited: integers 1 <= q_min <= q_max, and q_max at most ENUM_CAP, the
+    enumeration cap of characters.  Returns an iterator that, for every
+    modulus q_min <= q <= q_max, yields a _CharacterAudit per character with
+    chi^2 principal (the principal character first).
     """
-    from .characters import enumerate_quadratic_characters, principal_character
-
     q_min = _integer(q_min, "q_min", 1)
-    for q in range(q_min, _integer(q_max, "q_max", q_min) + 1):
-        xs = np.arange(q)
-        roots = roots_of_unity(q)
-        mat = roots[np.outer(xs, xs) % q]
-        chars = [principal_character(q)] + enumerate_quadratic_characters(q)
-        for index, chi in enumerate(chars):
-            units = chi.unit_residues()
-            g_brute = gauss_sum_bruteforce_all(chi)
-            gvec = np.zeros(q, dtype=np.complex128)
-            gvec[units] = g_brute[units]
-            expsum = gauss_exponential_sum(chi, xs)
-            dec = conductor(chi)
-            q0 = dec.conductor
-            t = tau(dec.primitive_char)
-            yield _CharacterAudit(
-                q, index, chi, q0, g_brute, units,
-                gauss=_abs_err(gauss_sum_closed(chi, units), g_brute[units]),
-                twisted=_abs_err(twisted_character_sum_closed(chi, xs),
-                                 mat @ chi.values),
-                expsum=_abs_err(expsum, mat @ gvec),
-                vanish=expsum == 0,
-                tau=abs(abs(t) - math.sqrt(q0)),
-                tau_sq=abs(t * t - q0 * complex(dec.primitive_char(-1))))
+    q_max = _integer(q_max, "q_max", q_min)
+    if q_max > ENUM_CAP:
+        raise CapacityError(f"audit modulus {q_max} exceeds cap {ENUM_CAP}")
+    return (au for q in range(q_min, q_max + 1) for au in _modulus_audit(q))
+
+
+def _modulus_audit(q: int):
+    """The _CharacterAudit of each character of _quadratic_audit at one
+    modulus q.  Each closed form is called once per character, on the array
+    of units or on every x in [0, q)."""
+    xs = np.arange(q)
+    roots = roots_of_unity(q)
+    mat = roots[np.outer(xs, xs) % q]
+    chars = [principal_character(q)] + enumerate_quadratic_characters(q)
+    for index, chi in enumerate(chars):
+        units = chi.unit_residues()
+        g_brute = gauss_sum_bruteforce_all(chi)
+        gvec = np.zeros(q, dtype=np.complex128)
+        gvec[units] = g_brute[units]
+        expsum = gauss_exponential_sum(chi, xs)
+        dec = conductor(chi)
+        q0 = dec.conductor
+        t = tau(dec.primitive_char)
+        yield _CharacterAudit(
+            q, index, chi, q0, g_brute, units,
+            gauss=_abs_err(gauss_sum_closed(chi, units), g_brute[units]),
+            twisted=_abs_err(twisted_character_sum_closed(chi, xs),
+                             mat @ chi.values),
+            expsum=_abs_err(expsum, mat @ gvec),
+            vanish=expsum == 0,
+            tau=abs(abs(t) - math.sqrt(q0)),
+            tau_sq=abs(t * t - q0 * complex(dec.primitive_char(-1))))
 
 
 def verify_quadratic_range(q_max: int) -> list[dict]:
@@ -357,13 +367,18 @@ def verify_quadratic_range(q_max: int) -> list[dict]:
 def verify_quadratic_rows(q_max: int, q_min: int = 1):
     """Per-check rows of the quadratic-character audit, for report emission.
 
-    Yields (q, q0, point, abs_err, ok) tuples, one per comparison: point is
-    'a=<n>' for the Gauss closed form at each unit, then 'S x=<n>' for the
-    twisted sum and 'E x=<n>' for the exponential sum at each x in turn,
-    then 'tau'/'tau^2' for the primitive laws.  ok means
-    abs_err <= _TOL_SCALE * q.
+    Returns an iterator of (q, q0, point, abs_err, ok) tuples, one per
+    comparison: point is 'a=<n>' for the Gauss closed form at each unit,
+    then 'S x=<n>' for the twisted sum and 'E x=<n>' for the exponential sum
+    at each x in turn, then 'tau'/'tau^2' for the primitive laws.  ok means
+    abs_err <= _TOL_SCALE * q.  The bounds are checked when called, as
+    _quadratic_audit checks them; the rows are computed as they are drawn.
     """
-    for au in _quadratic_audit(q_min, q_max):
+    return _audit_rows(_quadratic_audit(q_min, q_max))
+
+
+def _audit_rows(audits):
+    for au in audits:
         q, q0 = au.q, au.q0
         tol = _TOL_SCALE * q
         for a, err in zip(au.units.tolist(), au.gauss.tolist()):

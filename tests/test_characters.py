@@ -7,6 +7,7 @@ The L-series oracle is mpmath's Hurwitz zeta summed against the values.
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -251,6 +252,34 @@ def test_zero_scan_shared_block_is_the_l_function(q):
     res = ch.exceptional_zero_scan(q)
     assert not res.found
     assert res.min_abs_l == min(float(np.min(np.abs(v))) for v in direct)
+
+
+@pytest.mark.parametrize("q", range(3, 61))
+def test_blocked_hurwitz_head_is_the_one_array_sum(q):
+    # the head written as one (m, u, K) power array summed over k; at 512
+    # points it takes several blocks of s-rows, the last one short
+    units = np.flatnonzero(ch._group_data(q).unit_mask)
+    x = units.astype(np.float64) / q
+    k = np.arange(ch._EM_K, dtype=np.float64)
+    for points in (512, 1, 37):
+        grid = np.linspace(max(0.5, 1.0 - 1.0 / math.log(q)), 1.0, points + 2)[1:-1]
+        sv = grid[:, None]
+        want = ((x[None, :, None] + k[None, None, :]) ** (-sv[:, :, None])).sum(axis=2)
+        assert np.array_equal(ch._hurwitz_head(x, sv), want), (q, points)
+
+
+def test_zero_scan_peak_stays_within_its_blocks():
+    # warm: the group and character memos of q = 149 exist.  The one
+    # (512, 148, 28) head array of 17 MB is never formed; the blocks and
+    # the (512, 148) terms of the Euler-Maclaurin tail peak under 4 MB
+    ch.exceptional_zero_scan(149)
+    tracemalloc.start()
+    try:
+        ch.exceptional_zero_scan(149)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 << 20, peak
 
 
 def test_synthetic_pair_is_explicit_opt_in():

@@ -4,9 +4,14 @@ Everything runs in-process with small parameter choices; reports land in
 tmp_path and are parsed back to check structure and determinism.
 """
 
+import argparse
 import contextlib
+import csv
 import io
 import json
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import primeavg.cli as cli
+import primeavg.gauss as gs
 import primeavg.orlicz as oz
 
 
@@ -279,6 +285,136 @@ def test_stdout_report_when_no_out(capsys):
     assert _run("orlicz-norm", "--input", "/dev/null") == 0
     text = capsys.readouterr().out
     assert "# command,orlicz-norm" in text
+
+
+# --- the streaming writer ---
+
+# a field with a comma, a double quote and non-ASCII text, as a file name
+# that orlicz-norm copies into its meta may hold
+_ODD = 'steps, "v2" é ü 漢.csv'
+
+
+def _whole_report(fmt, meta, columns, rows, summary) -> str:
+    """The report built whole, from materialized lists: the csv module over
+    every line, or one json.dumps of the document."""
+    srows = [[cli._fmt(c) for c in row] for row in rows]
+    smeta = {k: cli._fmt(v) for k, v in sorted(meta.items())}
+    ssum = {k: cli._fmt(v) for k, v in sorted(summary.items())}
+    if fmt == "json":
+        doc = {"meta": smeta, "columns": columns, "rows": srows, "summary": ssum}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerows([f"# {k}", v] for k, v in smeta.items())
+    w.writerow(columns)
+    w.writerows(srows)
+    w.writerows([f"# {k}", v] for k, v in ssum.items())
+    return buf.getvalue()
+
+
+_WRITER_ROWS = {
+    "no-rows": [],
+    "one-row": [[1, 0.1, True]],
+    "odd-fields": [[np.int64(3), "a,b", 'say "hi"'], [2.5, _ODD, -0.0],
+                   [False, "", 1 - 2j]],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(_WRITER_ROWS))
+def test_streamed_report_is_the_whole_report(tmp_path, capsys, fmt, case):
+    rows = _WRITER_ROWS[case]
+    meta = {"command": "oracle", "input": _ODD, "n": 3}
+    columns = ["a", "b,c", 'd"e']
+    summary = {}
+
+    def stream():
+        yield from rows
+        # the writer reads the summary only after the last row
+        summary.update(rows=len(rows), note=_ODD)
+
+    want = _whole_report(fmt, meta, columns, rows, {"rows": len(rows), "note": _ODD})
+    out = tmp_path / "r"
+    cli._write_report(argparse.Namespace(format=fmt, out=str(out)), meta, columns,
+                      stream(), summary)
+    assert out.read_text() == want
+    summary.clear()
+    cli._write_report(argparse.Namespace(format=fmt, out=None), meta, columns,
+                      stream(), summary)
+    assert capsys.readouterr().out == want
+
+
+def test_orlicz_meta_carries_any_input_path(tmp_path):
+    inp = tmp_path / _ODD
+    inp.write_text("3,0.25\n1,0.5\n")
+    out = tmp_path / "r"
+    assert _run("orlicz-norm", "--input", str(inp), "--format", "json",
+                "--out", str(out)) == 0
+    assert _read_json(out)["meta"]["input"] == str(inp)
+    assert _run("orlicz-norm", "--input", str(inp), "--out", str(out)) == 0
+    with out.open(newline="") as fh:
+        assert ["# input", str(inp)] in list(csv.reader(fh))
+
+
+def _two_rows_then_failure(q_max, q_min=1):
+    """A stand-in audit: modulus 1 gives two rows, modulus 2 fails."""
+    if q_min > 1:
+        raise cli.DomainError("audit failed at modulus 2")
+    yield 1, 1, "a=0", 0.0, True
+    yield 1, 1, "tau", 0.0, True
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_stream_leaves_no_report(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "verify_quadratic_rows", _two_rows_then_failure)
+    out = tmp_path / "r"
+    assert _run("gauss-verify", "--q-max", "3", "--format", fmt, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "primeavg: error: audit failed at modulus 2\n"
+    assert not out.exists()
+
+
+def test_failed_stream_never_removes_a_device(monkeypatch):
+    removed = []
+    monkeypatch.setattr(cli, "verify_quadratic_rows", _two_rows_then_failure)
+    monkeypatch.setattr(os, "unlink", removed.append)
+    assert _run("gauss-verify", "--q-max", "3", "--out", os.devnull) == 1
+    assert removed == []
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q-max", "60", "--out", "{tmp}/missing/r.csv"],
+    ["--q-max", "2000000", "--out", "{tmp}/r.csv"],
+])
+def test_gauss_verify_input_errors_come_before_any_modulus(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    # every modulus of the audit starts with its roots of unity
+    def audited(q):
+        raise AssertionError(f"modulus {q} audited")
+
+    monkeypatch.setattr(gs, "roots_of_unity", audited)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert _run("gauss-verify", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("primeavg: error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gauss_verify_peak_stays_within_one_modulus(tmp_path, fmt):
+    # the report at q_max 60 is 0.6 MB in CSV and 1.6 MB in JSON.  Built
+    # whole, with its rows held three times, it peaked at 10.4 and 16.7 MB;
+    # streamed, only one modulus's rows are alive, and it peaks under 1 MB
+    tracemalloc.start()
+    try:
+        code = _run("gauss-verify", "--q-max", "60", "--format", fmt,
+                    "--out", str(tmp_path / "r"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2 << 20, peak
 
 
 # --- fuzzed argv ---

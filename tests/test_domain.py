@@ -7,6 +7,9 @@ input.  The integer and finite rules
 they now go through live in ntheory (_integer, _finite).  The exceptional
 pairs below were accepted, or met only on an arc of their modulus, before
 the pair rule of multipliers (_exceptional_pair) checked them at entry.
+The audit bounds below raised only once the first row was drawn, and an
+audit past characters.ENUM_CAP ran every modulus up to the cap before its
+CapacityError.
 """
 
 import math
@@ -19,8 +22,8 @@ import primeavg.gauss as ga
 import primeavg.maximal as mx
 import primeavg.multipliers as mp
 import primeavg.ntheory as nt
-from primeavg.characters import (enumerate_characters, enumerate_quadratic_characters,
-                                 principal_character)
+from primeavg.characters import (ENUM_CAP, enumerate_characters,
+                                 enumerate_quadratic_characters, principal_character)
 from primeavg.orlicz import StepRearrangement, phi_weight
 
 _SHIFT = er.DynamicalSystem.shift(5)
@@ -92,6 +95,10 @@ _CASES = {
     "approximant-pair-complex-mod-5": lambda t: mp.approximant_hat(
         2, 5, 16, 0.01, (_CHI_COMPLEX, 0.9)),
     "approximant-bare-character": lambda t: mp.approximant_hat(2, 5, 16, 0.01, _CHI),
+    # the audit checks its bounds when called, not at the first row
+    "audit-rows-q-max-0": lambda t: ga.verify_quadratic_rows(0),
+    "audit-rows-q-min-past-q-max": lambda t: ga.verify_quadratic_rows(5, q_min=6),
+    "audit-rows-q-max-4.5": lambda t: ga.verify_quadratic_rows(4.5),
     "integer-rule-bool": lambda t: nt._integer(True, "n", 0),
     "integer-rule-numpy-bool": lambda t: nt._integer(np.True_, "n", 0),
 }
@@ -101,3 +108,14 @@ _CASES = {
 def test_outside_the_domain_is_a_domain_error(call, table_small):
     with pytest.raises(nt.DomainError):
         call(table_small)
+
+
+@pytest.mark.parametrize("audit", [ga.verify_quadratic_rows, ga.verify_quadratic_range])
+def test_audit_past_the_enumeration_cap_fails_before_any_modulus(audit, monkeypatch):
+    # every modulus of the audit starts with its roots of unity
+    def audited(q):
+        raise AssertionError(f"modulus {q} audited")
+
+    monkeypatch.setattr(ga, "roots_of_unity", audited)
+    with pytest.raises(nt.CapacityError):
+        audit(ENUM_CAP + 1)
