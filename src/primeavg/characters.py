@@ -225,9 +225,7 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     generators, so repeated calls enumerate identically.  q is capped at
     ENUM_CAP.
     """
-    q = _integer(q, "q", 1)
-    if q > ENUM_CAP:
-        raise CapacityError(f"enumeration modulus {q} exceeds cap {ENUM_CAP}")
+    q = _integer(q, "q", 1, high=ENUM_CAP)
     g = _group_data(q)
     return [_char_from_exponents(q, ks) for ks in product(*(range(d) for d in g.orders))]
 
@@ -274,8 +272,8 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 # --- L-functions on the real axis ---
 
 _EM_K = 28          # directly summed terms
-_EM_J = 11          # Euler-Maclaurin correction depth
 _HEAD_BLOCK = 1 << 15  # powers (x+k)^(-s) of the Hurwitz head formed at once
+# B_2j / (2j)! for j = 1..11; the Euler-Maclaurin correction depth is their count
 _EM_COEF = [float(Fraction(b) / math.factorial(2 * j))
             for j, b in enumerate([Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
                                    Fraction(-1, 30), Fraction(5, 66),

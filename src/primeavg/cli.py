@@ -16,6 +16,7 @@ run, and --refreeze rewrites the stored values instead.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import itertools
@@ -84,12 +85,19 @@ class _Parser(argparse.ArgumentParser):
 def _parallel(fn, items, threads: int):
     """fn over items, yielded in order as each result is drawn: at one
     thread fn runs only when its result is drawn, and on more it runs ahead
-    in a pool."""
+    in a pool, by at most `threads` items beyond the one being drawn, so
+    no more than threads + 1 results are alive at once."""
     if threads <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        yield from ex.map(fn, items)
+        ahead = collections.deque()
+        for item in items:
+            ahead.append(ex.submit(fn, item))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _write_report(args, meta: dict, columns: list[str], rows, summary: dict) -> None:

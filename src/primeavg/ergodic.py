@@ -218,8 +218,8 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
 
     The orbit side accumulates integer sums sum over p <= N of 1_A(T^(n+p) x0)
     by shifted-slice addition; the integer side takes the exact prime counts
-    of 1_F from maximal.prime_scale_counts (FFT correlation rounded back to
-    integers, with a residual check).  The identity
+    of 1_F from maximal.prime_scale_counts (integer band sums, FFT-correlated
+    bands rounded back to integers with a residual check).  The identity
     A_N(1_A)(T^n x0) = A_N(1_F)(n) for n <= R - L, N <= L makes the two
     integer arrays equal entry for entry, and the superlevel counts compare
     those integers with lambda exactly (as weak_type_sweep does), so they

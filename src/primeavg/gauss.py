@@ -47,8 +47,7 @@ import numpy as np
 
 from .characters import (ENUM_CAP, DirichletCharacter, conductor,
                          enumerate_quadratic_characters, principal_character)
-from .ntheory import (CapacityError, DomainError, _integer, divisors, euler_phi,
-                      is_squarefree, mobius)
+from .ntheory import DomainError, _integer, divisors, euler_phi, is_squarefree, mobius
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -286,9 +285,7 @@ def _quadratic_audit(q_min: int, q_max: int):
     chi^2 principal (the principal character first).
     """
     q_min = _integer(q_min, "q_min", 1)
-    q_max = _integer(q_max, "q_max", q_min)
-    if q_max > ENUM_CAP:
-        raise CapacityError(f"audit modulus {q_max} exceeds cap {ENUM_CAP}")
+    q_max = _integer(q_max, "q_max", q_min, high=ENUM_CAP)
     return (au for q in range(q_min, q_max + 1) for au in _modulus_audit(q))
 
 

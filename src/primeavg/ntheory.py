@@ -7,7 +7,8 @@ log-weighted count theta(N) = sum of log p over primes p <= N
 euler_phi, is_squarefree, divisors, all read from one memoized factorize).
 
 It also holds the argument rules every module checks against: DomainError,
-the integer rule (_integer) and the finite rule (_finite).  All logarithms
+the integer rule (_integer, whose upper bound raises CapacityError) and the
+finite rule (_finite).  All logarithms
 are natural.
 """
 
@@ -30,15 +31,27 @@ class DomainError(ValueError):
     """Raised when an argument is outside the documented domain."""
 
 
-def _integer(x, name: str, low: float = -math.inf, points: bool = False):
+def _integer(x, name: str, low: float = -math.inf, points: bool = False,
+             high: float = math.inf):
     """The integer rule of every entry point: x is a Python or NumPy integer,
     never a bool, and at least `low`; it is returned as an int.  With
     points=True, an array of an integer dtype also passes, unbounded and
     as is, and an empty one (as from an empty list) comes back as int64.
-    Anything else is a DomainError naming the argument."""
+    Anything else is a DomainError naming the argument.
+
+    `high` is the capacity rule beside it: an integer above it is a
+    CapacityError, raised before the caller forms anything of its size.
+    An integer too long to print (Python refuses past 4300 digits) is named
+    by its bit length in either message."""
+    shown = x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        x = int(x)
+        if x.bit_length() > 64:
+            shown = f"an integer of {x.bit_length()} bits"
+        if x > high:
+            raise CapacityError(f"{name} = {shown} exceeds its cap {high}")
         if x >= low:
-            return int(x)
+            return x
     elif points:
         arr = np.asarray(x)
         if arr.size == 0:
@@ -46,7 +59,7 @@ def _integer(x, name: str, low: float = -math.inf, points: bool = False):
         if arr.dtype.kind in "iu":
             return arr
     bound = f" >= {low}" if low > -math.inf else ""
-    raise DomainError(f"need an integer {name}{bound}, got {name} = {x}")
+    raise DomainError(f"need an integer {name}{bound}, got {name} = {shown}")
 
 
 def _finite(x, name: str) -> np.ndarray:
@@ -112,9 +125,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     Returns:
         PrimeTable with the ascending prime list.
     """
-    limit = _integer(limit, "limit", 2)
-    if limit > SIEVE_CAP:
-        raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
+    limit = _integer(limit, "limit", 2, high=SIEVE_CAP)
     table = _TABLES.get(limit)
     if table is None:
         flags = np.ones(limit + 1, dtype=bool)
@@ -154,9 +165,7 @@ def factorize(n: int) -> Factorization:
     share the cached objects); mobius, euler_phi, is_squarefree and divisors
     all read it.
     """
-    n = _integer(n, "n", 1)
-    if n > (1 << 32):
-        raise CapacityError("factorize is capped at 2^32")
+    n = _integer(n, "n", 1, high=1 << 32)
     m = n
     out: list[tuple[int, int]] = []
     for p in _small_primes():

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import stat
+import time
 import tracemalloc
 
 import numpy as np
@@ -415,6 +416,39 @@ def test_gauss_verify_peak_stays_within_one_modulus(tmp_path, fmt):
         tracemalloc.stop()
     assert code == 0
     assert peak <= 2 << 20, peak
+
+
+def test_gauss_verify_peak_on_two_threads_stays_within_its_window(tmp_path):
+    # on two threads at most three moduli run ahead of the writer: the peak
+    # is about 1.4 MiB, as on one thread; when every modulus was submitted at
+    # once, finished parts piled up to about 6.3 MiB
+    tracemalloc.start()
+    try:
+        code = _run("gauss-verify", "--q-max", "120", "--threads", "2",
+                    "--out", str(tmp_path / "r"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3 << 20, peak
+
+
+def test_parallel_submits_at_most_threads_items_ahead():
+    # item 0 is slow, so a pool without a window runs every other item
+    # before the first result is drawn
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            time.sleep(0.2)
+        return i
+
+    drawn = []
+    for r in cli._parallel(fn, range(20), 2):
+        assert len(started) <= r + 1 + 2, (r, started)
+        drawn.append(r)
+    assert drawn == list(range(20))
 
 
 # --- fuzzed argv ---

@@ -9,7 +9,9 @@ pairs below were accepted, or met only on an arc of their modulus, before
 the pair rule of multipliers (_exceptional_pair) checked them at entry.
 The audit bounds below raised only once the first row was drawn, and an
 audit past characters.ENUM_CAP ran every modulus up to the cap before its
-CapacityError.
+CapacityError.  A scale count past the prime table ran the scales it could,
+or died forming 1 << n_max, before the capacity rule (ntheory._integer's
+upper bound) checked it at entry.
 """
 
 import math
@@ -101,6 +103,8 @@ _CASES = {
     "audit-rows-q-max-4.5": lambda t: ga.verify_quadratic_rows(4.5),
     "integer-rule-bool": lambda t: nt._integer(True, "n", 0),
     "integer-rule-numpy-bool": lambda t: nt._integer(np.True_, "n", 0),
+    # past 4300 digits str() of an integer raises a raw ValueError
+    "integer-rule-too-long-to-print": lambda t: nt._integer(-10**5000, "n", 0),
 }
 
 
@@ -108,6 +112,35 @@ _CASES = {
 def test_outside_the_domain_is_a_domain_error(call, table_small):
     with pytest.raises(nt.DomainError):
         call(table_small)
+
+
+_SCALE_CALLS = {
+    "scale-counts": lambda n, t: next(mx.prime_scale_counts(mx.Signal.interval(0, 4), n, t)),
+    "weak-type-sweep": lambda n, t: mx.weak_type_sweep(mx.Signal.interval(0, 4), [0.5], n, t),
+    "maximal-dyadic": lambda n, t: mx.maximal_dyadic(mx.Signal.delta(), "averages", n, t),
+}
+
+
+@pytest.mark.parametrize("n_max", [10**30, 2**62, 17], ids=["1e30", "2^62", "one-past-the-table"])
+@pytest.mark.parametrize("call", _SCALE_CALLS.values(), ids=_SCALE_CALLS.keys())
+def test_scale_index_past_the_table_fails_before_any_scale(call, n_max, table_small,
+                                                           monkeypatch):
+    # table_small holds the primes up to 2^16.  Every scale reads the table,
+    # so a read means a scale ran (or 1 << n_max was formed) before the check
+    def read(self, x, name):
+        raise AssertionError(f"table read at {name}")
+
+    monkeypatch.setattr(nt.PrimeTable, "_rank", read)
+    with pytest.raises(nt.CapacityError):
+        call(n_max, table_small)
+
+
+def test_capacity_rule_bounds_python_and_numpy_integers():
+    assert nt._integer(np.int64(7), "n", 0, high=7) == 7
+    with pytest.raises(nt.CapacityError, match="n = 18446744073709551615 exceeds"):
+        nt._integer(np.uint64(2**64 - 1), "n", 0, high=7)
+    with pytest.raises(nt.CapacityError, match="an integer of 16610 bits"):
+        nt._integer(10**5000, "n", 0, high=5)
 
 
 @pytest.mark.parametrize("audit", [ga.verify_quadratic_rows, ga.verify_quadratic_range])

@@ -292,6 +292,68 @@ def test_weak_type_sweep_any_lambda_order(table_small):
     assert rep.counts[0] == rep.counts[3]
 
 
+# --- band-blocked prime counts ---
+
+
+def _set_of_length(length: int, offset: int) -> mx.Signal:
+    """A seeded 0/1 set whose window is exactly `length` points long."""
+    vals = (np.random.default_rng(length).random(length) < 0.3).astype(np.float64)
+    vals[0] = vals[-1] = 1.0
+    return mx.Signal(offset=offset, values=vals)
+
+
+def _assert_scale_counts_match_oracle(F: mx.Signal, n_max: int, table):
+    got = list(mx.prime_scale_counts(F, n_max, table))
+    oracle = _oracle_scale_counts(F, n_max, table)
+    assert len(got) == n_max
+    for n, ((pi_N, k), (pi_want, want)) in enumerate(zip(got, oracle), start=1):
+        cut = want.size - k.size  # the oracle's window starts 2^n_max left of F
+        assert pi_N == pi_want and k.dtype == np.int64 and cut == (1 << n_max) - (1 << n)
+        assert np.array_equal(k, want[cut:]) and not want[:cut].any(), n
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 12])
+@pytest.mark.parametrize("offset", [0, -7, 13])
+@pytest.mark.parametrize("length", [1, 2, 1023, 1024, 1025, 8190])
+def test_scale_counts_match_bruteforce_oracle(table_big, length, offset, n_max):
+    # at n_max 1 and 3 every band is added as shifted copies of F, and every
+    # set from 1023 points on is longer than 2^n_max; at n_max 12 the bands
+    # past 2^9 are correlated in blocks of B = 2^8 (|F| <= 2) up to 2^13
+    _assert_scale_counts_match_oracle(_set_of_length(length, offset), n_max, table_big)
+
+
+def test_scale_counts_over_several_batches_of_blocks(table_big):
+    # |F| = 1 takes the least block: band 17 holds 2^16 / B blocks, more than
+    # one batched transform takes
+    B = mx._MIN_BLOCK
+    assert (1 << 16) // B > max(1, mx._BATCH_POINTS // (2 * B))
+    _assert_scale_counts_match_oracle(mx.Signal.delta(at=-5), 17, table_big)
+
+
+def test_scale_counts_guard_fires_on_roundoff(table_big, monkeypatch):
+    # an inverse transform off by 0.3 could move a count once rounded
+    irfft = np.fft.irfft
+    monkeypatch.setattr(mx.np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(ArithmeticError):
+        list(mx.prime_scale_counts(mx.Signal.interval(0, 100), 12, table_big))
+
+
+def test_weak_type_sweep_peak_at_n_max_18(table_big):
+    # one int64 accumulator over the window, one scale's counts and the
+    # superlevel table: about 8.2 MiB, against 23.3 MiB for a full-circle
+    # FFT pair per scale
+    F = mx.Signal.interval(0, 1024)
+    lam = mx.default_lambda_grid(10)
+    mx.weak_type_sweep(F, lam, 18, table_big)  # warm
+    tracemalloc.start()
+    try:
+        mx.weak_type_sweep(F, lam, 18, table_big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20, peak
+
+
 # --- residue sampling, arc decay, A/B split ---
 
 
