@@ -14,9 +14,16 @@ Enumeration walks the unit group (Z/q)^* through its cyclic components:
 L(s, chi) for non-principal chi is evaluated through the Hurwitz-zeta
 Euler-Maclaurin expansion summed against the character, with the pole terms
 cancelled exactly using sum chi(a) = 0, so s = 1 needs no special casing.
-The Hurwitz block zeta(s, a/q) over the units a does not depend on chi, so
-the zero scan builds it once per modulus and applies every quadratic
-character's weights to it.
+
+The zero scan certifies, rather than samples, that no quadratic L mod q
+vanishes on the closed window [max(1/2, 1 - c/log q), 1]: |L'| is at most
+Lip = phi(q)/(e sigma) there, so a subinterval whose endpoint values keep
+their sign and have |L(a)| + |L(b)| above Lip (b - a), plus a stated bound
+on the evaluation error, holds no zero.  It starts from a coarse grid and
+halves only the subintervals not yet closed.  The Hurwitz block
+zeta(s, a/q) over the units a does not depend on chi, so each round of
+points builds it once and applies every quadratic character's weights to
+it.
 """
 
 from __future__ import annotations
@@ -29,12 +36,14 @@ from itertools import product
 
 import numpy as np
 
-from .ntheory import CapacityError, DomainError, _integer, divisors, euler_phi, factorize
+from .ntheory import (CapacityError, DomainError, _integer, _real, divisors, euler_phi,
+                      factorize)
 
 ENUM_CAP = 10 ** 6
 _BISECT_STEPS = 60  # halvings of a sign-change bracket in the zero scan
-_GRID_POINTS = 512  # interior sample points of the zero scan window
-_ZERO_TOL = 1e-8    # |L| below this on the scan grid is declared a zero
+_COARSE_INTERVALS = 32  # equal subintervals of the zero scan's first grid
+_HALVINGS = 8       # halvings of a coarse subinterval before the scan stops refining
+_ZERO_TOL = 1e-8    # |L| below this at a scan sample is declared a zero
 
 
 @dataclass
@@ -346,9 +355,9 @@ def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
     """
     if chi.kind == "principal":
         raise DomainError("L-series evaluation requires a non-principal character")
-    s_in = np.asarray(s, dtype=np.float64)
+    s_in = _real(s, "s", points=True)
     if not np.all((s_in > 0.0) & (s_in <= 1.5)):
-        raise DomainError("s must be finite and lie in (0, 1.5]")
+        raise DomainError("s must lie in (0, 1.5]")
     scalar = s_in.ndim == 0
     sv = np.atleast_1d(s_in)
 
@@ -370,9 +379,26 @@ def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
 class ExceptionalZeroResult:
     """Outcome of the real-zero scan near s = 1.
 
-    found is False when |L| stays above the zero tolerance on the whole scan
-    window.  beta and character_index (into enumerate_quadratic_characters)
-    are set when found.  diagnostic flags numerically murky cases.
+    found is True when some quadratic L changes sign between two samples of
+    the window (beta is then the bisected zero) or falls below the zero
+    tolerance at a sample (beta is that sample, with a diagnostic); the
+    character is character_index into enumerate_quadratic_characters.
+
+    certified is True when the outcome is proved: found is False and the
+    Lipschitz certificate closes every subinterval of the window for every
+    character, or found is True by a sign change between samples whose |L|
+    both exceed their evaluation error.  A scan that cannot close a
+    subinterval within its refinement floor returns found False, certified
+    False and the diagnostic "window-not-certified", never a bare clean
+    result.
+
+    min_abs_l is the least |L| over the points sampled.  l_lower_bound is
+    the least, over subintervals [a, b] and characters, of
+    (|L(a)| + |L(b)| - err(a) - err(b) - Lip (b - a)) / 2, a lower bound on
+    |L| over the closed window that is positive exactly when every
+    subinterval is closed; margin is the least ratio
+    (|L(a)| + |L(b)| - err(a) - err(b)) / (Lip (b - a)), above 1 exactly
+    then.  Lip and err are _lipschitz and _evaluation_error.
     """
 
     modulus: int
@@ -382,67 +408,142 @@ class ExceptionalZeroResult:
     diagnostic: str | None = None
     min_abs_l: float = math.inf
     c: float = 1.0
+    certified: bool = False
+    l_lower_bound: float = -math.inf
+    margin: float = 0.0
 
 
-def _quadratic_l_values(q: int, grid: np.ndarray):
-    """(index, chi, L(grid, chi)) for each quadratic chi mod q, in
-    enumerate_quadratic_characters order.  One Hurwitz block on the grid
-    serves every character, and each value is the one l_function_real gives."""
-    units = np.flatnonzero(_group_data(q).unit_mask)
-    scale = q ** (-grid)
-    block = _hurwitz_block(q, units, grid)
-    for idx, chi in enumerate(enumerate_quadratic_characters(q)):
-        yield idx, chi, scale * (block @ chi.values[units].real)
+def _lipschitz(q: int, sigma: float) -> float:
+    """phi(q)/(e sigma), a bound on |L'(s, chi)| for s >= sigma >= 1/2 and any
+    non-principal chi mod q: the partial sums of chi never exceed phi(q)/2,
+    and log(x) x^(-s) has total variation 2/(e s) on [1, inf)."""
+    return euler_phi(q) / (math.e * sigma)
+
+
+# |B_24|/24!, the first Euler-Maclaurin coefficient past _EM_COEF
+_EM_NEXT = float(Fraction(236364091, 2730) / math.factorial(24))
+
+
+def _evaluation_error(q: int, s: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A bound on the error of q^(-s) (block @ w) as L(s, chi), for the block
+    of _hurwitz_block on s in [1/2, 1] and weights w in {-1, 0, 1}.
+
+    Truncation: the Euler-Maclaurin remainder of each zeta(s, a/q) lies
+    between 0 and the first omitted term, |B_24|/24! s(s+1)...(s+22)
+    y^(-s-23) with y >= _EM_K, since every even derivative of y^(-s) is
+    positive (DLMF 2.10.i).  Rounding: the head, mid and tail terms of an
+    entry add in absolute value to at most |entry| + 40 (|mid| is at most
+    y^(1-s) log y < 18.2 and |tail| < 0.1 for y < 29), each formed to within
+    50 units of roundoff u; the sum over the phi(q) units adds at most
+    phi(q) u times the absolute entries.  (phi(q) + 64) u sum(|entry| + 40)
+    covers both, and the factor q^(-s) and its product add a few u more.
+    """
+    phi = block.shape[1]
+    poch = np.prod(s[:, None] + np.arange(23.0), axis=1)
+    truncation = phi * _EM_NEXT * poch * float(_EM_K) ** (-(s + 23.0))
+    rounding = (phi + 64) * (np.finfo(np.float64).eps / 2) * (
+        np.abs(block).sum(axis=1) + 40.0 * phi)
+    return q ** (-s) * (truncation + rounding)
+
+
+def _quadratic_l_values(q: int, units: np.ndarray, weights: list[np.ndarray],
+                        s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, err): values[i] = L(s, chi_i) for the real weights chi_i on
+    the units, and err the _evaluation_error bound at each point.  One
+    Hurwitz block on s serves every character, and each row is the one
+    l_function_real gives on s."""
+    block = _hurwitz_block(q, units, s)
+    scale = q ** (-s)
+    values = np.array([scale * (block @ w) for w in weights])
+    return values, _evaluation_error(q, s, block)
 
 
 def exceptional_zero_scan(q: int, c: float = 1.0) -> ExceptionalZeroResult:
-    """Scan (max(1/2, 1 - c/log q), 1) for a real zero of any quadratic L mod q.
+    """Certify that no quadratic L mod q has a real zero in the closed window
+    [max(1/2, 1 - c/log q), 1], or find one.
 
-    Each quadratic character's L is sampled on _GRID_POINTS interior points;
-    a sign change triggers bisection, and |L| below _ZERO_TOL anywhere is
-    declared a zero.  A grid value below tolerance without a sign change is
-    reported with a diagnostic instead of silently passing.  The Hurwitz
-    block on the grid is built once for q and shared by every character
-    (_quadratic_l_values).
+    Every quadratic character's L is sampled on _COARSE_INTERVALS + 1 equally
+    spaced points of the window.  A sign change between neighbouring samples
+    is bisected to a zero, and |L| below _ZERO_TOL at a sample is declared a
+    zero with a diagnostic.  Otherwise a subinterval [a, b] on which L keeps
+    its sign holds no zero when |L(a)| + |L(b)| - err(a) - err(b) exceeds
+    Lip (b - a), Lip = _lipschitz(q, window start) bounding |L'| and err
+    the _evaluation_error bound.  Subintervals not yet closed for some
+    character are halved, up to _HALVINGS times, and each round's new points
+    share one Hurwitz block over all the characters (_quadratic_l_values).
+    See ExceptionalZeroResult for the certificate fields.
     """
     q = _integer(q, "q", 3)
-    if not 0 < c < math.inf:
-        raise DomainError("the zero-region constant c must be finite and positive")
+    c = _real(c, "the zero-region constant c")
+    if not c > 0:
+        raise DomainError("the zero-region constant c must be positive")
     lo = max(0.5, 1.0 - c / math.log(q))
-    hi = 1.0
-    grid = np.linspace(lo, hi, _GRID_POINTS + 2)[1:-1]
-    min_abs = math.inf
-    for idx, chi, vals in _quadratic_l_values(q, grid):
-        min_abs = min(min_abs, float(np.min(np.abs(vals))))
-        hit = np.flatnonzero(np.abs(vals) < _ZERO_TOL)
-        sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-        if sign_change.size:
-            a, b = grid[sign_change[0]], grid[sign_change[0] + 1]
-            fa = float(l_function_real(chi, a))
-            for _ in range(_BISECT_STEPS):
-                m = 0.5 * (a + b)
-                fm = float(l_function_real(chi, m))
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            beta = 0.5 * (a + b)
-            return ExceptionalZeroResult(modulus=q, found=True, beta=beta,
-                                         character_index=idx, min_abs_l=min_abs, c=c)
-        if hit.size:
-            return ExceptionalZeroResult(modulus=q, found=True, beta=float(grid[hit[0]]),
-                                         character_index=idx,
-                                         diagnostic="below-tolerance-without-sign-change",
-                                         min_abs_l=min_abs, c=c)
-    return ExceptionalZeroResult(modulus=q, found=False, min_abs_l=min_abs, c=c)
+    lip = _lipschitz(q, lo)
+    chars = enumerate_quadratic_characters(q)
+    units = np.flatnonzero(_group_data(q).unit_mask)
+    weights = [chi.values[units].real for chi in chars]
+    s = np.linspace(lo, 1.0, _COARSE_INTERVALS + 1)
+    values, err = _quadratic_l_values(q, units, weights, s)
+    halvings = 0
+    while True:
+        mags = np.abs(values)
+        slack = mags[:, :-1] + mags[:, 1:] - (err[:-1] + err[1:])
+        need = lip * np.diff(s)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a window of one point
+            margin = float((slack / need).min())
+        stats = dict(modulus=q, c=c, min_abs_l=float(mags.min()),
+                     l_lower_bound=float((slack.min(axis=0) - need).min() / 2),
+                     margin=margin)
+        for idx, (chi, vals) in enumerate(zip(chars, values)):
+            change = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+            if change.size:
+                i = change[0]
+                proved = mags[idx, i] > err[i] and mags[idx, i + 1] > err[i + 1]
+                return ExceptionalZeroResult(found=True, beta=_bisect(chi, s[i], s[i + 1]),
+                                             character_index=idx, certified=bool(proved),
+                                             **stats)
+            hit = np.flatnonzero(mags[idx] < _ZERO_TOL)
+            if hit.size:
+                return ExceptionalZeroResult(found=True, beta=float(s[hit[0]]),
+                                             character_index=idx,
+                                             diagnostic="below-tolerance-without-sign-change",
+                                             **stats)
+        open_ = np.flatnonzero((slack <= need).any(axis=0))
+        if not open_.size:
+            return ExceptionalZeroResult(found=False, certified=True, **stats)
+        if halvings == _HALVINGS:
+            return ExceptionalZeroResult(found=False, diagnostic="window-not-certified",
+                                         **stats)
+        mid = 0.5 * (s[open_] + s[open_ + 1])
+        new_values, new_err = _quadratic_l_values(q, units, weights, mid)
+        s = np.insert(s, open_ + 1, mid)
+        values = np.insert(values, open_ + 1, new_values, axis=1)
+        err = np.insert(err, open_ + 1, new_err)
+        halvings += 1
+
+
+def _bisect(chi: DirichletCharacter, a: float, b: float) -> float:
+    """The zero of L(s, chi) bracketed by a sign change on [a, b], to
+    _BISECT_STEPS halvings."""
+    fa = float(l_function_real(chi, a))
+    for _ in range(_BISECT_STEPS):
+        m = 0.5 * (a + b)
+        fm = float(l_function_real(chi, m))
+        if fa * fm <= 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
 
 
 def synthetic_exceptional(q: int, beta: float) -> tuple[DirichletCharacter, float]:
     """A manufactured exceptional pair (chi, beta) for sensitivity runs.
 
-    Picks the first primitive quadratic character mod q.  beta must sit in
-    [1/2, 1).  This never comes out of the scan; callers opt in explicitly.
+    Picks the first primitive quadratic character mod q.  beta must be a
+    real number in [1/2, 1).  This never comes out of the scan; callers opt
+    in explicitly.
     """
+    beta = _real(beta, "synthetic beta")
     if not 0.5 <= beta < 1.0:
         raise DomainError("synthetic beta must lie in [1/2, 1)")
     for chi in enumerate_quadratic_characters(q):

@@ -7,9 +7,9 @@ log-weighted count theta(N) = sum of log p over primes p <= N
 euler_phi, is_squarefree, divisors, all read from one memoized factorize).
 
 It also holds the argument rules every module checks against: DomainError,
-the integer rule (_integer, whose upper bound raises CapacityError) and the
-finite rule (_finite).  All logarithms
-are natural.
+the integer rule (_integer, whose upper bound raises CapacityError), the
+finite rule (_finite) and the real rule built on it (_real).  All
+logarithms are natural.
 """
 
 from __future__ import annotations
@@ -69,6 +69,21 @@ def _finite(x, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr
+
+
+def _real(x, name: str, points: bool = False):
+    """The real rule: x is a finite real number, a Python or NumPy integer or
+    float but never a bool or a string, and is returned as a float.  With
+    points=True a non-empty array of them also passes, and comes back as a
+    float64 array (0-d for a number).  Anything else is a DomainError naming
+    the argument."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or (arr.ndim and not points):
+        raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
+    if arr.size == 0:
+        raise DomainError(f"{name} must hold at least one point")
+    arr = _finite(arr.astype(np.float64), name)
+    return arr if points else float(arr)
 
 
 @dataclass

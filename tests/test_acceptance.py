@@ -277,11 +277,16 @@ def test_criterion_11_orbit_convergence(table_big):
 
 
 def test_criterion_12_no_exceptional_zeros():
-    found = []
+    found, uncertified = [], []
+    margin = np.inf
     min_l1 = np.inf
     for q in range(3, 401):
-        if ch.exceptional_zero_scan(q, c=1.0).found:
+        scan = ch.exceptional_zero_scan(q, c=1.0)
+        if scan.found:
             found.append(q)
+        if not scan.certified:
+            uncertified.append(q)
+        margin = min(margin, scan.margin)
         for chi in ch.enumerate_quadratic_characters(q):
             if chi.kind == "principal":
                 continue
@@ -291,9 +296,11 @@ def test_criterion_12_no_exceptional_zeros():
     injected = mu.nu_n_grid(12, 1 << 14,
                             exceptional=ch.synthetic_exceptional(5, 0.9))
     deviation = float(np.max(np.abs(base - injected)))
-    ok = not found and min_l1 > 0.0 and deviation > 1e-3
-    _report(12, f"scan clean for q <= 400, min L(1, chi) = {min_l1:.4f}, "
+    ok = not found and not uncertified and min_l1 > 0.0 and deviation > 1e-3
+    _report(12, f"scan clean and certified for q <= 400 (worst margin {margin:.4f}), "
+                f"min L(1, chi) = {min_l1:.4f}, "
                 f"synthetic zero moves the multiplier by {deviation:.4f}", ok)
     assert found == []
+    assert uncertified == []
     assert min_l1 > 0.0
     assert deviation > 1e-3

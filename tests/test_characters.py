@@ -211,6 +211,9 @@ def test_zero_scan_small_moduli_clean():
     assert res.min_abs_l > 0.1
     res7 = ch.exceptional_zero_scan(7, c=2.0)
     assert not res7.found
+    # 1 - c/log q rounds to 1: the window is the one point s = 1
+    point = ch.exceptional_zero_scan(5, c=1e-300)
+    assert not point.found and point.certified and point.margin == math.inf
 
 
 def test_zero_scan_domain_checks():
@@ -237,21 +240,124 @@ def test_zero_scan_domain_checks():
         ch.enumerate_characters(ch.ENUM_CAP + 1)
 
 
+def _window(q):
+    return max(0.5, 1.0 - 1.0 / math.log(q)), 1.0
+
+
 @pytest.mark.parametrize("q", range(3, 61))
-def test_zero_scan_shared_block_is_the_l_function(q):
-    # the scan applies each character to one Hurwitz block per modulus; every
-    # value must be exactly the oracle's, not merely close to it
-    grid = np.linspace(max(0.5, 1.0 - 1.0 / math.log(q)), 1.0, 512 + 2)[1:-1]
-    chars = ch.enumerate_quadratic_characters(q)
-    rows = list(ch._quadratic_l_values(q, grid))
-    assert [idx for idx, _, _ in rows] == list(range(len(chars)))
-    direct = [ch.l_function_real(chi, grid) for chi in chars]
-    for (_, chi, vals), want, oracle_chi in zip(rows, direct, chars):
-        assert chi == oracle_chi
-        assert np.array_equal(vals, want)
+def test_zero_scan_shared_block_is_the_l_function(q, monkeypatch):
+    # the scan applies each character to one Hurwitz block per round of
+    # points; every value must be exactly the oracle's on those points, not
+    # merely close to it.  The first round is the closed coarse grid
+    calls = []
+    sample = ch._quadratic_l_values
+
+    def record(*args):
+        values, err = sample(*args)
+        calls.append((args[-1], values))
+        return values, err
+
+    monkeypatch.setattr(ch, "_quadratic_l_values", record)
     res = ch.exceptional_zero_scan(q)
+    chars = ch.enumerate_quadratic_characters(q)
+    assert np.array_equal(calls[0][0], np.linspace(*_window(q), ch._COARSE_INTERVALS + 1))
+    for s, values in calls:
+        assert len(values) == len(chars)
+        for vals, chi in zip(values, chars):
+            assert np.array_equal(vals, ch.l_function_real(chi, s))
     assert not res.found
-    assert res.min_abs_l == min(float(np.min(np.abs(v))) for v in direct)
+    assert res.min_abs_l == min(float(np.min(np.abs(v))) for _, v in calls)
+
+
+@pytest.mark.parametrize("q", range(3, 61))
+def test_zero_scan_certificate_is_sound(q):
+    # the certified lower bound on |L| over the closed window must not
+    # exceed what a dense grid of the window finds
+    res = ch.exceptional_zero_scan(q)
+    assert res.certified and not res.found and res.diagnostic is None
+    assert res.margin > 1.0 and res.l_lower_bound > 0.0
+    dense = np.linspace(*_window(q), 4096)
+    least = min(float(np.min(np.abs(ch.l_function_real(chi, dense))))
+                for chi in ch.enumerate_quadratic_characters(q))
+    assert res.l_lower_bound <= least <= res.min_abs_l
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 12, 37])
+def test_evaluation_error_bound_holds_against_the_oracle(q):
+    # the stated error bound of the shared block covers the 40-digit oracle
+    s = np.array([0.5, 0.75, 0.999, 1.0])
+    chars = ch.enumerate_quadratic_characters(q)
+    units = np.flatnonzero(ch._group_data(q).unit_mask)
+    values, err = ch._quadratic_l_values(q, units, [chi.values[units].real for chi in chars],
+                                         s)
+    assert np.all(err < 1e-11)
+    for vals, chi in zip(values, chars):
+        want = np.array([_l_oracle(chi, float(x)).real for x in s])
+        assert np.all(np.abs(vals - want) <= err)
+
+
+def test_zero_scan_finds_and_proves_a_sign_change(monkeypatch):
+    # L mod 5 shifted down by its value at 0.8 crosses zero there: the scan
+    # must bracket it on its grid, bisect it and prove it by the sign change
+    chi = ch.enumerate_quadratic_characters(5)[0]
+    shift = ch.l_function_real(chi, 0.8)
+    sample, direct = ch._quadratic_l_values, ch.l_function_real
+
+    def shifted(*args):
+        values, err = sample(*args)
+        return values - shift, err
+
+    monkeypatch.setattr(ch, "_quadratic_l_values", shifted)
+    monkeypatch.setattr(ch, "l_function_real", lambda chi, s: direct(chi, s) - shift)
+    res = ch.exceptional_zero_scan(5)
+    assert res.found and res.certified and res.character_index == 0
+    assert res.diagnostic is None
+    assert abs(res.beta - 0.8) < 1e-12
+
+
+@pytest.mark.parametrize("q, patch", [
+    (5, {"_lipschitz": lambda q, sigma: 1e9}),  # no subinterval can close
+    (163, {"_HALVINGS": 0}),                    # its coarse grid leaves one open
+])
+def test_zero_scan_that_cannot_certify_says_so(q, patch, monkeypatch):
+    for name, value in patch.items():
+        monkeypatch.setattr(ch, name, value)
+    res = ch.exceptional_zero_scan(q)
+    assert not res.found and not res.certified
+    assert res.diagnostic == "window-not-certified"
+    assert 0.0 < res.margin <= 1.0 and res.l_lower_bound <= 0.0
+
+
+def _class_number(d: int) -> int:
+    """h(d) for a negative discriminant d: the reduced forms (a, b, c) with
+    b^2 - 4ac = d, |b| <= a <= c and b >= 0 when |b| = a or a = c."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            num = b * b - d
+            if num % (4 * a) == 0:
+                c = num // (4 * a)
+                if c >= a and not (c == a and b < 0):
+                    h += 1
+        a += 1
+    return h
+
+
+def test_l_at_one_matches_the_class_number_formula():
+    # L(1, chi) = 2 pi h(-q) / (w sqrt q) for odd primitive quadratic chi mod
+    # q (Davenport, ch. 6): an integer count, independent of the Hurwitz block
+    checked = 0
+    for q in range(3, 401):
+        for chi in ch.enumerate_quadratic_characters(q):
+            if chi.values[q - 1].real != -1.0 or not ch.is_primitive(chi):
+                continue
+            w = {3: 6, 4: 4}.get(q, 2)
+            want = 2.0 * math.pi * _class_number(-q) / (w * math.sqrt(q))
+            got = ch.l_function_real(chi, 1.0)
+            assert abs(got - want) <= 1e-13 * want, q
+            checked += 1
+    assert checked == 122  # the negative fundamental discriminants down to -400
 
 
 @pytest.mark.parametrize("q", range(3, 61))

@@ -11,7 +11,10 @@ The audit bounds below raised only once the first row was drawn, and an
 audit past characters.ENUM_CAP ran every modulus up to the cap before its
 CapacityError.  A scale count past the prime table ran the scales it could,
 or died forming 1 << n_max, before the capacity rule (ntheory._integer's
-upper bound) checked it at entry.
+upper bound) checked it at entry.  A string or a two-element array for the
+zero-region constant c or a synthetic beta died with a raw TypeError or
+ValueError, and l_function_real read a string s as its number and returned
+an empty array for no points, before the real rule (ntheory._real).
 """
 
 import math
@@ -25,7 +28,9 @@ import primeavg.maximal as mx
 import primeavg.multipliers as mp
 import primeavg.ntheory as nt
 from primeavg.characters import (ENUM_CAP, enumerate_characters,
-                                 enumerate_quadratic_characters, principal_character)
+                                 enumerate_quadratic_characters, exceptional_zero_scan,
+                                 l_function_real, principal_character,
+                                 synthetic_exceptional)
 from primeavg.orlicz import StepRearrangement, phi_weight
 
 _SHIFT = er.DynamicalSystem.shift(5)
@@ -101,6 +106,13 @@ _CASES = {
     "audit-rows-q-max-0": lambda t: ga.verify_quadratic_rows(0),
     "audit-rows-q-min-past-q-max": lambda t: ga.verify_quadratic_rows(5, q_min=6),
     "audit-rows-q-max-4.5": lambda t: ga.verify_quadratic_rows(4.5),
+    # the real arguments of characters go through one rule (ntheory._real)
+    "zero-scan-c-string": lambda t: exceptional_zero_scan(5, c="1"),
+    "zero-scan-c-pair": lambda t: exceptional_zero_scan(5, c=np.array([1.0, 2.0])),
+    "synthetic-beta-string": lambda t: synthetic_exceptional(5, "0.9"),
+    "synthetic-beta-pair": lambda t: synthetic_exceptional(5, np.array([0.9, 0.95])),
+    "l-function-s-string": lambda t: l_function_real(_CHI, "1"),
+    "l-function-s-empty": lambda t: l_function_real(_CHI, np.array([])),
     "integer-rule-bool": lambda t: nt._integer(True, "n", 0),
     "integer-rule-numpy-bool": lambda t: nt._integer(np.True_, "n", 0),
     # past 4300 digits str() of an integer raises a raw ValueError
