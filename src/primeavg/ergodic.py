@@ -29,11 +29,12 @@ from fractions import Fraction
 import numpy as np
 
 from .maximal import Signal, _superlevel_counts, prime_scale_counts
-from .ntheory import DomainError, PrimeTable, _finite, _integer
+from .ntheory import DomainError, PrimeTable, _finite, _integer, _real
 
 _DEN_MIN = 1 << 33
 _DEN_MAX = 1 << 38
 _ORBIT_CAP = 1 << 25
+_SHIFT_CAP = 1 << 62
 
 
 def _convergent_in_range(cf: list[int]) -> tuple[int, int]:
@@ -106,7 +107,9 @@ class DynamicalSystem:
 
     @classmethod
     def shift(cls, m: int) -> "DynamicalSystem":
-        return cls(kind="shift", modulus=_integer(m, "modulus m", 1))
+        """The shift mod m, 1 <= m <= 2^62: a residue plus an orbit index
+        below 2^25 then stays inside int64."""
+        return cls(kind="shift", modulus=_integer(m, "modulus m", 1, high=_SHIFT_CAP))
 
     @property
     def alpha(self) -> float:
@@ -117,17 +120,46 @@ class DynamicalSystem:
     def orbit_positions(self, x0, ks: np.ndarray) -> np.ndarray:
         """T^k x0 for each k in ks; floats in [0,1) for rotations, int
         residues for shifts.  k is capped at 2^25 to keep the rotation's
-        integer arithmetic inside int64; x0 must be finite."""
+        integer arithmetic inside int64.  On a rotation x0 must be a finite
+        real number (ntheory._real); on a shift it must be an integer in the
+        int64 range, an integral float such as 3.0 included.
+
+        A rotation adds s = x0 mod 1, a float in [0, 1], to r = (k * num mod
+        den) / den <= 1 - 1/den, with den < 2^38; so s + r < 2 and the wrap
+        back to [0, 1) is one subtraction of 1.0, exact on [1, 2) by
+        Sterbenz's lemma and equal to fmod there (+0.0 at s + r = 1 too)."""
         ks = np.asarray(_integer(ks, "k", points=True), dtype=np.int64)
         if ks.size and (ks.min() < 0 or ks.max() >= _ORBIT_CAP):
             raise DomainError("orbit indices must lie in [0, 2^25)")
-        _finite(x0, "starting point x0")
         if self.kind == "shift":
-            return np.mod(int(x0) + ks, self.modulus)
-        # k * alpha mod 1 in exact integer arithmetic; x0 enters once, as a
-        # float, so rational alphas (including the identity) keep it intact.
-        rot = np.mod(ks * self.num, self.den).astype(np.float64) / self.den
-        return np.mod(float(x0) % 1.0 + rot, 1.0)
+            return np.mod(_shift_start(x0) % self.modulus + ks, self.modulus)
+        s = _real(x0, "starting point x0") % 1.0
+        # k * alpha mod 1 in exact integer arithmetic, the remainder taken as
+        # rot - (rot // den) * den: numpy divides an int64 array by one
+        # integer with multiply-and-shift (libdivide), about three times
+        # faster than np.mod, and rot >= 0 keeps it exact.  x0 enters once,
+        # as a float, so rational alphas (including the identity) keep it.
+        rot = ks * self.num
+        quot = rot // self.den
+        quot *= self.den
+        rot -= quot
+        del quot
+        rot = rot.astype(np.float64)
+        rot /= self.den
+        rot += s
+        return np.subtract(rot, rot >= 1.0, out=rot)
+
+
+def _shift_start(x0) -> int:
+    """A shift's starting point as an int: an integer, or an integral float
+    such as the CLI's --x0 3 (parsed as 3.0), in [-2^63, 2^63); anything
+    else is a DomainError."""
+    if isinstance(x0, (float, np.floating)) and float(x0).is_integer():
+        x0 = int(x0)
+    x0 = _integer(x0, "starting point x0")
+    if not -(1 << 63) <= x0 < 1 << 63:
+        raise DomainError("starting point x0 must lie in [-2^63, 2^63)")
+    return x0
 
 
 def interval_indicator(a: float, b: float):
@@ -141,7 +173,7 @@ def interval_indicator(a: float, b: float):
 def orbit_average(system: DynamicalSystem, f, x0, N: int, table: PrimeTable):
     """A_N f(x0) = (1/pi(N)) sum over primes p <= N of f(T^p x0), N >= 2."""
     ps = table.primes_upto(_integer(N, "N", 2))
-    vals = np.asarray(f(system.orbit_positions(x0, ps)))
+    vals = _finite(f(system.orbit_positions(x0, ps)), "observable values")
     out = vals.mean()
     return complex(out) if np.iscomplexobj(vals) else float(out)
 
@@ -166,17 +198,21 @@ def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
     """Trace of A_{2^n} f(x0) for n = 1..n_max (n_max <= 24).
 
     One orbit enumeration serves every scale: cumulative sums are cut at
-    the prime-counting boundaries pi(2^n).
+    the prime-counting boundaries pi(2^n).  The values of f must be finite.
+    A real f is summed in float64, whose running sums are bit for bit the
+    real parts of complex128 ones; the n_max sums at pi(2^n) are divided as
+    complex128 either way, since numpy's complex division multiplies by the
+    reciprocal and a real division can differ in the last bit.
     """
     if _integer(n_max, "n_max", 1) > 24:
         raise DomainError("n_max must lie in [1, 24]")
     ps = table.primes_upto(1 << n_max)
-    vals = np.asarray(f(system.orbit_positions(x0, ps)))
+    vals = _finite(f(system.orbit_positions(x0, ps)), "observable values")
     real_obs = not np.iscomplexobj(vals)
-    csum = np.cumsum(vals.astype(np.complex128))
+    csum = np.cumsum(vals.astype(np.float64 if real_obs else np.complex128, copy=False))
     scales = np.asarray([1 << n for n in range(1, n_max + 1)], dtype=np.int64)
     counts = np.asarray([table.count(int(N)) for N in scales], dtype=np.int64)
-    averages = csum[counts - 1] / counts
+    averages = csum[counts - 1].astype(np.complex128) / counts
     if real_obs:
         averages = averages.real
     diffs = np.abs(np.diff(averages, prepend=averages[:1]))
@@ -226,7 +262,7 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
     agree too.
     """
     L = _integer(L, "L", 2)
-    R = _integer(R, "R", L + 1)
+    R = _integer(R, "R", L + 1, high=_ORBIT_CAP - 1)  # the orbit's last index
     if lambda_grid is None:
         lambda_grid = np.asarray([0.75, 0.5, 0.25, 0.125])
     lam = np.asarray(lambda_grid, dtype=np.float64)

@@ -439,19 +439,25 @@ def _superlevel_counts(scales, lam: np.ndarray, width: int) -> np.ndarray:
     every float lambda is a ratio of integers, so that floor is exact too.
     The lambda grid must be nonempty and lie in (0, 1): weak_type_sweep and
     ergodic.transference_sample rely on this check.
+
+    The level of a point counts at most lam.size lambdas, so it is held in
+    the least unsigned type that reaches lam.size (uint8 up to 255 levels),
+    and each scale gathers its levels into one reused buffer of that type.
     """
     if lam.size == 0 or not np.all((lam > 0) & (lam < 1)):
         raise DomainError("lambda grid must be nonempty and lie in (0, 1)")
     # level[x] = how many of the smallest lambdas x exceeds at some scale
     ascending = np.sort(lam)
     ratios = [float(l).as_integer_ratio() for l in ascending]
-    level = np.zeros(width, dtype=np.int64)
+    dtype = np.min_scalar_type(lam.size)
+    level = np.zeros(width, dtype=dtype)
+    gathered = np.empty(width, dtype=dtype)
     for pi_N, k in scales:
         floors = [num * pi_N // den for num, den in ratios]
         # 0 <= k <= pi_N, so one table over that range replaces a search per x
-        exceeded = np.searchsorted(floors, np.arange(pi_N + 1), side="left")
+        exceeded = np.searchsorted(floors, np.arange(pi_N + 1), side="left").astype(dtype)
         tail = level[width - k.size:]
-        np.maximum(tail, exceeded[k], out=tail)
+        np.maximum(tail, np.take(exceeded, k, out=gathered[:k.size]), out=tail)
     above = np.bincount(level, minlength=lam.size + 1)[::-1].cumsum()[::-1]
     return above[1 + np.searchsorted(ascending, lam)]
 

@@ -64,9 +64,10 @@ def _integer(x, name: str, low: float = -math.inf, points: bool = False,
 
 def _finite(x, name: str) -> np.ndarray:
     """The finite rule: x as an array, real or complex with its dtype
-    unchanged, if every entry is finite; else a DomainError naming it."""
+    unchanged, if every entry is finite; else (strings and other objects
+    included) a DomainError naming it."""
     arr = np.asarray(x)
-    if not np.isfinite(arr).all():
+    if arr.dtype.kind not in "biufc" or not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr
 

@@ -14,7 +14,12 @@ or died forming 1 << n_max, before the capacity rule (ntheory._integer's
 upper bound) checked it at entry.  A string or a two-element array for the
 zero-region constant c or a synthetic beta died with a raw TypeError or
 ValueError, and l_function_real read a string s as its number and returned
-an empty array for no points, before the real rule (ntheory._real).
+an empty array for no points, before the real rule (ntheory._real).  A
+shift truncated a fractional starting point and died on a huge one, a
+rotation died with a raw TypeError on a complex or string one, and a nan
+or infinite observable value came back as the orbit average, before
+ergodic checked them; the finite rule itself died with a raw TypeError on
+strings.
 """
 
 import math
@@ -34,6 +39,7 @@ from primeavg.characters import (ENUM_CAP, enumerate_characters,
 from primeavg.orlicz import StepRearrangement, phi_weight
 
 _SHIFT = er.DynamicalSystem.shift(5)
+_GOLDEN = er.DynamicalSystem.rotation("golden")
 _HALF = er.interval_indicator(0.0, 0.5)
 _CHI = enumerate_quadratic_characters(5)[0]
 _CHI_COMPLEX = next(chi for chi in enumerate_characters(5) if chi.kind == "other")
@@ -54,6 +60,16 @@ _CASES = {
         _SHIFT, _HALF, 0, 100, 16, t, lambda_grid=[]),
     "shift-2.5": lambda t: er.DynamicalSystem.shift(2.5),
     "shift-orbit-nan": lambda t: _SHIFT.orbit_positions(math.nan, np.arange(4)),
+    "shift-orbit-x0-2.5": lambda t: _SHIFT.orbit_positions(2.5, np.arange(4)),
+    "shift-orbit-x0-1e30": lambda t: _SHIFT.orbit_positions(10**30, np.arange(4)),
+    "rotation-orbit-x0-complex": lambda t: _GOLDEN.orbit_positions(1 + 2j, np.arange(4)),
+    "rotation-orbit-x0-string": lambda t: _GOLDEN.orbit_positions("0.5", np.arange(4)),
+    "convergence-observable-nan": lambda t: er.convergence_diagnostic(
+        _SHIFT, lambda x: np.full(np.shape(x), math.nan), 0, 4, t),
+    "orbit-average-observable-inf": lambda t: er.orbit_average(
+        _SHIFT, lambda x: np.full(np.shape(x), math.inf), 0, 16, t),
+    "orbit-average-observable-strings": lambda t: er.orbit_average(
+        _SHIFT, lambda x: np.full(np.shape(x), "1"), 0, 16, t),
     "rotation-cf-depth-2.5": lambda t: er.DynamicalSystem.rotation("golden", cf_depth=2.5),
     "orbit-index-1.5": lambda t: _SHIFT.orbit_positions(0, [1.5, 3]),
     "interval-negative": lambda t: mx.Signal.interval(0, -1),
@@ -145,6 +161,18 @@ def test_scale_index_past_the_table_fails_before_any_scale(call, n_max, table_sm
     monkeypatch.setattr(nt.PrimeTable, "_rank", read)
     with pytest.raises(nt.CapacityError):
         call(n_max, table_small)
+
+
+@pytest.mark.parametrize("R", [10**30, 1 << 25], ids=["1e30", "2^25"])
+def test_transference_past_the_orbit_cap_fails_before_sampling(R, table_small):
+    # the orbit of T^n x0 for n <= R is sampled only for R < 2^25, the cap of
+    # orbit_positions; past it np.arange(R + 1) died with a raw ValueError
+    def indicator(x):
+        raise AssertionError("orbit sampled")
+
+    with pytest.raises(nt.CapacityError):
+        er.transference_sample(er.DynamicalSystem.rotation("golden"), indicator, 0.1,
+                               R, 8, table_small)
 
 
 def test_capacity_rule_bounds_python_and_numpy_integers():

@@ -6,6 +6,7 @@ summation at high precision.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import primeavg.ergodic as er
-from primeavg.ntheory import DomainError
+from primeavg.ntheory import CapacityError, DomainError
 
 
 # --- system construction ---
@@ -52,10 +53,27 @@ def test_shift_system_and_validation():
     ks = np.arange(200)
     pos = sh.orbit_positions(3, ks)
     assert pos.tolist() == [(3 + k) % 97 for k in range(200)]
+    # an integral float, as the CLI parses --x0 3, is the integer 3; a start
+    # far outside [0, m) is reduced mod m exactly
+    assert np.array_equal(sh.orbit_positions(3.0, ks), pos)
+    assert np.array_equal(sh.orbit_positions(np.int64(3), ks), pos)
+    assert np.array_equal(sh.orbit_positions(3 - 97 * 10**15, ks), pos)
+    assert np.array_equal(sh.orbit_positions(float(3 + 97 * 2**40), ks), pos)
     with pytest.raises(DomainError):
         er.DynamicalSystem.shift(0)
     with pytest.raises(DomainError):
         sh.alpha
+
+
+def test_shift_modulus_cap_keeps_residues_exact():
+    # a residue below 2^62 plus an index below 2^25 cannot wrap int64; past
+    # the cap, shift(2^63 - 1) mapped 2^63 - 2 by 5 steps to 2, not 4
+    big = er.DynamicalSystem.shift(1 << 62)
+    assert big.orbit_positions((1 << 62) - 1, np.array([5, (1 << 25) - 1])).tolist() == \
+        [4, (1 << 25) - 2]
+    for m in ((1 << 62) + 1, 2**63 - 1, 10**30):
+        with pytest.raises(CapacityError):
+            er.DynamicalSystem.shift(m)
 
 
 def test_orbit_positions_match_fraction_oracle():
@@ -74,6 +92,27 @@ def test_orbit_positions_match_fraction_oracle():
         sys.orbit_positions(0.0, np.array([-1]))
     with pytest.raises(DomainError):
         sys.orbit_positions(math.nan, ks)
+
+
+_EDGE_STARTS = [0.0, -0.0, -1e-20, -5e-324, 0.999999999999, 1 - 2**-53,
+                -(1 - 2**-53), 5.5, -3.25, 1e15, 0.3, 0.7071067811865476]
+
+
+@pytest.mark.parametrize("alpha", ["golden", "silver", 0.0, 0.5, 1 / 3, 0.123456789])
+def test_orbit_positions_bit_identical_to_the_fmod_formula(alpha):
+    # the one-subtraction wrap must give the bits of the fmod wrap, +0.0 at
+    # s + r = 1 (x0 = -1e-20 has s = 1.0 and r = 0 at k = 0) included
+    sys = er.DynamicalSystem.rotation(alpha)
+    num, den = sys.num, sys.den
+    rng = np.random.default_rng(11)
+    ks = np.concatenate([np.arange(2000), rng.integers(0, 1 << 25, 2000),
+                         [(1 << 25) - 1]]).astype(np.int64)
+    for x0 in _EDGE_STARTS + list(rng.random(8)):
+        want = np.mod(float(x0) % 1.0 + np.mod(ks * num, den) / den, 1.0)
+        got = sys.orbit_positions(x0, ks)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), x0
+        assert np.all((got >= 0.0) & (got < 1.0))
 
 
 def test_identity_rotation_keeps_x0():
@@ -144,6 +183,41 @@ def test_convergence_diagnostic_exponential_decays(table_small):
         er.convergence_diagnostic(sys, f, 0.0, 0, table_small)
     with pytest.raises(DomainError):
         er.convergence_diagnostic(sys, f, 0.0, 25, table_small)
+
+
+@pytest.mark.parametrize("observable", ["indicator", "cosine", "float32", "bool"])
+def test_convergence_diagnostic_real_sum_is_the_complex_sums_real_part(observable,
+                                                                       table_small):
+    # a real f is summed in float64; its values must be the bits of the
+    # complex128 route's real parts
+    fs = {"indicator": er.interval_indicator(0.9, 0.2),
+          "cosine": lambda x: np.cos(2 * np.pi * np.asarray(x)),
+          "float32": lambda x: np.cos(2 * np.pi * np.asarray(x)).astype(np.float32),
+          "bool": lambda x: np.asarray(x) < 0.3}
+    f = fs[observable]
+    sys = er.DynamicalSystem.rotation("silver")
+    for x0 in (0.0, 0.37, -1e-20, 1e15):
+        real = er.convergence_diagnostic(sys, f, x0, 16, table_small, reference=0.5)
+        cplx = er.convergence_diagnostic(sys, lambda x: np.asarray(f(x)).astype(np.complex128),
+                                         x0, 16, table_small, reference=0.5)
+        assert real.values.dtype == np.float64
+        assert np.array_equal(real.values.view(np.int64), cplx.values.real.view(np.int64))
+
+
+def test_convergence_diagnostic_peak_at_n_max_20(table_big):
+    # the orbit, the observable's values and their float64 running sums: about
+    # 2.1 arrays of pi(2^20) doubles, against 5.0 with a complex128 running
+    # sum and a float mod 1
+    sys = er.DynamicalSystem.rotation("golden")
+    f = er.interval_indicator(0.0, 0.5)
+    er.convergence_diagnostic(sys, f, 0.1, 20, table_big, reference=0.5)  # warm
+    tracemalloc.start()
+    try:
+        er.convergence_diagnostic(sys, f, 0.1, 20, table_big, reference=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * table_big.count(1 << 20), peak
 
 
 # --- transference ---

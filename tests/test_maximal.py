@@ -338,9 +338,28 @@ def test_scale_counts_guard_fires_on_roundoff(table_big, monkeypatch):
         list(mx.prime_scale_counts(mx.Signal.interval(0, 100), 12, table_big))
 
 
+def test_superlevel_counts_past_255_levels_match_a_direct_count(table_big):
+    # 300 levels take the uint16 level type; lambda = j / 512 is exact, so
+    # k / pi_N > lambda is k * 512 > j * pi_N in integers
+    F = _random_set(700)
+    n_max = 12
+    scale_counts = list(mx.prime_scale_counts(F, n_max, table_big))
+    width = (1 << n_max) + F.values.size
+    js = np.random.default_rng(5).permutation(np.arange(1, 301))
+    lam = js / 512
+    assert np.min_scalar_type(lam.size) == np.uint16
+    hit = np.zeros((lam.size, width), dtype=bool)
+    for pi_N, k in scale_counts:
+        hit[:, width - k.size:] |= k[None, :] * 512 > js[:, None] * pi_N
+    got = mx._superlevel_counts(iter(scale_counts), lam, width)
+    assert got.tolist() == hit.sum(axis=1).tolist()
+    assert len(set(got.tolist())) > 100  # the levels are told apart
+
+
 def test_weak_type_sweep_peak_at_n_max_18(table_big):
-    # one int64 accumulator over the window, one scale's counts and the
-    # superlevel table: about 8.2 MiB, against 23.3 MiB for a full-circle
+    # one int64 accumulator over the window, one scale's counts, and the
+    # superlevel levels and one scale's gathered levels in uint8: about 6.2
+    # MiB, against 8.2 MiB with int64 levels and 23.3 MiB for a full-circle
     # FFT pair per scale
     F = mx.Signal.interval(0, 1024)
     lam = mx.default_lambda_grid(10)
@@ -351,7 +370,7 @@ def test_weak_type_sweep_peak_at_n_max_18(table_big):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 << 20, peak
+    assert peak <= 8 << 20, peak
 
 
 # --- residue sampling, arc decay, A/B split ---
