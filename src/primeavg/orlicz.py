@@ -13,11 +13,21 @@ is the norm used to measure how far beyond L^1 an input must live for the
 weak-type maximal bound.  Everything here works on step functions (finite
 signals always rearrange to one); the integral reduces per step to
 integral phi(1/t) dt, evaluated by an adaptive 64-point Gauss rule.  Each
-panel's estimate is compared with the sum over its two halves, which are
-evaluated together in one phi_weight call on a 2 x 64 node block; a half
-that needs refining passes its estimate down as the next whole-panel value,
-so no panel is evaluated twice.  A panel is accepted when the two agree to
-its share of the tolerance, or to the rounding floor of its value.
+panel's estimate is compared with the sum over its two halves; a half that
+needs refining passes its estimate down as the next whole-panel value.  A
+panel is accepted when the two agree to its share of the tolerance, or to
+the rounding floor of its value.
+
+The panels the rule reads are known before it runs, so each orlicz_norm
+call evaluates them in one phi_weight call on a (P, 64) node block.  Away
+from t = 0 a step's first bisection is accepted at once.  At t = 0 phi(1/t)
+is singular: the rule halves the first step's panel [0, e] down to its
+depth cap, and accepts the bisection of each right half [e/2, e] at once.
+That chain's edges are exact halvings of e, so it is listed ahead.  Each
+row of the block is summed by its own dot product, which gives a panel the
+bits it would have in a block of its own; a matrix-vector product over the
+block would round differently.  A pair outside the plan is evaluated on
+its own.
 
 dyadic_layers reads off a_j = f*(2^-j), the layer heights of the dyadic
 decomposition A_j = {f*(2^-j+1) < |f| <= f*(2^-j)} of nominal measure 2^-j,
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ntheory import DomainError, _finite, _integer
+from .ntheory import CapacityError, DomainError, _finite, _integer
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
@@ -50,6 +60,12 @@ _TOL = 1e-9
 # |split - whole| at or below this share of the panel value is rounding
 # noise of the two 64-point sums, which no further halving can reduce
 _ROUNDING_FLOOR = 64 * np.finfo(np.float64).eps
+
+# the adaptive rule halves a panel at most this many times
+_MAX_DEPTH = 60
+
+# the deepest dyadic layer: past it 2^-j is subnormal and e 2^j overflows
+_J_CAP = 1022
 
 
 def phi_weight(t):
@@ -122,14 +138,22 @@ class StepRearrangement:
 def decreasing_rearrangement(pairs) -> StepRearrangement:
     """Rearrange (magnitude, measure) pairs into a step function on [0, 1).
 
-    Magnitudes are taken in absolute value; zero-magnitude mass joins the
-    tail where f* vanishes.  Equal magnitudes merge.  Non-finite input, and
-    total measure above 1, are domain errors: the underlying space is a
-    probability space.
+    Magnitudes are taken in absolute value (complex ones too); zero-magnitude
+    mass joins the tail where f* vanishes.  Equal magnitudes merge.  An item
+    that is not a pair of numbers, non-finite input, and total measure
+    above 1 are domain errors: the underlying space is a probability space.
     """
-    pairs = list(pairs)
-    mags = _finite([float(abs(v)) for v, _ in pairs], "magnitudes")
-    meas = _finite([float(m) for _, m in pairs], "measures")
+    mags, meas = [], []
+    for pair in pairs:
+        try:
+            v, m = pair
+            mags.append(float(abs(v)))
+            meas.append(float(m))
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{pair!r} is not a (magnitude, measure) pair "
+                              "of numbers") from None
+    mags = _finite(mags, "magnitudes")
+    meas = _finite(meas, "measures")
     if np.any(meas < 0):
         raise DomainError("measures must be nonnegative")
     if sum(meas.tolist()) > 1.0 + _MEASURE_SLACK:  # summed in input order
@@ -146,31 +170,76 @@ def decreasing_rearrangement(pairs) -> StepRearrangement:
     return StepRearrangement(values=merged_v, measures=merged_m)
 
 
-def _phi_inv_panels(edges: np.ndarray) -> list[float]:
-    """64-point Gauss estimates of integral phi(1/t) dt over each panel
-    [edges[i], edges[i+1]], from one phi_weight call on the node block."""
-    lo, hi = edges[:-1], edges[1:]
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """64-point Gauss estimates of integral phi(1/t) dt over the panels
+    [lo[i], hi[i]], from one phi_weight call on their (P, 64) node block.
+
+    Each row is summed by its own dot product, so an estimate does not
+    depend on the rows around it (a matrix-vector product rounds rows by
+    their place in the block).  A node t = 0, or one whose 1/t overflows,
+    gives a non-finite estimate without a warning: a planned panel may
+    never be read."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    vals = phi_weight(1.0 / (mid[:, None] + half[:, None] * _GL_NODES))
-    return [h * float(np.dot(_GL_WEIGHTS, v)) for h, v in zip(half.tolist(), vals)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = phi_weight(1.0 / (mid[:, None] + half[:, None] * _GL_NODES))
+        dots = np.fromiter(map(_GL_WEIGHTS.dot, vals), np.float64, len(vals))
+        return (half * dots).tolist()
 
 
-def _phi_inv_adaptive(lo: float, hi: float, tol: float, whole: float,
-                      depth: int = 0) -> float:
+def _planned_pairs(steps: list[tuple]) -> tuple[list[float], dict]:
+    """The panel estimates the adaptive rule reads on typical steps, from
+    one _gauss_panels call: each step's whole panel, and the bisection
+    pairs keyed by their edges (lo, mid, hi).
+
+    Away from t = 0 the rule accepts a step's first bisection.  At t = 0
+    the 64-point rule never meets its share of the tolerance on [0, e], so
+    the rule halves the first step's panel to the depth cap: the chain
+    pairs (0, e_k+1, e_k), e_k the k-th halving of hi done as the rule does
+    it (so the edges match bit for bit), and the bisection of each right
+    half [e_k+1, e_k], which it accepts at once."""
+    lo = np.array([s[1] for s in steps])
+    hi = np.array([s[2] for s in steps])
+    e = np.full(_MAX_DEPTH + 2, 0.5)
+    e[0] = hi[0]  # the first step starts at t = 0
+    e = np.multiply.accumulate(e)
+    right_lo, right_hi = e[1:-1], e[:-2]  # [e_k+1, e_k], k < _MAX_DEPTH
+    parts = [(lo, 0.5 * (lo + hi), hi),  # chain pair k = 0 among them
+             (np.zeros(_MAX_DEPTH), e[2:], e[1:-1]),  # k = 1.._MAX_DEPTH
+             (right_lo, 0.5 * (right_lo + right_hi), right_hi)]
+    p_lo, p_mid, p_hi = (np.concatenate(c) for c in zip(*parts))
+    est = _gauss_panels(np.concatenate([lo, p_lo, p_mid]),
+                        np.concatenate([hi, p_mid, p_hi]))
+    n, p = len(steps), len(p_lo)
+    known = dict(zip(zip(p_lo.tolist(), p_mid.tolist(), p_hi.tolist()),
+                     zip(est[n:n + p], est[n + p:])))
+    return est[:n], known
+
+
+def _adaptive(lo: float, hi: float, tol: float, whole: float, known: dict,
+              depth: int = 0) -> float:
     """Adaptive integral of phi(1/t) over [lo, hi], given the one-panel
-    estimate `whole` there; both halves are evaluated in one block.  A panel
-    is accepted once |split - whole| meets its share of the tolerance or
-    sits at the rounding floor of the panel value."""
+    estimate `whole` there and the planned pair estimates `known`; a pair
+    outside them is evaluated on its own.  A panel is accepted once
+    |split - whole| meets its share of the tolerance or sits at the
+    rounding floor of the panel value; a half that needs refining passes
+    its estimate down as the next whole-panel value.
+
+    A non-finite half needs a node below 1/DBL_MAX, so the panel holding
+    it is narrower than the 1e-300 width floor: the rule accepts that pair
+    and the integral comes out non-finite, which orlicz_norm rejects."""
     mid = 0.5 * (lo + hi)
-    left, right = _phi_inv_panels(np.array([lo, mid, hi]))
+    pair = known.get((lo, mid, hi))
+    if pair is None:
+        pair = _gauss_panels(np.array([lo, mid]), np.array([mid, hi]))
+    left, right = pair
     split = left + right
     err = abs(split - whole)
-    if (err <= tol or err <= _ROUNDING_FLOOR * abs(split) or depth >= 60
+    if (err <= tol or err <= _ROUNDING_FLOOR * abs(split) or depth >= _MAX_DEPTH
             or hi - lo < 1e-300):
         return split
-    return (_phi_inv_adaptive(lo, mid, 0.5 * tol, left, depth + 1)
-            + _phi_inv_adaptive(mid, hi, 0.5 * tol, right, depth + 1))
+    return (_adaptive(lo, mid, 0.5 * tol, left, known, depth + 1)
+            + _adaptive(mid, hi, 0.5 * tol, right, known, depth + 1))
 
 
 def orlicz_norm(rearrangement: StepRearrangement) -> float:
@@ -180,20 +249,28 @@ def orlicz_norm(rearrangement: StepRearrangement) -> float:
     each step adaptively; the absolute error is below 1e-8, or near rounding
     relative to the norm where a step value is so large that its share of
     the tolerance _TOL falls below the rounding floor of the panel values.
-    Exactly linear under scaling of the values.
+    Exactly linear under scaling of the values.  A norm past the float64
+    range, or a step so short that phi(1/t) overflows on its nodes, is a
+    CapacityError.
     """
     if rearrangement.values.size == 0:
         return 0.0
-    cuts = rearrangement.cuts
+    cuts = rearrangement.cuts.tolist()
+    steps = []
+    for a, lo, hi in zip(rearrangement.values, cuts[:-1], cuts[1:]):
+        hi = min(hi, 1.0)
+        if hi > lo:
+            steps.append((a, lo, hi))
+    wholes, known = _planned_pairs(steps)
     total = 0.0
     nsteps = rearrangement.values.size
-    for a, lo, hi in zip(rearrangement.values, cuts[:-1], cuts[1:]):
-        if hi > 1.0:
-            hi = 1.0
-        if hi <= lo:
-            continue
-        whole, = _phi_inv_panels(np.array([lo, hi]))
-        total += a * _phi_inv_adaptive(lo, hi, _TOL / (nsteps * max(a, 1.0)), whole)
+    with np.errstate(over="ignore"):
+        for (a, lo, hi), whole in zip(steps, wholes):
+            total += a * _adaptive(lo, hi, _TOL / (nsteps * max(a, 1.0)), whole, known)
+    if not math.isfinite(total):
+        raise CapacityError("the Orlicz norm is not finite in float64: a step value "
+                            "past the range, or a step so short that phi(1/t) "
+                            "overflows on its quadrature nodes")
     return total
 
 
@@ -201,9 +278,10 @@ def dyadic_layers(rearrangement: StepRearrangement, j_max: int = 50) -> list[tup
     """Layer heights (a_j, 2^-j) with a_j = f*(2^-j), j = 1..j_max.
 
     The nominal layer measures are the dyadic gaps 2^-j; for j beyond the
-    resolution of the rearrangement a_j saturates at the top value.
+    resolution of the rearrangement a_j saturates at the top value.  j_max
+    past 1022, where 2^-j leaves the normal floats, is a CapacityError.
     """
-    j_max = _integer(j_max, "j_max", 1)
+    j_max = _integer(j_max, "j_max", 1, high=_J_CAP)
     ts = 0.5 ** np.arange(1, j_max + 1)
     heights = rearrangement.evaluate(ts) if rearrangement.values.size else np.zeros(j_max)
     return [(float(a), float(t)) for a, t in zip(np.atleast_1d(heights), ts)]
@@ -215,9 +293,12 @@ def layer_lower_bound(rearrangement: StepRearrangement, j_max: int = 50) -> floa
     On [2^-j-1, 2^-j) the integrand of the norm is at least a_j phi(2^j),
     so the norm dominates (1/2) sum a_j 2^-j phi(2^j); the quoted weight
     log^2(e 2^j) log(j+1) / 4 sits below phi(2^j) for every j >= 1, which
-    gives the constant 1/8.
+    gives the constant 1/8.  j_max is checked by dyadic_layers, and a bound
+    past the float64 range is a CapacityError.
     """
     total = 0.0
     for j, (a, m) in enumerate(dyadic_layers(rearrangement, j_max), start=1):
         total += a * m * math.log(math.e * 2.0 ** j) ** 2 * math.log(j + 1)
+    if not math.isfinite(total / 8.0):
+        raise CapacityError("the layer lower bound is not finite in float64")
     return total / 8.0

@@ -19,7 +19,8 @@ shift truncated a fractional starting point and died on a huge one, a
 rotation died with a raw TypeError on a complex or string one, and a nan
 or infinite observable value came back as the orbit average, before
 ergodic checked them; the finite rule itself died with a raw TypeError on
-strings.
+strings.  A rearrangement item that was not a pair of numbers died with a
+raw ValueError or TypeError.
 """
 
 import math
@@ -36,7 +37,8 @@ from primeavg.characters import (ENUM_CAP, enumerate_characters,
                                  enumerate_quadratic_characters, exceptional_zero_scan,
                                  l_function_real, principal_character,
                                  synthetic_exceptional)
-from primeavg.orlicz import StepRearrangement, phi_weight
+from primeavg.orlicz import (StepRearrangement, decreasing_rearrangement, dyadic_layers,
+                             layer_lower_bound, orlicz_norm, phi_weight)
 
 _SHIFT = er.DynamicalSystem.shift(5)
 _GOLDEN = er.DynamicalSystem.rotation("golden")
@@ -94,6 +96,8 @@ _CASES = {
     "phi-weight-nan": lambda t: phi_weight(math.nan),
     "rearrangement-evaluate-nan": lambda t: _STEPS.evaluate(math.nan),
     "rearrangement-distribution-nan": lambda t: _STEPS.distribution(math.nan),
+    "rearrangement-pair-of-one": lambda t: decreasing_rearrangement([(1.0,)]),
+    "rearrangement-string-magnitude": lambda t: decreasing_rearrangement([("a", 0.5)]),
     "maximal-dyadic-true": lambda t: mx.maximal_dyadic(mx.Signal.delta(), "weighted", True, t),
     "eta-s-true": lambda t: mp.eta_s(True, 0.0),
     "enumerate-arcs-true": lambda t: mp.enumerate_arcs(True),
@@ -140,6 +144,28 @@ _CASES = {
 def test_outside_the_domain_is_a_domain_error(call, table_small):
     with pytest.raises(nt.DomainError):
         call(table_small)
+
+
+_HUGE_STEP = decreasing_rearrangement([(1e308, 0.5)])
+
+# values past the float64 range: each returned a silent inf (with overflow
+# warnings) or, for j_max, died with a raw OverflowError or ValueError
+_CAPACITY_CASES = {
+    "orlicz-norm-value-1e308": lambda: orlicz_norm(_HUGE_STEP),
+    "layer-bound-value-1e308": lambda: layer_lower_bound(_HUGE_STEP),
+    # the norm is finite and tiny, but 1/t overflows on the nodes read
+    "orlicz-norm-first-step-1e-320": lambda: orlicz_norm(
+        decreasing_rearrangement([(1.0, 1e-320)])),
+    "layers-j-max-1023": lambda: dyadic_layers(_STEPS, 1023),
+    "layer-bound-j-max-2000": lambda: layer_lower_bound(_STEPS, 2000),
+    "layers-j-max-1e30": lambda: dyadic_layers(_STEPS, 10**30),
+}
+
+
+@pytest.mark.parametrize("call", _CAPACITY_CASES.values(), ids=_CAPACITY_CASES.keys())
+def test_past_the_float64_range_is_a_capacity_error(call):
+    with pytest.raises(nt.CapacityError):
+        call()
 
 
 _SCALE_CALLS = {

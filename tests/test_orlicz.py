@@ -1,7 +1,10 @@
 """Decreasing rearrangements and the L log^2 L log log L functional.
 
 scipy.integrate.quad is the oracle for every integral here, computed from
-the definition without going through the package's panel quadrature.
+the definition without going through the package's panel quadrature.  The
+block evaluation of orlicz_norm is also held, bit for bit, to the
+recursive route it replaced, which evaluates each bisection as its own
+2 x 64 node block; that route is written out below.
 """
 
 import math
@@ -9,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 import primeavg.orlicz as oz
@@ -83,6 +87,18 @@ def test_rearrangement_validation():
     empty = oz.decreasing_rearrangement([])
     assert empty.total_measure == 0.0
     assert oz.orlicz_norm(empty) == 0.0
+
+
+def test_rearrangement_takes_complex_magnitudes():
+    r = oz.decreasing_rearrangement([(3 + 4j, 0.25), (-1j, 0.5)])
+    assert r.values.tolist() == [5.0, 1.0]
+
+
+def test_deepest_layer_is_normal_and_finite():
+    r = oz.decreasing_rearrangement([(3.0, 0.25), (1.0, 0.5)])
+    layers = oz.dyadic_layers(r, 1022)
+    assert layers[-1] == (3.0, 2.0 ** -1022)
+    assert math.isfinite(oz.layer_lower_bound(r, 1022))
 
 
 def test_rearrangement_rejects_non_finite():
@@ -185,3 +201,107 @@ def test_layer_bound_sits_below_norm_on_random_inputs(rng):
 
 def test_layer_bound_zero_for_empty():
     assert oz.layer_lower_bound(oz.decreasing_rearrangement([])) == 0.0
+
+
+_NODES, _WEIGHTS = leggauss(64)
+
+
+def _recursive_panels(edges):
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    vals = oz.phi_weight(1.0 / (mid[:, None] + half[:, None] * _NODES))
+    return [h * float(np.dot(_WEIGHTS, v)) for h, v in zip(half.tolist(), vals)]
+
+
+def _recursive_adaptive(lo, hi, tol, whole, depth=0):
+    mid = 0.5 * (lo + hi)
+    left, right = _recursive_panels(np.array([lo, mid, hi]))
+    split = left + right
+    err = abs(split - whole)
+    if (err <= tol or err <= 64 * np.finfo(np.float64).eps * abs(split) or depth >= 60
+            or hi - lo < 1e-300):
+        return split
+    return (_recursive_adaptive(lo, mid, 0.5 * tol, left, depth + 1)
+            + _recursive_adaptive(mid, hi, 0.5 * tol, right, depth + 1))
+
+
+def _recursive_norm(r):
+    """orlicz_norm as one recursion per step, each bisection its own block."""
+    cuts = r.cuts
+    total = 0.0
+    for a, lo, hi in zip(r.values, cuts[:-1], cuts[1:]):
+        if hi > 1.0:
+            hi = 1.0
+        if hi <= lo:
+            continue
+        whole, = _recursive_panels(np.array([lo, hi]))
+        total += a * _recursive_adaptive(lo, hi, 1e-9 / (r.values.size * max(a, 1.0)), whole)
+    return total
+
+
+def _audit_shaped(rng, count):
+    """Step functions like the benchmark's audit inputs: 3 to 15 steps,
+    lognormal values, random measures summing to 1."""
+    batch = []
+    for _ in range(count):
+        k = int(rng.integers(3, 16))
+        meas = rng.random(k)
+        batch.append(list(zip(rng.lognormal(0.0, 2.0, size=k).tolist(),
+                              (meas / meas.sum()).tolist())))
+    return batch
+
+
+_EDGE_STEPS = {
+    "huge-step-then-unit": [(1e9, 0.1), (1.0, 0.5)],
+    "value-1e300": [(1e300, 0.5)],
+    "full-measure": [(1.0, 1.0)],
+    "short-first-step": [(2.0, 1e-6), (1.0, 1e-3)],
+    # the planned chain at the origin runs into nodes whose 1/t overflows,
+    # past the panels the rule reads; they must neither raise nor warn
+    "first-step-1e-295": [(1.0, 1e-295)],
+    "first-step-1e-295-then-half": [(2.0, 1e-295), (1.0, 0.5)],
+    "measure-below-rounding": [(1.0, 0.5), (0.5, 1e-17)],
+}
+
+
+@pytest.mark.parametrize("pairs", _EDGE_STEPS.values(), ids=_EDGE_STEPS.keys())
+def test_block_norm_matches_the_recursive_route_on_edge_steps(pairs):
+    r = oz.decreasing_rearrangement(pairs)
+    assert float(oz.orlicz_norm(r)).hex() == float(_recursive_norm(r)).hex()
+
+
+def test_block_norm_matches_the_recursive_route_bit_for_bit(rng):
+    batch = _audit_shaped(rng, 30)
+    for _ in range(20):  # 1 to 40 steps, total measure below 1
+        k = int(rng.integers(1, 41))
+        m = rng.random(k)
+        m = m / m.sum() * float(rng.uniform(0.05, 1.0))
+        batch.append(list(zip(rng.lognormal(0.0, 3.0, size=k).tolist(), m.tolist())))
+    for pairs in batch:
+        r = oz.decreasing_rearrangement(pairs)
+        assert float(oz.orlicz_norm(r)).hex() == float(_recursive_norm(r)).hex()
+
+
+def test_phi_weight_bits_do_not_depend_on_the_block(rng):
+    # the block route relies on each element's bits being the same whatever
+    # the length and shape of the array it is evaluated in
+    t = 1.0 / rng.uniform(1e-12, 1.0, size=(37, 64))
+    t[0] = np.exp(rng.uniform(0.0, 690.0, size=64))
+    block = oz.phi_weight(t)
+    for i in range(len(t)):
+        assert block[i].tobytes() == oz.phi_weight(t[i]).tobytes()
+        assert block[i].tobytes() == oz.phi_weight(t[i:i + 2])[0].tobytes()
+        assert block[i, 5] == oz.phi_weight(float(t[i, 5]))
+
+
+def test_norm_evaluates_its_panels_in_one_block(rng, monkeypatch):
+    # a count, not a timing: the recursive route made about 130 phi_weight
+    # calls per norm on these inputs, one per bisection
+    calls = []
+    phi = oz.phi_weight
+    monkeypatch.setattr(oz, "phi_weight", lambda t: calls.append(1) or phi(t))
+    batch = _audit_shaped(rng, 50)
+    for pairs in batch:
+        oz.orlicz_norm(oz.decreasing_rearrangement(pairs))
+    assert 0 < len(calls) <= 2 * len(batch)
