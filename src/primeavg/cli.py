@@ -1,11 +1,21 @@
 """Command-line surface: experiment sweeps with deterministic reports.
 
 Every subcommand validates its flags, computes a report, and writes it as
-CSV or JSON, row by row as the rows are computed.  Reports are
+CSV or JSON, streamed as the rows are computed.  Reports are
 byte-identical across reruns and thread counts: work units are mapped in a
 fixed order, floats are printed with 17 significant digits, and JSON keys
-are sorted.  Exit codes: 0 success, 1 usage or input error (one stderr
-line, no report), 2 measured-constant drift or verification failure.
+are sorted.
+
+One table of per-type rules (_FMT_CHAIN: a %-code and a conversion) formats
+every cell.  A CSV report's rows are drawn 256 at a time; each run of
+rows with one type signature is filled from that signature's line template,
+built once from the table, one pattern % cells per row, and the chunk goes
+to the file in one write.  A run with a cell type outside the table, or a
+str cell the csv module might quote, goes through csv.writer in its place,
+so the bytes are those of the csv module over the whole report.
+
+Exit codes: 0 success, 1 usage or input error (one stderr line, no report),
+2 measured-constant drift or verification failure.
 
 Frozen constants live in a JSON fixture (--fixtures, taken by the two
 subcommands that measure one: weak-type-sweep and residue-equidist); a
@@ -23,9 +33,11 @@ import itertools
 import json
 import numbers
 import os
+import re
 import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import countOf, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,33 +56,82 @@ def _fmt_bool(x) -> str:
     return "true" if x else "false"
 
 
-def _fmt_int(x) -> str:
-    return str(int(x))
-
-
-def _fmt_float(x) -> str:
-    return FLOAT_FMT % float(x)
-
-
 def _fmt_complex(x) -> str:
     z = complex(x)
     return (FLOAT_FMT % z.real) + ("+" if z.imag >= 0 else "-") \
         + (FLOAT_FMT % abs(z.imag)) + "j"
 
 
-# the first base class a value's type derives from picks its formatter
-_FMT_CHAIN = (((bool, np.bool_), _fmt_bool), (numbers.Integral, _fmt_int),
-              ((float, np.floating), _fmt_float),
-              ((complex, np.complexfloating), _fmt_complex))
-_FMT_BY_TYPE: dict = {}  # type -> formatter, resolved through _FMT_CHAIN once
+# the first base class a value's type derives from picks its rule: a %-code
+# and the conversion the value goes through to fill it; other types print as str
+_FMT_CHAIN = (((bool, np.bool_), "%s", _fmt_bool), (numbers.Integral, "%d", int),
+              ((float, np.floating), FLOAT_FMT, float),
+              ((complex, np.complexfloating), "%s", _fmt_complex))
+_FMT_BY_TYPE: dict = {}  # type -> (code, conversion), resolved through _FMT_CHAIN once
+
+
+def _cell_rule(t: type) -> tuple:
+    rule = _FMT_BY_TYPE.get(t)
+    if rule is None:
+        rule = _FMT_BY_TYPE[t] = next(
+            ((code, conv) for bases, code, conv in _FMT_CHAIN if issubclass(t, bases)),
+            ("%s", str))
+    return rule
 
 
 def _fmt(x) -> str:
-    fmt = _FMT_BY_TYPE.get(type(x))
-    if fmt is None:
-        fmt = next((f for bases, f in _FMT_CHAIN if issubclass(type(x), bases)), str)
-        _FMT_BY_TYPE[type(x)] = fmt
-    return fmt(x)
+    code, conv = _cell_rule(type(x))
+    return code % conv(x)
+
+
+# rows per string handed to the report file; 1024 wrote no faster and could
+# leave the process's peak RSS about 0.1 MB higher
+_CHUNK_ROWS = 256
+# a str cell that holds one of these, or is empty, may be quoted by the csv
+# module, so its run of rows goes through csv.writer
+_QUOTABLE = re.compile('[,"\r\n]').search
+_ROW_TEMPLATES: dict = {}  # type signature -> _row_template's value
+
+
+def _row_template(sig: tuple):
+    """The CSV line template of rows whose cells have the types sig, or None
+    where such a row goes through csv.writer (no cells, or a cell of a type
+    outside _FMT_CHAIN that is not str): the %-pattern of the whole line,
+    the conversion of each cell (None where the %-code takes it as it is),
+    and the indices of the str cells."""
+    if sig in _ROW_TEMPLATES:
+        return _ROW_TEMPLATES[sig]
+    rules = [("%s", None) if t is str else _cell_rule(t) for t in sig]
+    template = None
+    if sig and all(conv is not str for _, conv in rules):
+        template = (",".join(code for code, _ in rules) + "\n",
+                    [None if conv is t else conv for t, (_, conv) in zip(sig, rules)],
+                    [i for i, t in enumerate(sig) if t is str])
+    _ROW_TEMPLATES[sig] = template
+    return template
+
+
+def _csv_lines(run: list) -> str:
+    """The CSV lines of the rows in run.  Rows that share one type signature
+    are filled from its template, each row one pattern % cells, the cells
+    converted column by column; a run of mixed signatures is split into
+    runs of one; the csv module over _fmt of every cell takes a run the
+    template does not apply to."""
+    cols = list(zip(*run))
+    kinds = [set(map(type, col)) for col in cols]
+    if len(set(map(len, run))) > 1 or any(len(k) > 1 for k in kinds):
+        sigs = map(tuple, map(map, itertools.repeat(type), run))
+        return "".join(_csv_lines([row for _, row in part])
+                       for _, part in itertools.groupby(zip(sigs, run), itemgetter(0)))
+    template = _row_template(tuple(k.pop() for k in kinds))
+    if template is not None:
+        pattern, convs, text = template
+        if not any("" in cols[i] or _QUOTABLE("".join(cols[i])) for i in text):
+            cols = [c if f is None else map(f, c) for f, c in zip(convs, cols)]
+            return "".join(map(pattern.__mod__, zip(*cols)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(c) for c in row] for row in run)
+    return buf.getvalue()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,8 +216,9 @@ def _emit(fh, fmt: str, meta: dict, columns: list[str], rows, summary: dict) -> 
     for k, v in smeta.items():
         w.writerow([f"# {k}", v])
     w.writerow(columns)
-    for row in rows:
-        w.writerow(map(_fmt, row))
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        fh.write(_csv_lines(chunk))
     for k, v in sorted(summary.items()):
         w.writerow([f"# {k}", _fmt(v)])
 
@@ -208,12 +270,11 @@ def _cmd_gauss_verify(args) -> int:
         checks = failures = 0
         max_err = None  # max(..., default=0.0): the first, then any larger
         for part in parts:
-            for row in part:
-                checks += 1
-                failures += not row[4]
-                if max_err is None or row[3] > max_err:
-                    max_err = row[3]
-                yield row
+            checks += len(part)
+            failures += countOf(map(itemgetter(4), part), False)
+            head = () if max_err is None else (max_err,)
+            max_err = max(itertools.chain(head, map(itemgetter(3), part)), default=None)
+            yield from part
         summary.update(checks=checks, failures=failures,
                        max_err=0.0 if max_err is None else max_err)
 
@@ -392,14 +453,20 @@ def _cmd_ergodic(args) -> int:
 
 def _cmd_orlicz(args) -> int:
     pairs = []
-    text = Path(args.input).read_text()
-    for line in csv.reader(io.StringIO(text)):
+    lines = csv.reader(io.StringIO(Path(args.input).read_text()))
+    for line in lines:
         if not line:
             continue
         try:
-            pairs.append((float(line[0]), float(line[1])))
-        except (ValueError, IndexError):
-            continue  # header or malformed line
+            pair = tuple(map(float, line))
+        except ValueError:
+            if lines.line_num == 1:
+                continue  # a header
+            pair = ()
+        if len(pair) != 2:
+            raise DomainError(f"line {lines.line_num} of {args.input} is not a "
+                              "value,measure pair of numbers")
+        pairs.append(pair)
     r = orlicz.decreasing_rearrangement(pairs)
     norm = orlicz.orlicz_norm(r)
     layers = orlicz.dyadic_layers(r, args.j_max)

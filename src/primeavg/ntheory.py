@@ -78,6 +78,8 @@ def _real(x, name: str, points: bool = False):
     points=True a non-empty array of them also passes, and comes back as a
     float64 array (0-d for a number).  Anything else is a DomainError naming
     the argument."""
+    if type(x) is float and not points and math.isfinite(x):
+        return x  # the common case, without an array round trip
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf" or (arr.ndim and not points):
         raise DomainError(f"{name} must be a real number, got {type(x).__name__}")

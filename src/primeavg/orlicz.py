@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ntheory import CapacityError, DomainError, _finite, _integer
+from .ntheory import CapacityError, DomainError, _finite, _integer, _real
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
@@ -130,6 +130,7 @@ class StepRearrangement:
         return float(self.measures[self.values > s].sum()) if self.values.size else 0.0
 
     def scale(self, c: float) -> "StepRearrangement":
+        c = _real(c, "scale factor")
         if c <= 0:
             raise DomainError("scale factor must be positive")
         return StepRearrangement(values=self.values * c, measures=self.measures)
@@ -139,21 +140,26 @@ def decreasing_rearrangement(pairs) -> StepRearrangement:
     """Rearrange (magnitude, measure) pairs into a step function on [0, 1).
 
     Magnitudes are taken in absolute value (complex ones too); zero-magnitude
-    mass joins the tail where f* vanishes.  Equal magnitudes merge.  An item
-    that is not a pair of numbers, non-finite input, and total measure
-    above 1 are domain errors: the underlying space is a probability space.
+    mass joins the tail where f* vanishes.  Equal magnitudes merge.  Each
+    measure goes through the real rule (a finite real number, never a bool,
+    a string or bytes).  An item that is not a pair of numbers, non-finite
+    input, and total measure above 1 are domain errors: the underlying space
+    is a probability space.
     """
     mags, meas = [], []
     for pair in pairs:
         try:
             v, m = pair
             mags.append(float(abs(v)))
-            meas.append(float(m))
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"{pair!r} is not a (magnitude, measure) pair "
                               "of numbers") from None
+        try:
+            meas.append(_real(m, "measure"))
+        except DomainError as e:  # named here: a name formed per pair costs its repr
+            raise DomainError(f"{pair!r}: {e}") from None
     mags = _finite(mags, "magnitudes")
-    meas = _finite(meas, "measures")
+    meas = np.asarray(meas, dtype=np.float64)
     if np.any(meas < 0):
         raise DomainError("measures must be nonnegative")
     if sum(meas.tolist()) > 1.0 + _MEASURE_SLACK:  # summed in input order

@@ -313,11 +313,50 @@ def _whole_report(fmt, meta, columns, rows, summary) -> str:
     return buf.getvalue()
 
 
+def _audit_like(n, start=0):
+    """n rows with the type signature of a gauss-verify row."""
+    return [(q, q % 7, f"a={q}", q / 7, q % 3 != 0) for q in range(start, start + n)]
+
+
+_CHUNK = cli._CHUNK_ROWS
+# rows that keep their place among templated rows: cells the csv module
+# quotes, empty strings, and types outside the format chain
+_FALLBACK_ROWS = [(1, 2, "a,b", 0.5, True), (1, 2, "", 0.5, True), [None, 1, 2.5],
+                  (1, 2, 'say "hi"', 0.5, False), [np.str_("np"), 3]]
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first line that differs (pytest's own
+    diff of two long reports takes minutes)."""
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i + 1} of {len(g)}: {g[i:i + 1]!r}, want {w[i:i + 1]!r} "
+                    f"of {len(w)}")
+
+
 _WRITER_ROWS = {
     "no-rows": [],
     "one-row": [[1, 0.1, True]],
     "odd-fields": [[np.int64(3), "a,b", 'say "hi"'], [2.5, _ODD, -0.0],
                    [False, "", 1 - 2j]],
+    "more-than-a-chunk": _audit_like(2 * _CHUNK + 3),
+    # a fallback row mid-chunk, between runs of two signatures, some short
+    "interleaved-signatures": [
+        row for k, extra in enumerate(_FALLBACK_ROWS)
+        for row in (*_audit_like(300 + k, 1000 * k), extra, [k, 0.25],
+                    *_audit_like(2, 7), [k, 0.5], [True, 1 + 1j, k])],
+    "numpy-scalars": [[np.bool_(True), np.int32(-7), np.uint8(255), np.float32(0.1),
+                       np.complex128(1.5 - 2j)],
+                      [np.bool_(False), np.int32(0), np.uint8(0), np.float32(-0.0),
+                       np.complex128(complex(-0.0, -0.0))],
+                      [np.int64(2**62), np.float64(1e-300), np.complex128(3j),
+                       np.float64(np.nan), np.int64(-1)]],
+    "non-finite": [[float("nan"), float("inf"), float("-inf"), -0.0],
+                   [np.float64(np.inf), np.float64(-np.inf), np.float64(-0.0), 0.0],
+                   [complex(float("nan"), float("inf")), 1e308, 5e-324, -1.5]],
+    "text-cells": [["a\rb", 1], ["a\nb", 2], ["a,b", 3], ['a"b', 4], [" lead", 5],
+                   ["trail ", 6], ["", 7], ["plain", 8], [" both ", 9], [" ", 10]],
 }
 
 
@@ -338,11 +377,128 @@ def test_streamed_report_is_the_whole_report(tmp_path, capsys, fmt, case):
     out = tmp_path / "r"
     cli._write_report(argparse.Namespace(format=fmt, out=str(out)), meta, columns,
                       stream(), summary)
-    assert out.read_text() == want
+    with out.open(newline="") as fh:  # a lone \r stays as it was written
+        _assert_same_text(fh.read(), want)
     summary.clear()
     cli._write_report(argparse.Namespace(format=fmt, out=None), meta, columns,
                       stream(), summary)
-    assert capsys.readouterr().out == want
+    _assert_same_text(capsys.readouterr().out, want)
+
+
+def test_csv_quotes_no_character_outside_the_template_check():
+    # a str cell the templates take must come out as csv.writer would write
+    # it: the csv module quotes no character that _QUOTABLE lets through
+    chars = [chr(c) for c in range(0x110000) if not cli._QUOTABLE(chr(c))]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", *chars, " a ", ""])
+    assert buf.getvalue() == ",".join(["", *chars, " a ", ""]) + "\n"
+
+
+def test_csv_rows_go_out_a_chunk_per_write(tmp_path):
+    class Counted(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            Counted.writes += 1
+            return super().write(text)
+
+    rows = _audit_like(3 * _CHUNK + 1)
+    fh = Counted()
+    cli._emit(fh, "csv", {}, ["a"], rows, {})
+    assert Counted.writes == 1 + 4  # the column line, then four chunks
+    _assert_same_text(fh.getvalue(), _whole_report("csv", {}, ["a"], rows, {}))
+
+
+def test_failed_stream_after_chunks_removes_the_partial_report(tmp_path):
+    out = tmp_path / "r"
+
+    def stream():
+        yield from _audit_like(2 * _CHUNK + 10)
+        assert out.stat().st_size > 0  # two chunks have reached the file
+        raise cli.DomainError("stream failed")
+
+    with pytest.raises(cli.DomainError):
+        cli._write_report(argparse.Namespace(format="csv", out=str(out)), {"n": 1},
+                          ["a"], stream(), {})
+    assert not out.exists()
+
+
+def _summary_by_row(rows) -> dict:
+    """gauss-verify's summary by its per-row loop: max_err is the first
+    abs_err, then any larger one."""
+    checks = failures = 0
+    max_err = None
+    for row in rows:
+        checks += 1
+        failures += not row[4]
+        if max_err is None or row[3] > max_err:
+            max_err = row[3]
+    return {"checks": checks, "failures": failures,
+            "max_err": 0.0 if max_err is None else max_err}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gauss_verify_report_is_the_whole_report(tmp_path, fmt):
+    rows = list(gs.verify_quadratic_rows(40))
+    meta = {"command": "gauss-verify", "q_max": 40, "seed": 0}
+    want = _whole_report(fmt, meta, ["q", "q0", "point", "abs_err", "pass"], rows,
+                         _summary_by_row(rows))
+    out = tmp_path / "r"
+    assert _run("gauss-verify", "--q-max", "40", "--format", fmt, "--out", str(out)) == 0
+    _assert_same_text(out.read_text(), want)
+
+
+@pytest.mark.parametrize("parts", [
+    [[1.0], [float("nan"), 2.0]],  # a max per part and then across gives 1.0
+    [[], [float("nan"), 2.0]],  # nan first: no later value is larger
+    [[], []],
+])
+def test_gauss_verify_summary_folds_as_its_rows_do(tmp_path, monkeypatch, parts):
+    def audit(q_max, q_min=1):
+        if q_min == 1 and q_max > 1:  # the bounds check before any modulus
+            return iter(())
+        return iter([(q_min, 1, f"a={i}", err, err < 1.5)
+                     for i, err in enumerate(parts[q_min - 1])])
+
+    monkeypatch.setattr(cli, "verify_quadratic_rows", audit)
+    out = tmp_path / "r.json"
+    code = _run("gauss-verify", "--q-max", "2", "--format", "json", "--out", str(out))
+    want = _summary_by_row([row for q in (1, 2) for row in audit(q, q)])
+    assert code == (0 if want["failures"] == 0 else 2)
+    assert _read_json(out)["summary"] == {k: cli._fmt(v) for k, v in want.items()}
+
+
+def test_gauss_verify_formats_no_row_cell_by_cell(tmp_path, monkeypatch):
+    calls = []
+    fmt = cli._fmt
+
+    def counted(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", counted)
+    out = tmp_path / "r.csv"
+    assert _run("gauss-verify", "--q-max", "30", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) > 3000
+    assert len(calls) == 3 + 3  # the meta values and the summary values
+
+
+def test_orlicz_norm_rejects_a_bad_line_after_the_first(tmp_path, capsys):
+    inp = tmp_path / "bad.csv"
+    out = tmp_path / "r.csv"
+    for text, line in [("3,0.25\n1;0.5\nx,y\n", 2), ("value,measure\n3,0.25\nx,y\n", 3),
+                       ("3,0.25\n1,0.5,0.1\n", 2), ("1,0.5,0.1\n", 1),
+                       ("3,0.25\n\n0.5\n", 3)]:
+        inp.write_text(text)
+        assert _run("orlicz-norm", "--input", str(inp), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"primeavg: error: line {line} of {inp} is not a value,measure pair "
+            "of numbers\n")
+        assert not out.exists()
+    # a non-numeric first line is a header, and blank lines are skipped
+    inp.write_text("value,measure\n3,0.25\n\n1,0.5\n")
+    assert _run("orlicz-norm", "--input", str(inp), "--out", str(out)) == 0
+    assert "# steps,2\n" in out.read_text()
 
 
 def test_orlicz_meta_carries_any_input_path(tmp_path):

@@ -20,7 +20,9 @@ rotation died with a raw TypeError on a complex or string one, and a nan
 or infinite observable value came back as the orbit average, before
 ergodic checked them; the finite rule itself died with a raw TypeError on
 strings.  A rearrangement item that was not a pair of numbers died with a
-raw ValueError or TypeError.
+raw ValueError or TypeError, a string measure was read as its number and a
+bool one as 0 or 1, and a string scale factor died with a raw TypeError,
+before the measures and the factor went through the real rule.
 """
 
 import math
@@ -98,6 +100,10 @@ _CASES = {
     "rearrangement-distribution-nan": lambda t: _STEPS.distribution(math.nan),
     "rearrangement-pair-of-one": lambda t: decreasing_rearrangement([(1.0,)]),
     "rearrangement-string-magnitude": lambda t: decreasing_rearrangement([("a", 0.5)]),
+    "rearrangement-string-measure": lambda t: decreasing_rearrangement([(1.0, "0.5")]),
+    "rearrangement-bytes-measure": lambda t: decreasing_rearrangement([(1.0, b"0.5")]),
+    "rearrangement-bool-measure": lambda t: decreasing_rearrangement([(1.0, True)]),
+    "rearrangement-scale-string": lambda t: _STEPS.scale("2"),
     "maximal-dyadic-true": lambda t: mx.maximal_dyadic(mx.Signal.delta(), "weighted", True, t),
     "eta-s-true": lambda t: mp.eta_s(True, 0.0),
     "enumerate-arcs-true": lambda t: mp.enumerate_arcs(True),
