@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .ntheory import (CapacityError, DomainError, _integer, _real, divisors, euler_phi,
+from .ntheory import (CapacityError, DomainError, _integer, _real, _shaped, divisors, euler_phi,
                       factorize)
 
 ENUM_CAP = 10 ** 6
@@ -355,11 +355,9 @@ def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
     """
     if chi.kind == "principal":
         raise DomainError("L-series evaluation requires a non-principal character")
-    s_in = _real(s, "s", points=True)
-    if not np.all((s_in > 0.0) & (s_in <= 1.5)):
-        raise DomainError("s must lie in (0, 1.5]")
-    scalar = s_in.ndim == 0
-    sv = np.atleast_1d(s_in)
+    sv = np.atleast_1d(_real(s, "s", points=True))
+    if not sv.size or not np.all((sv > 0.0) & (sv <= 1.5)):
+        raise DomainError("need at least one s, each in (0, 1.5]")
 
     q = chi.modulus
     units = chi.unit_residues()
@@ -370,9 +368,7 @@ def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
     out = (q ** (-sv)) * (_hurwitz_block(q, units, sv) @ w)
     if not real_out:
         out = out.astype(np.complex128)
-    if scalar:
-        return out[0].item() if not real_out else float(out[0])
-    return out
+    return _shaped(out, s)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ fixed order, floats are printed with 17 significant digits, and JSON keys
 are sorted.
 
 One table of per-type rules (_FMT_CHAIN: a %-code and a conversion) formats
-every cell.  A CSV report's rows are drawn 256 at a time; each run of
-rows with one type signature is filled from that signature's line template,
-built once from the table, one pattern % cells per row, and the chunk goes
-to the file in one write.  A run with a cell type outside the table, or a
-str cell the csv module might quote, goes through csv.writer in its place,
-so the bytes are those of the csv module over the whole report.
+every cell.  A CSV report's rows are drawn 256 at a time; a chunk whose
+rows share one type signature, as each report's rows do, is filled from
+that signature's line template, built once from the table, one pattern %
+cells per row, and the chunk goes to the file in one write.  A chunk of
+ragged or mixed rows, or with a cell type outside the table, or a str cell
+the csv module might quote, goes through csv.writer whole in its place, so
+the bytes are those of the csv module over the whole report.
 
 Exit codes: 0 success, 1 usage or input error (one stderr line, no report),
 2 measured-constant drift or verification failure.
@@ -112,18 +113,16 @@ def _row_template(sig: tuple):
 
 
 def _csv_lines(run: list) -> str:
-    """The CSV lines of the rows in run.  Rows that share one type signature
-    are filled from its template, each row one pattern % cells, the cells
-    converted column by column; a run of mixed signatures is split into
-    runs of one; the csv module over _fmt of every cell takes a run the
-    template does not apply to."""
+    """The CSV lines of the rows in run.  Rows that share one type signature,
+    as every report's rows do, are filled from its template, each row one
+    pattern % cells, the cells converted column by column; the csv module
+    over _fmt of every cell takes a run of ragged or mixed rows whole, and a
+    run the template does not apply to."""
     cols = list(zip(*run))
     kinds = [set(map(type, col)) for col in cols]
-    if len(set(map(len, run))) > 1 or any(len(k) > 1 for k in kinds):
-        sigs = map(tuple, map(map, itertools.repeat(type), run))
-        return "".join(_csv_lines([row for _, row in part])
-                       for _, part in itertools.groupby(zip(sigs, run), itemgetter(0)))
-    template = _row_template(tuple(k.pop() for k in kinds))
+    template = None
+    if len(set(map(len, run))) == 1 and all(len(k) == 1 for k in kinds):
+        template = _row_template(tuple(k.pop() for k in kinds))
     if template is not None:
         pattern, convs, text = template
         if not any("" in cols[i] or _QUOTABLE("".join(cols[i])) for i in text):
@@ -403,7 +402,8 @@ def _cmd_ergodic(args) -> int:
     _require_min(args, "--n-max", 1)
     _require_min(args, "--seeds", 0)
     if args.system == "rotation":
-        system = ergodic.DynamicalSystem.rotation(args.alpha, args.alpha_cf_depth)
+        alpha = args.alpha if args.alpha in ("golden", "silver") else float(args.alpha)
+        system = ergodic.DynamicalSystem.rotation(alpha, args.alpha_cf_depth)
     else:
         system = ergodic.DynamicalSystem.shift(args.modulus)
     a, b = args.set

@@ -90,12 +90,10 @@ class DynamicalSystem:
         fractions are all 1s and all 2s.  cf_depth, which must be positive
         (alpha = 0 included), caps the number of partial quotients kept
         before the convergent is chosen."""
-        if alpha == "golden":
-            cf = [1] * 64
-        elif alpha == "silver":
-            cf = [2] * 48
+        if isinstance(alpha, str) and alpha in ("golden", "silver"):
+            cf = [1] * 64 if alpha == "golden" else [2] * 48
         else:
-            a = float(alpha)
+            a = _real(alpha, "rotation angle alpha")
             if not 0.0 <= a < 1.0:
                 raise DomainError("rotation angle must lie in [0, 1)")
             frac = Fraction(a)
@@ -163,8 +161,9 @@ def _shift_start(x0) -> int:
 
 
 def interval_indicator(a: float, b: float):
-    """1_{[a,b)} on the circle, wrapping when a > b; a and b must be finite."""
-    _finite((a, b), "interval endpoints")
+    """1_{[a,b)} on the circle, wrapping when a > b; a and b must be finite
+    real numbers (ntheory._real)."""
+    a, b = _real(a, "interval endpoint a"), _real(b, "interval endpoint b")
     if a <= b:
         return lambda x: ((np.asarray(x) >= a) & (np.asarray(x) < b)).astype(np.float64)
     return lambda x: ((np.asarray(x) >= a) | (np.asarray(x) < b)).astype(np.float64)
@@ -265,7 +264,7 @@ def transference_sample(system: DynamicalSystem, indicator, x0, R: int, L: int,
     R = _integer(R, "R", L + 1, high=_ORBIT_CAP - 1)  # the orbit's last index
     if lambda_grid is None:
         lambda_grid = np.asarray([0.75, 0.5, 0.25, 0.125])
-    lam = np.asarray(lambda_grid, dtype=np.float64)
+    lam = np.atleast_1d(_real(lambda_grid, "lambda grid", points=True))
     member = np.asarray(indicator(system.orbit_positions(x0, np.arange(R + 1))))
     W = R - L + 1
     n_top = int(math.log2(L))

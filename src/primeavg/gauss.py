@@ -47,7 +47,7 @@ import numpy as np
 
 from .characters import (ENUM_CAP, DirichletCharacter, conductor,
                          enumerate_quadratic_characters, principal_character)
-from .ntheory import DomainError, _integer, divisors, euler_phi, is_squarefree, mobius
+from .ntheory import DomainError, _integer, _shaped, divisors, euler_phi, is_squarefree, mobius
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -98,13 +98,11 @@ def _points(x, q: int) -> np.ndarray:
 
 
 def _as_complex(re, im, like: np.ndarray):
-    """re + i im shaped like the points: a Python complex for one point."""
-    if like.ndim == 0:
-        return complex(float(re), float(im))
+    """re + i im shaped like the points (ntheory._shaped)."""
     out = np.empty(like.shape, dtype=np.complex128)
     out.real = re
     out.imag = im
-    return out
+    return _shaped(out, like)
 
 
 # Complex arithmetic on (re, im) component pairs, term for term as Python
@@ -242,7 +240,7 @@ def ramanujan_gauss_principal(q: int, a: int | np.ndarray) -> float | np.ndarray
     for g in divisors(q):
         by_gcd[g] = mobius(q // g) / euler_phi(q // g)
     out = by_gcd[np.gcd(a, q)]
-    return float(out) if a.ndim == 0 else out
+    return _shaped(out, a)
 
 
 _TOL_SCALE = 1e-9  # an audit check at modulus q passes at |error| <= _TOL_SCALE * q

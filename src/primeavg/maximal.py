@@ -52,7 +52,7 @@ import numpy as np
 
 from . import multipliers as mult
 from .multipliers import Kernel, prime_kernel
-from .ntheory import DomainError, PrimeTable, _finite, _integer
+from .ntheory import DomainError, PrimeTable, _finite, _integer, _real, _shaped
 
 # --- signals ---
 
@@ -105,7 +105,7 @@ class Signal:
         ok = (xi >= 0) & (xi < len(self.values))
         out = np.zeros(xi.shape, dtype=self.values.dtype)
         out[ok] = self.values[xi[ok]]
-        return out[0] if np.ndim(x) == 0 else out
+        return _shaped(out, x)
 
 
 def random_signal(rng: np.random.Generator, length: int, complex_values: bool = True,
@@ -474,7 +474,7 @@ def weak_type_sweep(F: Signal, lambda_grid: np.ndarray, n_max: int,
     size = float(np.sum(F.values))
     if size == 0:
         raise DomainError("weak_type_sweep needs a nonempty set")
-    lam = np.asarray(lambda_grid, dtype=np.float64)
+    lam = np.atleast_1d(_real(lambda_grid, "lambda grid", points=True))
     n_max = _scale_count(n_max, table)
     counts = _superlevel_counts(prime_scale_counts(F, n_max, table), lam,
                                 (1 << n_max) + len(F.values))
@@ -540,7 +540,7 @@ def ab_split_apply(t: float, n: int, f: Signal,
     (m_{2^n} - Pi_n^t, Pi_n^t) of mult._remainder_grids turn into B and A.
     """
     n = _integer(n, "n", 1)
-    if not t >= 0:
+    if _real(t, "t") < 0:
         raise DomainError(f"ab_split_apply needs t >= 0, got t = {t}")
     if n < t:
         a = average_primes_weighted(1 << n, f, table)
@@ -565,7 +565,7 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     which builds the window plans of the levels s <= sqrt(t) before anything
     the size of the circle and then hands every scale the same buffers; f
     is transformed once."""
-    if not 0 < t <= n_max:
+    if not 0 < _real(t, "t") <= _integer(n_max, "n_max", 0):
         raise DomainError(f"b_part_maximal_l2 needs 0 < t <= n_max, got t = {t}")
     Z = _circle_size(f, n_max, resolution)
     pairs = mult._remainder_grids(range(math.ceil(t), n_max + 1), Z, table,
@@ -578,6 +578,7 @@ def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[floa
     """|| sup_n |M_{2^n} f| ||_p / ||f||_p for each p in ps, each in (1, 2],
     all taken from one maximal function.  f must be nonzero, and finite, which
     maximal_dyadic checks."""
+    ps = np.ravel(_real(ps, "exponents p", points=True)).tolist()
     if not ps or not all(1.0 < p <= 2.0 for p in ps):
         raise DomainError("need at least one p, each in (1, 2]")
     if not np.any(f.values):

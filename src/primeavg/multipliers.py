@@ -62,7 +62,6 @@ fourier_M_beta is its oracle and the route for arbitrary theta.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,7 +69,7 @@ import numpy as np
 
 from . import gauss
 from .characters import DirichletCharacter
-from .ntheory import DomainError, PrimeTable, _finite, _integer, is_squarefree
+from .ntheory import DomainError, PrimeTable, _integer, _real, _shaped, is_squarefree
 
 DEFAULT_S_MAX = 6
 
@@ -100,7 +99,7 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
     yields the empty kernel.  Every weight is <= 1/N and the total mass is
     N^(beta-1)/beta.
     """
-    if not 0.5 <= beta <= 1.0:
+    if not 0.5 <= _real(beta, "beta") <= 1.0:
         raise DomainError("beta must lie in [1/2, 1]")
     N = _integer(N, "N", 0)
     if N == 0:
@@ -132,7 +131,7 @@ def fourier_kernel(kernel: Kernel, xi: float | np.ndarray) -> np.ndarray | compl
     """K_hat(xi) = sum of w(site) e(xi site), matching the e(+) convention of m_N.
 
     A non-finite xi is a DomainError."""
-    xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
+    xv = np.atleast_1d(_real(xi, "xi", points=True))
     out = np.zeros(xv.shape, dtype=np.complex128)
     # chunk the sites to bound the outer-product workspace
     step = max(1, (1 << 22) // max(xv.size, 1))
@@ -140,9 +139,7 @@ def fourier_kernel(kernel: Kernel, xi: float | np.ndarray) -> np.ndarray | compl
         s = kernel.sites[lo:lo + step].astype(np.float64)
         w = kernel.weights[lo:lo + step]
         out += (w[None, :] * np.exp(2j * np.pi * np.outer(xv, s))).sum(axis=1)
-    if np.ndim(xi) == 0:
-        return complex(out[0])
-    return out
+    return _shaped(out, xi)
 
 
 def _check_resolution(resolution: int) -> int:
@@ -204,8 +201,8 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
     per point.  The direct sum is the oracle for the folded-FFT route that
     nu_n_s_grid takes on exceptional arc windows.
     """
-    N = _integer(N, "N", 0)
-    tv = np.atleast_1d(_finite(np.asarray(theta, dtype=np.float64), "theta"))
+    N, beta = _integer(N, "N", 0), _real(beta, "beta")
+    tv = np.atleast_1d(_real(theta, "theta", points=True))
     if N == 0:
         out = np.zeros(tv.shape, dtype=np.complex128)
     elif beta == 1.0:
@@ -216,10 +213,8 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
         _mhat_closed(N, d, r, out)
         out[zero] = 1.0
     else:
-        out = np.atleast_1d(fourier_kernel(kernel_M_beta(N, beta), tv))
-    if np.ndim(theta) == 0:
-        return complex(out[0])
-    return out
+        out = fourier_kernel(kernel_M_beta(N, beta), tv)
+    return _shaped(out, theta)
 
 
 def prime_multiplier(N: int, xi: float | np.ndarray, table: PrimeTable):
@@ -308,7 +303,7 @@ def eta(xi: float | np.ndarray):
     The clipped table reads exactly 1 or 0 at some band points near |xi| =
     1/4 or 1/2, within its 2e-15 error.  A non-finite xi is a DomainError.
     """
-    xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
+    xv = np.atleast_1d(_real(xi, "xi", points=True))
     a = np.abs(xv)
     out = np.zeros(a.shape)
     out[a <= 0.25] = 1.0
@@ -320,9 +315,7 @@ def eta(xi: float | np.ndarray):
                                                tensor=False)
         # the interpolant can leave [0, 1] by an ulp; eta is exactly in [0, 1]
         out[band] = np.clip(vals, 0.0, 1.0)
-    if np.ndim(xi) == 0:
-        return float(out[0])
-    return out
+    return _shaped(out, xi)
 
 
 def eta_s(s: int, xi: float | np.ndarray):
@@ -332,7 +325,7 @@ def eta_s(s: int, xi: float | np.ndarray):
     there), and the exponent at 2100, so no xi or s overflows; eta_s is
     [xi = 0] for s >= 269.  A non-finite xi is a DomainError."""
     s = _integer(s, "level s", 0)
-    xv = _finite(np.asarray(xi, dtype=np.float64), "xi")
+    xv = _real(xi, "xi", points=True)
     with np.errstate(over="ignore"):
         scaled = np.ldexp(np.minimum(np.abs(xv), 1.0), min(4 * s, 2100))
     return eta(np.minimum(scaled, 1.0))
@@ -388,13 +381,14 @@ def enumerate_arcs(s: int) -> tuple[RationalPoint, ...]:
 def _exceptional_pair(exceptional) -> None:
     """The pair rule of each entry that takes one: None, or a tuple (chi,
     beta) of a real non-principal DirichletCharacter (kind 'quadratic', as
-    Landau-Page allows) and a real beta in [1/2, 1); else DomainError."""
+    Landau-Page allows) and a beta in [1/2, 1) that passes the real rule
+    (ntheory._real); else DomainError."""
     if exceptional is None:
         return
     is_pair = isinstance(exceptional, tuple) and len(exceptional) == 2
     chi, beta = exceptional if is_pair else (None, None)
     if not (isinstance(chi, DirichletCharacter) and chi.kind == "quadratic"
-            and isinstance(beta, numbers.Real) and 0.5 <= beta < 1.0):
+            and 0.5 <= _real(beta, "beta") < 1.0):
         raise DomainError("the exceptional pair must be (chi, beta): chi real and "
                           "non-principal, beta in [1/2, 1)")
 
@@ -405,16 +399,14 @@ def approximant_hat(a: int, q: int, N: int, theta: float | np.ndarray,
     less G(chi, a) M_hat^beta_N(theta) when the exceptional pair (chi, beta)
     is given, whose modulus must be q."""
     _exceptional_pair(exceptional)
-    out = gauss.ramanujan_gauss_principal(q, a) * np.atleast_1d(fourier_M_beta(N, 1.0, theta))
+    tv = np.atleast_1d(_real(theta, "theta", points=True))
+    out = gauss.ramanujan_gauss_principal(q, a) * fourier_M_beta(N, 1.0, tv)
     if exceptional is not None:
         chi, beta = exceptional
         if chi.modulus != q:
             raise DomainError("exceptional character modulus must match the arc")
-        out = out - gauss.gauss_sum_bruteforce(chi, a) * np.atleast_1d(
-            fourier_M_beta(N, beta, theta))
-    if np.ndim(theta) == 0:
-        return complex(out[0])
-    return out
+        out = out - gauss.gauss_sum_bruteforce(chi, a) * fourier_M_beta(N, beta, tv)
+    return _shaped(out, theta)
 
 
 def _circular(theta: np.ndarray) -> np.ndarray:
@@ -432,7 +424,7 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray,
     xi is a DomainError.
     """
     _exceptional_pair(exceptional)
-    xv = np.atleast_1d(_finite(np.asarray(xi, dtype=np.float64), "xi"))
+    xv = np.atleast_1d(_real(xi, "xi", points=True))
     out = np.zeros(xv.shape, dtype=np.complex128)
     radius = eta_support_radius(s)
     N = 1 << _integer(n, "scale index n", 0)
@@ -444,35 +436,32 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray,
             continue
         th = theta[mask]
         exc = exceptional if arc.q == q_exc else None
-        out[mask] += np.atleast_1d(approximant_hat(arc.a, arc.q, N, th, exc)) * eta_s(s, th)
-    if np.ndim(xi) == 0:
-        return complex(out[0])
-    return out
+        out[mask] += approximant_hat(arc.a, arc.q, N, th, exc) * eta_s(s, th)
+    return _shaped(out, xi)
 
 
 def nu_n(n: int, xi: float | np.ndarray, s_max: int = DEFAULT_S_MAX):
     """nu_n(xi) = sum of the level layers s = 0..s_max."""
-    xv = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    xv = np.atleast_1d(_real(xi, "xi", points=True))
     out = np.zeros(xv.shape, dtype=np.complex128)
     for s in range(_integer(s_max, "s_max", 0) + 1):
-        out += np.atleast_1d(nu_n_s(n, s, xv))
-    if np.ndim(xi) == 0:
-        return complex(out[0])
-    return out
+        out += nu_n_s(n, s, xv)
+    return _shaped(out, xi)
 
 
-def _levels_for_t(t: float) -> int:
-    """floor(sqrt(t)) = isqrt(floor(t)) for a finite t >= 0, exact in integers."""
-    if not 0 <= t < math.inf:
-        raise DomainError("t must be finite and >= 0")
+def _levels_for_t(t: float, n: int | None = None) -> int:
+    """floor(sqrt(t)) = isqrt(floor(t)) for a real t >= 0, exact in integers;
+    given a scale index n, Pi_n^t also needs n >= t."""
+    if _real(t, "t") < 0:
+        raise DomainError("t must be >= 0")
+    if n is not None and _integer(n, "scale index n", 0) < t:
+        raise DomainError("Pi_n^t needs n >= t")
     return math.isqrt(math.floor(t))
 
 
 def pi_n_t(n: int, t: float, xi: float | np.ndarray):
     """Pi_n^t(xi): levels s <= sqrt(t) only.  Requires n >= t."""
-    if n < t:
-        raise DomainError("Pi_n^t needs n >= t")
-    return nu_n(n, xi, s_max=_levels_for_t(t))
+    return nu_n(n, xi, s_max=_levels_for_t(t, n))
 
 
 # --- grid sampling, one pass per level ---
@@ -639,9 +628,7 @@ def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
 
 
 def pi_n_t_grid(n: int, t: float, resolution: int) -> np.ndarray:
-    if n < t:
-        raise DomainError("Pi_n^t needs n >= t")
-    return nu_n_grid(n, resolution, s_max=_levels_for_t(t))
+    return nu_n_grid(n, resolution, s_max=_levels_for_t(t, n))
 
 
 def _remainder_grids(ns, resolution: int, table: PrimeTable, s_max: int,

@@ -8,7 +8,8 @@ euler_phi, is_squarefree, divisors, all read from one memoized factorize).
 
 It also holds the argument rules every module checks against: DomainError,
 the integer rule (_integer, whose upper bound raises CapacityError), the
-finite rule (_finite) and the real rule built on it (_real).  All
+finite rule (_finite), the real rule built on it (_real), and the shape
+rule of an entry that takes a number or an array of points (_shaped).  All
 logarithms are natural.
 """
 
@@ -72,21 +73,33 @@ def _finite(x, name: str) -> np.ndarray:
     return arr
 
 
-def _real(x, name: str, points: bool = False):
+def _real(x, name: str, points: bool = False, finite: bool = True):
     """The real rule: x is a finite real number, a Python or NumPy integer or
     float but never a bool or a string, and is returned as a float.  With
-    points=True a non-empty array of them also passes, and comes back as a
-    float64 array (0-d for a number).  Anything else is a DomainError naming
-    the argument."""
+    points=True an array of them also passes, empty included, and comes back
+    as a float64 array (0-d for a number), copied only if its dtype differs.
+    finite=False lets +-inf and nan through, for the one caller whose domain
+    holds +inf and bounds the rest itself (orlicz.phi_weight).  Anything else
+    is a DomainError naming the argument."""
     if type(x) is float and not points and math.isfinite(x):
         return x  # the common case, without an array round trip
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf" or (arr.ndim and not points):
         raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
-    if arr.size == 0:
-        raise DomainError(f"{name} must hold at least one point")
-    arr = _finite(arr.astype(np.float64), name)
+    arr = arr.astype(np.float64, copy=False)
+    if finite:
+        _finite(arr, name)
     return arr if points else float(arr)
+
+
+def _shaped(out: np.ndarray, like):
+    """The shape rule of every entry that takes a number or an array of
+    points: out, the answer at the points of `like`, as it is when `like` is
+    an array, and its one entry as a Python complex (complex out) or float
+    (any other) when `like` is a number."""
+    if np.ndim(like):
+        return out
+    return complex(out.item()) if out.dtype.kind == "c" else float(out.item())
 
 
 @dataclass

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ntheory import CapacityError, DomainError, _finite, _integer, _real
+from .ntheory import CapacityError, DomainError, _finite, _integer, _real, _shaped
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
@@ -69,12 +69,12 @@ _J_CAP = 1022
 
 
 def phi_weight(t):
-    """phi(t) = log^2(1+t) * log(1+log t) for t >= 1; phi(1) = 0."""
-    arr = np.asarray(t, dtype=np.float64)
+    """phi(t) = log^2(1+t) * log(1+log t) for real t >= 1, +inf included
+    (_gauss_panels passes it where 1/t overflows); phi(1) = 0."""
+    arr = _real(t, "t", points=True, finite=False)
     if not np.all(arr >= 1.0):  # nan too
         raise DomainError("phi_weight is defined for t >= 1")
-    out = np.log1p(arr) ** 2 * np.log1p(np.log(arr))
-    return float(out) if np.ndim(t) == 0 else out
+    return _shaped(np.log1p(arr) ** 2 * np.log1p(np.log(arr)), t)
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class StepRearrangement:
     measures: np.ndarray
 
     def __post_init__(self):
-        v = _finite(np.asarray(self.values, dtype=np.float64), "step values")
-        m = _finite(np.asarray(self.measures, dtype=np.float64), "measures")
+        v = _real(self.values, "step values", points=True)
+        m = _real(self.measures, "measures", points=True)
         if v.shape != m.shape or v.ndim != 1:
             raise DomainError("values and measures must be matching 1-d arrays")
         if v.size:
@@ -115,18 +115,16 @@ class StepRearrangement:
         return float(self.measures.sum()) if self.measures.size else 0.0
 
     def evaluate(self, t):
-        """f*(t), right-continuous, zero past the total measure."""
-        tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if not np.all(tt >= 0):  # nan too
+        """f*(t) at real t >= 0, right-continuous, zero past the total measure."""
+        tt = np.atleast_1d(_real(t, "t", points=True))
+        if not np.all(tt >= 0):
             raise DomainError("rearrangement argument must be >= 0")
         ext = np.concatenate([self.values, [0.0]])
-        idx = np.searchsorted(self.cuts[1:], tt, side="right")
-        out = ext[idx]
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return _shaped(ext[np.searchsorted(self.cuts[1:], tt, side="right")], t)
 
     def distribution(self, s: float) -> float:
-        """mu{f* > s} = sum of measures over steps with value > s, s finite."""
-        _finite(s, "level s")
+        """mu{f* > s} = sum of measures over steps with value > s, s real."""
+        s = _real(s, "level s")
         return float(self.measures[self.values > s].sum()) if self.values.size else 0.0
 
     def scale(self, c: float) -> "StepRearrangement":
@@ -139,17 +137,19 @@ class StepRearrangement:
 def decreasing_rearrangement(pairs) -> StepRearrangement:
     """Rearrange (magnitude, measure) pairs into a step function on [0, 1).
 
-    Magnitudes are taken in absolute value (complex ones too); zero-magnitude
-    mass joins the tail where f* vanishes.  Equal magnitudes merge.  Each
-    measure goes through the real rule (a finite real number, never a bool,
-    a string or bytes).  An item that is not a pair of numbers, non-finite
-    input, and total measure above 1 are domain errors: the underlying space
-    is a probability space.
+    Magnitudes are taken in absolute value (complex ones too, but never a
+    bool); zero-magnitude mass joins the tail where f* vanishes.  Equal
+    magnitudes merge.  Each measure goes through the real rule (a finite
+    real number, never a bool, a string or bytes).  An item that is not a
+    pair of numbers, non-finite input, and total measure above 1 are domain
+    errors: the underlying space is a probability space.
     """
     mags, meas = [], []
     for pair in pairs:
         try:
             v, m = pair
+            if isinstance(v, (bool, np.bool_)):  # abs() reads it as 0 or 1
+                raise TypeError
             mags.append(float(abs(v)))
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"{pair!r} is not a (magnitude, measure) pair "

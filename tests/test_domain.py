@@ -22,10 +22,22 @@ ergodic checked them; the finite rule itself died with a raw TypeError on
 strings.  A rearrangement item that was not a pair of numbers died with a
 raw ValueError or TypeError, a string measure was read as its number and a
 bool one as 0 or 1, and a string scale factor died with a raw TypeError,
-before the measures and the factor went through the real rule.
+before the measures and the factor went through the real rule.  The rows
+after integer-rule-too-long-to-print are the real arguments that were
+converted or compared by hand before every one went through the real
+rule: a string was read as its number or died with a raw TypeError or
+ValueError, a bool was read as 0 or 1, a complex point or a Fraction beta
+of an exceptional pair died with a raw TypeError, two rotation angles
+with a raw ValueError, and evaluate returned 0.0 at t = inf, which is
+not a finite point.  A bool magnitude of a rearrangement was read as 1.
+A lambda grid given as one number died with a raw AxisError, and an
+exponent list given as one number or as an array with a raw TypeError
+or ValueError; the tests after the table check that each now equals the
+same call with a list.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +60,7 @@ _HALF = er.interval_indicator(0.0, 0.5)
 _CHI = enumerate_quadratic_characters(5)[0]
 _CHI_COMPLEX = next(chi for chi in enumerate_characters(5) if chi.kind == "other")
 _STEPS = StepRearrangement(values=np.array([2.0, 1.0]), measures=np.array([0.25, 0.5]))
+_F = mx.random_signal(np.random.default_rng(0), 16)
 
 
 def _position(x):
@@ -143,6 +156,47 @@ _CASES = {
     "integer-rule-numpy-bool": lambda t: nt._integer(np.True_, "n", 0),
     # past 4300 digits str() of an integer raises a raw ValueError
     "integer-rule-too-long-to-print": lambda t: nt._integer(-10**5000, "n", 0),
+    # every real argument of the public API goes through ntheory._real
+    "eta-string": lambda t: mp.eta("0.1"),
+    "eta-bool": lambda t: mp.eta(True),
+    "eta-s-string-xi": lambda t: mp.eta_s(1, "x"),
+    "eta-complex": lambda t: mp.eta(0.3 + 0j),
+    "fourier-kernel-string": lambda t: mp.fourier_kernel(mp.kernel_delta(2), "0.1"),
+    "fourier-m-beta-bool-beta": lambda t: mp.fourier_M_beta(4, True, 0.1),
+    "fourier-m-beta-string-beta": lambda t: mp.fourier_M_beta(4, "1", 0.1),
+    "fourier-m-beta-string-beta-n-0": lambda t: mp.fourier_M_beta(0, "x", 0.1),
+    "kernel-m-beta-bool": lambda t: mp.kernel_M_beta(4, True),
+    "kernel-m-beta-string": lambda t: mp.kernel_M_beta(4, "1"),
+    "approximant-string-theta": lambda t: mp.approximant_hat(1, 3, 4, "0.1"),
+    "nu-n-string": lambda t: mp.nu_n(3, "0.1"),
+    "nu-n-s-bool": lambda t: mp.nu_n_s(3, 1, True),
+    "pi-n-t-string-t": lambda t: mp.pi_n_t(8, "4", 0.1),
+    "pi-n-t-grid-string-t": lambda t: mp.pi_n_t_grid(8, "4", 64),
+    "residue-bool-beta": lambda t: mx.residue_equidistribution(_F, 4, 1, 1, True, 4, 256),
+    "weak-type-string-lambda": lambda t: mx.weak_type_sweep(
+        mx.Signal.interval(0, 8), ["0.5"], 4, t),
+    "lp-ratio-string-p": lambda t: mx.lp_maximal_ratio(_F, "1.5", 4, t),
+    "b-part-bool-t": lambda t: mx.b_part_maximal_l2(True, _F, 4, t),
+    "ab-split-string-t": lambda t: mx.ab_split_apply("1", 4, _F, t),
+    "rotation-string": lambda t: er.DynamicalSystem.rotation("0.3"),
+    "rotation-complex": lambda t: er.DynamicalSystem.rotation(0.3 + 0j),
+    "rotation-two-angles": lambda t: er.DynamicalSystem.rotation(np.array([0.3, 0.4])),
+    "approximant-pair-fraction-beta": lambda t: mp.approximant_hat(
+        2, 5, 16, 0.01, (_CHI, Fraction(3, 4))),
+    "interval-bool-endpoint": lambda t: er.interval_indicator(True, 0.5),
+    "phi-weight-string": lambda t: phi_weight("2"),
+    "phi-weight-bool": lambda t: phi_weight(True),
+    "rearrangement-string-values": lambda t: StepRearrangement(
+        values=np.array(["2"]), measures=np.array([0.5])),
+    "rearrangement-bool-values": lambda t: StepRearrangement(
+        values=np.array([True]), measures=np.array([0.5])),
+    "rearrangement-evaluate-string": lambda t: _STEPS.evaluate("0.1"),
+    "rearrangement-evaluate-bool": lambda t: _STEPS.evaluate(True),
+    "rearrangement-evaluate-inf": lambda t: _STEPS.evaluate(math.inf),
+    "rearrangement-distribution-bool": lambda t: _STEPS.distribution(True),
+    "rearrangement-bool-magnitude": lambda t: decreasing_rearrangement([(True, 0.5)]),
+    "rearrangement-numpy-bool-magnitude": lambda t: decreasing_rearrangement(
+        [(np.True_, 0.5)]),
 }
 
 
@@ -150,6 +204,26 @@ _CASES = {
 def test_outside_the_domain_is_a_domain_error(call, table_small):
     with pytest.raises(nt.DomainError):
         call(table_small)
+
+
+def test_a_number_is_a_one_point_lambda_grid(table_small):
+    F = mx.Signal.interval(0, 8)
+    one, listed = (mx.weak_type_sweep(F, grid, 4, table_small) for grid in (0.5, [0.5]))
+    for field in ("lambda_grid", "counts", "normalized"):
+        assert getattr(one, field).tolist() == getattr(listed, field).tolist()
+    shift = er.DynamicalSystem.shift(97)
+    one, listed = (er.transference_sample(shift, er.interval_indicator(0.0, 0.5), 3, 200, 16,
+                                          table_small, lambda_grid=grid)
+                   for grid in (0.5, [0.5]))
+    for field in ("lambda_grid", "orbit_counts", "signal_counts"):
+        assert getattr(one, field).tolist() == getattr(listed, field).tolist()
+
+
+@pytest.mark.parametrize("ps, listed", [(1.5, [1.5]), (np.array([1.5, 2.0]), [1.5, 2.0])],
+                         ids=["number", "array"])
+def test_exponents_may_be_a_number_or_an_array(ps, listed, table_small):
+    assert mx.lp_maximal_ratios(_F, ps, 4, table_small) == \
+        mx.lp_maximal_ratios(_F, listed, 4, table_small)
 
 
 _HUGE_STEP = decreasing_rearrangement([(1e308, 0.5)])
