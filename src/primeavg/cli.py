@@ -7,13 +7,16 @@ fixed order, floats are printed with 17 significant digits, and JSON keys
 are sorted.
 
 One table of per-type rules (_FMT_CHAIN: a %-code and a conversion) formats
-every cell.  A CSV report's rows are drawn 256 at a time; a chunk whose
-rows share one type signature, as each report's rows do, is filled from
-that signature's line template, built once from the table, one pattern %
-cells per row, and the chunk goes to the file in one write.  A chunk of
-ragged or mixed rows, or with a cell type outside the table, or a str cell
-the csv module might quote, goes through csv.writer whole in its place, so
-the bytes are those of the csv module over the whole report.
+every cell, and one rule makes the rows of both formats: a row whose cells
+have a given type signature is filled from that signature's template, one
+pattern % cells, built once from the table and the format's frame (the text
+around and between cells and rows).  Rows are drawn 256 at a time and each
+chunk goes to the file in one write; only the lines before and after the
+rows differ by format.  A chunk of ragged or mixed rows goes row by row.
+A JSON text cell goes through json's own escaping; a CSV run with a cell
+type outside the table or a str cell the csv module might quote goes
+through csv.writer.  So the bytes are those of the csv module, or of
+json.dumps, over the whole report.
 
 Exit codes: 0 success, 1 usage or input error (one stderr line, no report),
 2 measured-constant drift or verification failure.
@@ -38,6 +41,7 @@ import re
 import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii
 from operator import countOf, itemgetter
 from pathlib import Path
 
@@ -91,43 +95,61 @@ _CHUNK_ROWS = 256
 # a str cell that holds one of these, or is empty, may be quoted by the csv
 # module, so its run of rows goes through csv.writer
 _QUOTABLE = re.compile('[,"\r\n]').search
-_ROW_TEMPLATES: dict = {}  # type signature -> _row_template's value
 
 
-def _row_template(sig: tuple):
-    """The CSV line template of rows whose cells have the types sig, or None
-    where such a row goes through csv.writer (no cells, or a cell of a type
-    outside _FMT_CHAIN that is not str): the %-pattern of the whole line,
-    the conversion of each cell (None where the %-code takes it as it is),
-    and the indices of the str cells."""
-    if sig in _ROW_TEMPLATES:
-        return _ROW_TEMPLATES[sig]
-    rules = [("%s", None) if t is str else _cell_rule(t) for t in sig]
-    template = None
-    if sig and all(conv is not str for _, conv in rules):
-        template = (",".join(code for code, _ in rules) + "\n",
-                    [None if conv is t else conv for t, (_, conv) in zip(sig, rules)],
-                    [i for i, t in enumerate(sig) if t is str])
-    _ROW_TEMPLATES[sig] = template
-    return template
+def _json_text(x) -> str:
+    """str(x) as json.dumps writes it between its quotes (ensure_ascii)."""
+    return encode_basestring_ascii(str(x))[1:-1]
 
 
-def _csv_lines(run: list) -> str:
-    """The CSV lines of the rows in run.  Rows that share one type signature,
-    as every report's rows do, are filled from its template, each row one
-    pattern % cells, the cells converted column by column; the csv module
-    over _fmt of every cell takes a run of ragged or mixed rows whole, and a
-    run the template does not apply to."""
+# what each format puts around the cells: the text that opens a row, between
+# cells, that closes a row, between rows, a row of no cells, and the
+# conversion of a cell that prints as its str.  A JSON row opens on its own
+# line, as json.dumps(..., indent=2) lays out the rows list
+_FRAMES = {"csv": ("", ",", "\n", "", "\n", str),
+           "json": ('\n    [\n      "', '",\n      "', '"\n    ]', ",", "\n    []",
+                    _json_text)}
+_ROW_TEMPLATES: dict = {}  # (type signature, format) -> _row_template's value
+
+
+def _row_template(sig: tuple, fmt: str):
+    """The template of the rows of format fmt whose cells have the types
+    sig, from the format's frame and each cell's _FMT_CHAIN rule: the
+    %-pattern of the whole row, the conversion of each cell (None where the
+    %-code takes it as it is), and the indices of the str cells the csv
+    module might quote.  A typed cell's %-text is plain ASCII, which neither
+    format escapes; a cell of another type prints as its str, through json's
+    escaping in JSON, and a CSV row with such a cell that is not a str has
+    no template (None) and goes through csv.writer."""
+    key = (sig, fmt)
+    if key not in _ROW_TEMPLATES:
+        head, sep, tail, _, empty, as_text = _FRAMES[fmt]
+        rules = [(code, as_text if conv is str else conv)
+                 for code, conv in map(_cell_rule, sig)]
+        text = [i for i, (_, conv) in enumerate(rules) if conv is str]
+        _ROW_TEMPLATES[key] = None if any(sig[i] is not str for i in text) else (
+            head + sep.join(code for code, _ in rules) + tail if sig else empty,
+            [None if conv is t else conv for t, (_, conv) in zip(sig, rules)], text)
+    return _ROW_TEMPLATES[key]
+
+
+def _lines(run: list, fmt: str) -> str:
+    """The text of the rows in run, in format fmt.  Rows that share one type
+    signature, as every report's rows do, are filled from its template, each
+    row one pattern % cells, the cells converted column by column.  A run of
+    ragged or mixed rows goes row by row, and a CSV run the template does not
+    apply to goes through the csv module over _fmt of every cell."""
+    between = _FRAMES[fmt][3]
     cols = list(zip(*run))
     kinds = [set(map(type, col)) for col in cols]
-    template = None
-    if len(set(map(len, run))) == 1 and all(len(k) == 1 for k in kinds):
-        template = _row_template(tuple(k.pop() for k in kinds))
+    if len(set(map(len, run))) > 1 or any(len(k) > 1 for k in kinds):
+        return between.join(_lines([row], fmt) for row in run)
+    template = _row_template(tuple(k.pop() for k in kinds), fmt)
     if template is not None:
         pattern, convs, text = template
         if not any("" in cols[i] or _QUOTABLE("".join(cols[i])) for i in text):
             cols = [c if f is None else map(f, c) for f, c in zip(convs, cols)]
-            return "".join(map(pattern.__mod__, zip(*cols)))
+            return between.join(map(pattern.__mod__, zip(*cols) if cols else [()] * len(run)))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([_fmt(c) for c in row] for row in run)
     return buf.getvalue()
@@ -161,10 +183,10 @@ def _parallel(fn, items, threads: int):
 
 
 def _write_report(args, meta: dict, columns: list[str], rows, summary: dict) -> None:
-    """Write one report to --out or stdout, row by row.
+    """Write one report to --out or stdout, as its rows are drawn.
 
-    The meta lines and the columns go first, then each row of the iterable
-    `rows` is formatted and written as it is drawn, then the summary, which
+    The meta lines and the columns go first, then the rows of the iterable
+    `rows`, formatted and written a chunk at a time, then the summary, which
     is read only once the rows are used up, so a command may fill it while
     they stream.  Nothing is opened before the first row has been drawn, so
     a check that fails there leaves no report; a failure after it removes a
@@ -191,35 +213,23 @@ def _write_report(args, meta: dict, columns: list[str], rows, summary: dict) -> 
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
 
 
-def _json_item(value, depth: int) -> str:
-    """value as json.dumps(..., sort_keys=True, indent=2) writes it at the
-    given nesting depth: its own text, each line after the first indented."""
-    return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
-
-
 def _emit(fh, fmt: str, meta: dict, columns: list[str], rows, summary: dict) -> None:
     smeta = {k: _fmt(v) for k, v in sorted(meta.items())}
-    if fmt == "json":
-        fh.write('{\n  "columns": ' + _json_item(columns, 1)
-                 + ',\n  "meta": ' + _json_item(smeta, 1) + ',\n  "rows": [')
-        empty = True
-        for row in rows:
-            fh.write(("\n    " if empty else ",\n    ")
-                     + _json_item([_fmt(c) for c in row], 2))
-            empty = False
-        ssum = {k: _fmt(v) for k, v in sorted(summary.items())}
-        fh.write(("]" if empty else "\n  ]")
-                 + ',\n  "summary": ' + _json_item(ssum, 1) + "\n}\n")
-        return
-    w = csv.writer(fh, lineterminator="\n")
-    for k, v in smeta.items():
-        w.writerow([f"# {k}", v])
-    w.writerow(columns)
-    rows = iter(rows)
+    if fmt == "json":  # the document cut open where its rows go
+        fh.write(_JSON.encode({"columns": columns, "meta": smeta})[:-2] + ',\n  "rows": [')
+    else:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerows([f"# {k}", v] for k, v in smeta.items())
+        w.writerow(columns)
+    rows, lead = iter(rows), ""  # lead: the text between rows, once one is out
     while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        fh.write(_csv_lines(chunk))
-    for k, v in sorted(summary.items()):
-        w.writerow([f"# {k}", _fmt(v)])
+        fh.write(lead + _lines(chunk, fmt))
+        lead = _FRAMES[fmt][3]
+    ssum = {k: _fmt(v) for k, v in sorted(summary.items())}
+    if fmt == "json":
+        fh.write(("\n  ]," if lead else "],") + _JSON.encode({"summary": ssum})[1:] + "\n")
+    else:
+        w.writerows([f"# {k}", v] for k, v in ssum.items())
 
 
 def _check_frozen(args, key: str, value: float) -> int:

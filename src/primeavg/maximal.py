@@ -502,6 +502,9 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
         raise DomainError("residue sampling needs Q <= 2^(2s)")
     if _integer(r, "r", 1) > Q:
         raise DomainError("residue r must lie in [1, Q]")
+    beta = _real(beta, "beta")
+    if not 0.5 <= beta <= 1.0:
+        raise DomainError("beta must lie in [1/2, 1]")
     Z = _circle_size(f, n_max, resolution)
     fhat, inverse = _spectrum(_circle(f, n_max, Z))
     eta_grid = mult.eta_s(s, mult._circular(np.arange(Z, dtype=np.float64) / Z))

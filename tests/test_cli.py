@@ -335,6 +335,11 @@ def _assert_same_text(got: str, want: str) -> None:
                     f"of {len(w)}")
 
 
+# text json.dumps escapes (a control character, U+007F, a backslash, the
+# line and paragraph separators, a non-BMP character as a surrogate pair)
+# or writes as it is ("/")
+_JSON_ESCAPED = ["\x00", "\x1f", "\t", "\x7f", "\\", "/", "\u2028", "\u2029", "\U0001d52d"]
+
 _WRITER_ROWS = {
     "no-rows": [],
     "one-row": [[1, 0.1, True]],
@@ -357,6 +362,13 @@ _WRITER_ROWS = {
                    [complex(float("nan"), float("inf")), 1e308, 5e-324, -1.5]],
     "text-cells": [["a\rb", 1], ["a\nb", 2], ["a,b", 3], ['a"b', 4], [" lead", 5],
                    ["trail ", 6], ["", 7], ["plain", 8], [" both ", 9], [" ", 10]],
+    # a chunk beside an np.str_ column (csv.writer's in CSV), then a chunk of
+    # str cells alone (the template's in both formats)
+    "json-escaped-text": [[c, np.str_(c), k]
+                          for k, c in enumerate((_JSON_ESCAPED * _CHUNK)[:_CHUNK])]
+                         + [[c, "a" + c + "b", k] for k, c in enumerate(_JSON_ESCAPED)],
+    # a chunk of them, then among rows with cells
+    "no-cells": [()] * _CHUNK + [[], [1, "a"], [], ("b",), []],
 }
 
 
@@ -403,10 +415,14 @@ def test_csv_rows_go_out_a_chunk_per_write(tmp_path):
             return super().write(text)
 
     rows = _audit_like(3 * _CHUNK + 1)
-    fh = Counted()
-    cli._emit(fh, "csv", {}, ["a"], rows, {})
-    assert Counted.writes == 1 + 4  # the column line, then four chunks
-    _assert_same_text(fh.getvalue(), _whole_report("csv", {}, ["a"], rows, {}))
+    # four chunks, and the column line (CSV) or the text before and after the
+    # rows (JSON)
+    for fmt, around in [("csv", 1), ("json", 2)]:
+        Counted.writes = 0
+        fh = Counted()
+        cli._emit(fh, fmt, {}, ["a"], rows, {})
+        assert Counted.writes == around + 4, fmt
+        _assert_same_text(fh.getvalue(), _whole_report(fmt, {}, ["a"], rows, {}))
 
 
 def test_failed_stream_after_chunks_removes_the_partial_report(tmp_path):
@@ -477,10 +493,51 @@ def test_gauss_verify_formats_no_row_cell_by_cell(tmp_path, monkeypatch):
         return fmt(x)
 
     monkeypatch.setattr(cli, "_fmt", counted)
-    out = tmp_path / "r.csv"
-    assert _run("gauss-verify", "--q-max", "30", "--out", str(out)) == 0
-    assert len(out.read_text().splitlines()) > 3000
-    assert len(calls) == 3 + 3  # the meta values and the summary values
+    for form in ("csv", "json"):
+        calls.clear()
+        out = tmp_path / f"r.{form}"
+        assert _run("gauss-verify", "--q-max", "30", "--format", form, "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) > 3000
+        assert len(calls) == 3 + 3, form  # the meta values and the summary values
+
+
+# every subcommand at a small size, with the row signatures only one of them
+# makes: numpy scalars (weak-type-sweep), an int x0 (a shift's random
+# starts), and the int and float cells of multiplier-error
+_EVERY_SUBCOMMAND = {
+    "gauss-verify": ["gauss-verify", "--q-max", "12"],
+    "multiplier-error": ["multiplier-error", "--n-min", "4", "--n-max", "5",
+                         "--grid", "256", "--s-max", "2", "--inject-beta", "0.9"],
+    "weak-type-sweep": ["weak-type-sweep", "--family", "primes", "--size", "64",
+                        "--n-max", "6"],
+    "lp-sweep": ["lp-sweep", "--p-list", "1.5,2", "--seeds", "2", "--support", "32",
+                 "--n-max", "5"],
+    "residue-equidist": ["residue-equidist", "--q", "2", "--s", "1", "--n-max", "4",
+                         "--support", "32", "--resolution", "256"],
+    "ergodic-rotation": ["ergodic-demo", "--n-max", "6"],
+    "ergodic-shift": ["ergodic-demo", "--system", "shift", "--modulus", "31",
+                      "--seeds", "2", "--n-max", "6"],
+    "orlicz-norm": ["orlicz-norm", "--input", "{steps}", "--j-max", "6"],
+}
+
+
+@pytest.mark.parametrize("case", list(_EVERY_SUBCOMMAND))
+def test_csv_and_json_reports_hold_the_same_text(tmp_path, case):
+    steps = tmp_path / "steps.csv"
+    steps.write_text("3,0.25\n1,0.5\n")
+    args = [a.format(steps=steps) for a in _EVERY_SUBCOMMAND[case]]
+    a, b = tmp_path / "a.csv", tmp_path / "b.json"
+    assert _run(*args, "--out", str(a)) == 0
+    assert _run(*args, "--format", "json", "--out", str(b)) == 0
+    with a.open(newline="") as fh:
+        lines = list(csv.reader(fh))
+    k = next(i for i, line in enumerate(lines) if not line[0].startswith("# "))
+    n = next(i for i, line in enumerate(lines) if i > k and line[0].startswith("# "))
+    blob = _read_json(b)
+    assert blob["meta"] == {key[2:]: v for key, v in lines[:k]}
+    assert blob["columns"] == lines[k]
+    assert blob["rows"] == lines[k + 1:n] and n > k + 1
+    assert blob["summary"] == {key[2:]: v for key, v in lines[n:]}
 
 
 def test_orlicz_norm_rejects_a_bad_line_after_the_first(tmp_path, capsys):

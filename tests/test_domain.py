@@ -33,7 +33,9 @@ not a finite point.  A bool magnitude of a rearrangement was read as 1.
 A lambda grid given as one number died with a raw AxisError, and an
 exponent list given as one number or as an array with a raw TypeError
 or ValueError; the tests after the table check that each now equals the
-same call with a list.
+same call with a list.  A beta outside [1/2, 1] reached
+residue_equidistribution's DomainError only once its first M^beta grid
+was drawn, after the signal was transformed and filtered.
 """
 
 import math
@@ -267,6 +269,18 @@ def test_scale_index_past_the_table_fails_before_any_scale(call, n_max, table_sm
     monkeypatch.setattr(nt.PrimeTable, "_rank", read)
     with pytest.raises(nt.CapacityError):
         call(n_max, table_small)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.5])
+def test_residue_beta_outside_its_range_fails_before_any_transform(beta, monkeypatch):
+    # beta was checked only when the first M^beta grid was drawn, after the
+    # circle, its transform and the eta_s-filtered signal were formed
+    def spectrum(arr):
+        raise AssertionError("signal transformed")
+
+    monkeypatch.setattr(mx, "_spectrum", spectrum)
+    with pytest.raises(nt.DomainError):
+        mx.residue_equidistribution(_F, 4, 1, 1, beta, 4, 256)
 
 
 @pytest.mark.parametrize("R", [10**30, 1 << 25], ids=["1e30", "2^25"])
