@@ -14,6 +14,9 @@ Enumeration walks the unit group (Z/q)^* through its cyclic components:
 L(s, chi) for non-principal chi is evaluated through the Hurwitz-zeta
 Euler-Maclaurin expansion summed against the character, with the pole terms
 cancelled exactly using sum chi(a) = 0, so s = 1 needs no special casing.
+The sum over the units is the reduction rule's (ntheory._dot), so each L
+value depends on its own s alone: not on the other points of the call, and
+not on the BLAS kernel.
 
 The zero scan certifies, rather than samples, that no quadratic L mod q
 vanishes on the closed window [max(1/2, 1 - c/log q), 1]: |L'| is at most
@@ -36,8 +39,8 @@ from itertools import product
 
 import numpy as np
 
-from .ntheory import (CapacityError, DomainError, _integer, _real, _shaped, divisors, euler_phi,
-                      factorize)
+from .ntheory import (CapacityError, DomainError, _dot, _integer, _real, _shaped, divisors,
+                      euler_phi, factorize)
 
 ENUM_CAP = 10 ** 6
 _BISECT_STEPS = 60  # halvings of a sign-change bracket in the zero scan
@@ -209,7 +212,7 @@ def _char_from_exponents(q: int, ks: tuple[int, ...]) -> DirichletCharacter:
     else:
         scale = np.array([k * (L // d) for k, d in zip(ks, g.orders)], dtype=np.int64)
         units = np.flatnonzero(g.unit_mask)
-        phases[units] = np.mod(g.dlog[units, : len(g.gens)] @ scale, L)
+        phases[units] = np.mod(_dot(g.dlog[units, : len(g.gens)], scale), L)
     return _char_from_phases(q, phases, L)
 
 
@@ -319,8 +322,9 @@ def _hurwitz_block(q: int, units: np.ndarray, s: np.ndarray) -> np.ndarray:
     """zeta(s_i, a_j/q) - 1/(s_i - 1) by Euler-Maclaurin, as an (m, u) block.
 
     s holds m real points and units the u residues a.  The removed pole term
-    does not depend on a, so it cancels against the weights chi(a) of any
-    non-principal character: q^(-s) * (block @ w) is L(s, chi).  The block
+    does not depend on a, so it cancels against the weights w = chi(a) of any
+    non-principal character: q^(-s) times _dot(block, w), each row summed
+    over the units on its own (ntheory._dot), is L(s, chi).  The block
     depends on q, the units and s, never on chi.
     """
     sv = s[:, None]  # (m, 1)
@@ -362,13 +366,9 @@ def l_function_real(chi: DirichletCharacter, s: float | np.ndarray):
     q = chi.modulus
     units = chi.unit_residues()
     w = chi.values[units]
-    real_out = chi.is_real
-    if real_out:
+    if chi.is_real:
         w = w.real
-    out = (q ** (-sv)) * (_hurwitz_block(q, units, sv) @ w)
-    if not real_out:
-        out = out.astype(np.complex128)
-    return _shaped(out, s)
+    return _shaped((q ** (-sv)) * _dot(_hurwitz_block(q, units, sv), w), s)
 
 
 @dataclass(frozen=True)
@@ -421,8 +421,8 @@ _EM_NEXT = float(Fraction(236364091, 2730) / math.factorial(24))
 
 
 def _evaluation_error(q: int, s: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """A bound on the error of q^(-s) (block @ w) as L(s, chi), for the block
-    of _hurwitz_block on s in [1/2, 1] and weights w in {-1, 0, 1}.
+    """A bound on the error of q^(-s) _dot(block, w) as L(s, chi), for the
+    block of _hurwitz_block on s in [1/2, 1] and weights w in {-1, 0, 1}.
 
     Truncation: the Euler-Maclaurin remainder of each zeta(s, a/q) lies
     between 0 and the first omitted term, |B_24|/24! s(s+1)...(s+22)
@@ -430,8 +430,9 @@ def _evaluation_error(q: int, s: np.ndarray, block: np.ndarray) -> np.ndarray:
     positive (DLMF 2.10.i).  Rounding: the head, mid and tail terms of an
     entry add in absolute value to at most |entry| + 40 (|mid| is at most
     y^(1-s) log y < 18.2 and |tail| < 0.1 for y < 29), each formed to within
-    50 units of roundoff u; the sum over the phi(q) units adds at most
-    phi(q) u times the absolute entries.  (phi(q) + 64) u sum(|entry| + 40)
+    50 units of roundoff u; the sum over the phi(q) units, numpy's pairwise
+    sum in ntheory._dot, adds at most phi(q) u times the absolute entries,
+    as a sum of phi(q) terms in any order does.  (phi(q) + 64) u sum(|entry| + 40)
     covers both, and the factor q^(-s) and its product add a few u more.
     """
     phi = block.shape[1]
@@ -446,12 +447,10 @@ def _quadratic_l_values(q: int, units: np.ndarray, weights: list[np.ndarray],
                         s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, err): values[i] = L(s, chi_i) for the real weights chi_i on
     the units, and err the _evaluation_error bound at each point.  One
-    Hurwitz block on s serves every character, and each row is the one
-    l_function_real gives on s."""
+    Hurwitz block on s serves every character in one _dot, and each row is
+    the one l_function_real gives on s."""
     block = _hurwitz_block(q, units, s)
-    scale = q ** (-s)
-    values = np.array([scale * (block @ w) for w in weights])
-    return values, _evaluation_error(q, s, block)
+    return q ** (-s) * _dot(np.asarray(weights)[:, None], block), _evaluation_error(q, s, block)
 
 
 def exceptional_zero_scan(q: int, c: float = 1.0) -> ExceptionalZeroResult:

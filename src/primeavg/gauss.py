@@ -33,8 +33,10 @@ tau sums it directly once per character object and memoizes it there, and
 the primitive character itself is memoized by conductor.  The exhaustive
 audit behind gauss-verify and criteria 01-03 (verify_quadratic_range,
 verify_quadratic_rows) calls each closed form once per character, on the
-array of units or on every x in [0, q), against one matrix product of
-direct sums.
+array of units or on every x in [0, q), against direct sums over the units:
+two ntheory._dot calls per modulus serve all its characters, each row the
+bits of the public brute-force route for that character alone, so no error
+printed depends on the BLAS kernel or on the other characters.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ import numpy as np
 
 from .characters import (ENUM_CAP, DirichletCharacter, conductor,
                          enumerate_quadratic_characters, principal_character)
-from .ntheory import DomainError, _integer, _shaped, divisors, euler_phi, is_squarefree, mobius
+from .ntheory import (DomainError, _dot, _integer, _shaped, divisors, euler_phi, is_squarefree,
+                      mobius)
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -66,12 +69,12 @@ def gauss_sum_bruteforce(chi: DirichletCharacter, n: int) -> complex:
 
 
 def gauss_sum_bruteforce_all(chi: DirichletCharacter) -> np.ndarray:
-    """G(chi, n) for every n in [0, q), as one matrix product."""
+    """G(chi, n) for every n in [0, q), each a direct sum over the units
+    (ntheory._dot) divided by phi(q)."""
     q = chi.modulus
     units = chi.unit_residues()
-    roots = roots_of_unity(q)
-    idx = (units[:, None] * np.arange(q)[None, :]) % q
-    return (chi.values[units] @ roots[idx]) / euler_phi(q)
+    roots = roots_of_unity(q)[np.arange(q)[:, None] * units % q]  # (q, units)
+    return _dot(roots, chi.values[units]) / euler_phi(q)
 
 
 def tau(chi: DirichletCharacter) -> complex:
@@ -154,7 +157,7 @@ def twisted_character_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex
     q = chi.modulus
     units = chi.unit_residues()
     roots = roots_of_unity(q)
-    return complex(chi.values[units] @ roots[(units * (x % q)) % q])
+    return complex(_dot(roots[(units * (x % q)) % q], chi.values[units]))
 
 
 def twisted_character_sum_closed(chi: DirichletCharacter,
@@ -200,7 +203,7 @@ def gauss_exponential_sum_bruteforce(chi: DirichletCharacter, x: int) -> complex
     units = chi.unit_residues()
     roots = roots_of_unity(q)
     g_all = gauss_sum_bruteforce_all(chi)
-    return complex(g_all[units] @ roots[(units * (x % q)) % q])
+    return complex(_dot(roots[(units * (x % q)) % q], g_all[units]))
 
 
 def gauss_exponential_sum(chi: DirichletCharacter,
@@ -290,26 +293,28 @@ def _quadratic_audit(q_min: int, q_max: int):
 def _modulus_audit(q: int):
     """The _CharacterAudit of each character of _quadratic_audit at one
     modulus q.  Each closed form is called once per character, on the array
-    of units or on every x in [0, q)."""
+    of units or on every x in [0, q).  The direct sums over the units of all
+    the characters come from two ntheory._dot calls, each row the bits of
+    its character's sum alone: the twisted sums, which over phi(q) are
+    g_brute (the rows of gauss_sum_bruteforce_all), and the exponential
+    sums of g_brute."""
     xs = np.arange(q)
-    roots = roots_of_unity(q)
-    mat = roots[np.outer(xs, xs) % q]
     chars = [principal_character(q)] + enumerate_quadratic_characters(q)
+    units = chars[0].unit_residues()  # the units of q, whatever the character
+    mat = roots_of_unity(q)[xs[:, None] * units % q]  # e(x a / q)
+    twisted = _dot(mat, np.array([chi.values[units] for chi in chars])[:, None])
+    g_brute = twisted / euler_phi(q)
+    exp_brute = _dot(mat, g_brute[:, None, units])
     for index, chi in enumerate(chars):
-        units = chi.unit_residues()
-        g_brute = gauss_sum_bruteforce_all(chi)
-        gvec = np.zeros(q, dtype=np.complex128)
-        gvec[units] = g_brute[units]
         expsum = gauss_exponential_sum(chi, xs)
         dec = conductor(chi)
         q0 = dec.conductor
         t = tau(dec.primitive_char)
         yield _CharacterAudit(
-            q, index, chi, q0, g_brute, units,
-            gauss=_abs_err(gauss_sum_closed(chi, units), g_brute[units]),
-            twisted=_abs_err(twisted_character_sum_closed(chi, xs),
-                             mat @ chi.values),
-            expsum=_abs_err(expsum, mat @ gvec),
+            q, index, chi, q0, g_brute[index], units,
+            gauss=_abs_err(gauss_sum_closed(chi, units), g_brute[index, units]),
+            twisted=_abs_err(twisted_character_sum_closed(chi, xs), twisted[index]),
+            expsum=_abs_err(expsum, exp_brute[index]),
             vanish=expsum == 0,
             tau=abs(abs(t) - math.sqrt(q0)),
             tau_sq=abs(t * t - q0 * complex(dec.primitive_char(-1))))

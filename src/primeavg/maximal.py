@@ -52,7 +52,7 @@ import numpy as np
 
 from . import multipliers as mult
 from .multipliers import Kernel, prime_kernel
-from .ntheory import DomainError, PrimeTable, _finite, _integer, _real, _shaped
+from .ntheory import SIEVE_CAP, DomainError, PrimeTable, _dot, _finite, _integer, _real, _shaped
 
 # --- signals ---
 
@@ -110,12 +110,15 @@ class Signal:
 
 def random_signal(rng: np.random.Generator, length: int, complex_values: bool = True,
                   offset: int = 0) -> Signal:
-    """A Gaussian signal of the given length >= 1, scaled to unit ell^2 norm."""
-    length = _integer(length, "length", 1)
+    """A Gaussian signal of the given length, scaled to unit ell^2 norm: divided
+    by the square root of the sum of |v|^2 (ntheory._dot).  1 <= length <=
+    SIEVE_CAP, the bound on the package's largest array, the sieve; past
+    it a CapacityError comes before any draw."""
+    length = _integer(length, "length", 1, high=SIEVE_CAP)
     v = rng.standard_normal(length)
     if complex_values:
         v = v + 1j * rng.standard_normal(length)
-    return Signal(offset=offset, values=v / np.linalg.norm(v))
+    return Signal(offset=offset, values=v / np.sqrt(_dot(v, v.conj()).real))
 
 
 # --- kernel application: exact direct correlation ---
@@ -210,11 +213,12 @@ def _prime_scales(f: Signal, n_max: int, table: PrimeTable, weighted: bool):
         yield k, np.concatenate((out[Z - N:], out[:L]))
 
 
-def _scale_count(n_max, table: PrimeTable) -> int:
+def _scale_count(n_max, table: PrimeTable, name: str = "n_max") -> int:
     """n_max as the number of dyadic scales 2^1, ..., 2^n_max: an integer >= 1
     (DomainError), at most log2(table.limit), since the scales need the
-    primes up to 2^n_max (CapacityError, before any 1 << n_max)."""
-    return _integer(n_max, "n_max", 1, high=table.limit.bit_length() - 1)
+    primes up to 2^n_max (CapacityError, before any 1 << n_max).  name is
+    the argument's name in either message."""
+    return _integer(n_max, name, 1, high=table.limit.bit_length() - 1)
 
 
 # A band of at most this many primes is added as shifted copies of F: one FFT
@@ -333,8 +337,9 @@ def _circle_size(f: Signal, n_max: int, resolution: int | None) -> int:
     """The size of the circle that realizes the multipliers at scales up to
     2^n_max for f: _grid_size(f, 2^n_max, resolution).  f must be finite and
     nonzero, and one circle shorter than support + reach would wrap the
-    kernel."""
-    reach = 1 << _integer(n_max, "n_max", 0)
+    kernel.  n_max is at most the last scale a prime table reaches
+    (multipliers._SCALE_CAP)."""
+    reach = 1 << _integer(n_max, "n_max", 0, high=mult._SCALE_CAP)
     if not np.any(_finite(f.values, "signal")):
         raise DomainError("multiplier maxima need a nonzero signal")
     Z = _grid_size(f, reach, resolution)
@@ -529,7 +534,7 @@ def l2_arc_maximal_decay(s: int, f: Signal, n_max: int, resolution: int) -> floa
     Z = _circle_size(f, n_max, resolution)
     sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128),
                           (mult.nu_n_s_grid(n, s, Z) for n in range(n_max + 1)))
-    return float(np.linalg.norm(sup) / f.lp_norm(2.0))
+    return math.sqrt(_dot(sup, sup)) / f.lp_norm(2.0)
 
 
 def ab_split_apply(t: float, n: int, f: Signal,
@@ -539,10 +544,11 @@ def ab_split_apply(t: float, n: int, f: Signal,
     For n >= t: A = F^{-1}(Pi_n^t f_hat) and B = M_{2^n} f - A, realized on
     one circle, the next power of two above support + 2^n points.  For
     n < t: A = M_{2^n} f and B = 0.  A + B reconstructs M_{2^n} f exactly.
-    Needs an integer n >= 1 (2^0 = 1 has no prime) and t >= 0.  The grids
+    Needs an integer n >= 1 (2^0 = 1 has no prime), at most log2 of the
+    table's limit (_scale_count), and t >= 0.  The grids
     (m_{2^n} - Pi_n^t, Pi_n^t) of mult._remainder_grids turn into B and A.
     """
-    n = _integer(n, "n", 1)
+    n = _scale_count(n, table, "n")
     if _real(t, "t") < 0:
         raise DomainError(f"ab_split_apply needs t >= 0, got t = {t}")
     if n < t:
@@ -568,13 +574,13 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     which builds the window plans of the levels s <= sqrt(t) before anything
     the size of the circle and then hands every scale the same buffers; f
     is transformed once."""
-    if not 0 < _real(t, "t") <= _integer(n_max, "n_max", 0):
+    if not 0 < _real(t, "t") <= _scale_count(n_max, table):
         raise DomainError(f"b_part_maximal_l2 needs 0 < t <= n_max, got t = {t}")
     Z = _circle_size(f, n_max, resolution)
     pairs = mult._remainder_grids(range(math.ceil(t), n_max + 1), Z, table,
                                   mult._levels_for_t(t))
     sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128), (b for b, _ in pairs))
-    return float(np.linalg.norm(sup) / f.lp_norm(2.0))
+    return math.sqrt(_dot(sup, sup)) / f.lp_norm(2.0)
 
 
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:

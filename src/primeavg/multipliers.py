@@ -69,9 +69,13 @@ import numpy as np
 
 from . import gauss
 from .characters import DirichletCharacter
-from .ntheory import DomainError, PrimeTable, _integer, _real, _shaped, is_squarefree
+from .ntheory import (_GL_NODES, _GL_WEIGHTS, FACTOR_CAP, SIEVE_CAP, DomainError, PrimeTable, _dot,
+                      _integer, _real, _shaped, is_squarefree)
 
 DEFAULT_S_MAX = 6
+# the last scale index n: nu_n models m_{2^n}, which needs the primes up to
+# 2^n, and no prime table reaches past SIEVE_CAP
+_SCALE_CAP = SIEVE_CAP.bit_length() - 1
 
 # --- kernels ---
 
@@ -231,7 +235,6 @@ def prime_multiplier_grid(N: int, resolution: int, table: PrimeTable) -> np.ndar
 
 # --- the smooth plateau cutoff ---
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _BUMP_PANELS = 4
 _ETA_TABLE_PANELS, _ETA_TABLE_DEGREE = 64, 16
 
@@ -252,7 +255,7 @@ def _bump_norm() -> float:
     edges = np.linspace(-0.125, 0.125, 17)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * float(_GL_WEIGHTS @ _bump_raw(mid + half * _GL_NODES))
+        total += half * float(_dot(_bump_raw(mid + half * _GL_NODES), _GL_WEIGHTS))
     return total
 
 
@@ -271,7 +274,7 @@ def _bump_integral(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             half = w_p / (2 * _BUMP_PANELS)
             mid = a + half
             nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-            acc += half * (_bump_raw(nodes) @ _GL_WEIGHTS)
+            acc += half * _dot(_bump_raw(nodes), _GL_WEIGHTS)
         out[sel] = acc / norm
     return out
 
@@ -280,16 +283,25 @@ def _bump_integral(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _eta_table() -> np.ndarray:
     """Chebyshev coefficients of eta on the transition band (1/4, 1/2).
 
-    Column k interpolates eta at the 17 first-kind Chebyshev points of the
-    k-th of 64 equal panels, in the panel's local variable t in [-1, 1].  The
-    node values come from the quadrature (_bump_integral), which stays the
-    table's oracle; the two agree to about 2e-15.  Built on the first call.
+    Column k interpolates eta at the n = 17 first-kind Chebyshev points
+    t_j = cos(theta_j) of the k-th of 64 equal panels, in the panel's local
+    variable t in [-1, 1].  The node values f_j come from the quadrature
+    (_bump_integral), which stays the table's oracle; the two agree to about
+    2e-15.  The coefficients are the interpolation sums
+    c_i = (2/n) sum_j f_j T_i(t_j), c_0 halved, each one _dot (no
+    least-squares solve, whose bits depend on the LAPACK kernel), with
+    T_i(t_j) = cos(i theta_j) from its angle reduced in integers, each to
+    within an ulp.  Built on the first call.
     """
-    t = np.polynomial.chebyshev.chebpts1(_ETA_TABLE_DEGREE + 1)
+    n = _ETA_TABLE_DEGREE + 1
+    t = np.polynomial.chebyshev.chebpts1(n)  # ascending: theta_j = pi (2n - 2j - 1) / 2n
     width = 0.25 / _ETA_TABLE_PANELS
     x = 0.25 + width * (np.arange(_ETA_TABLE_PANELS)[:, None] + 0.5 * (t + 1.0))
     vals = _bump_integral(x.ravel() - 0.375, np.full(x.size, 0.125)).reshape(x.shape)
-    return np.polynomial.chebyshev.chebfit(t, vals.T, _ETA_TABLE_DEGREE)
+    turns = np.arange(n)[:, None] * (2 * n - 1 - 2 * np.arange(n)) % (4 * n)
+    coef = (2.0 / n) * _dot(np.cos(np.pi / (2 * n) * turns)[:, None], vals)
+    coef[0] /= 2
+    return coef
 
 
 def eta(xi: float | np.ndarray):
@@ -363,9 +375,11 @@ def enumerate_arcs(s: int) -> tuple[RationalPoint, ...]:
 
     Level 0 is the single point 1/1.  The count is below 2^(2(s+1)).
     Memoized per value and argument type, so the check below runs before
-    an entry is shared.
+    an entry is shared.  s is at most 31, so that every denominator
+    q < 2^(s+1) is within FACTOR_CAP, the cap of the factorization that
+    arc_admissible reads; past it a CapacityError comes before any arc.
     """
-    s = _integer(s, "level s", 0)
+    s = _integer(s, "level s", 0, high=FACTOR_CAP.bit_length() - 2)
     if s == 0:
         return (RationalPoint(a=1, q=1, s=0),)
     out = []
@@ -427,7 +441,7 @@ def nu_n_s(n: int, s: int, xi: float | np.ndarray,
     xv = np.atleast_1d(_real(xi, "xi", points=True))
     out = np.zeros(xv.shape, dtype=np.complex128)
     radius = eta_support_radius(s)
-    N = 1 << _integer(n, "scale index n", 0)
+    N = 1 << _integer(n, "scale index n", 0, high=_SCALE_CAP)
     q_exc = exceptional[0].modulus if exceptional is not None else None
     for arc in enumerate_arcs(s):
         theta = _circular(xv - arc.value)
@@ -611,7 +625,7 @@ def nu_n_s_grid(n: int, s: int, resolution: int,
     (_eta_windows, cached per (s, resolution)) into a fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
     _exceptional_pair(exceptional)
-    _add_level(out, 1 << _integer(n, "scale index n", 0), s, exceptional)
+    _add_level(out, 1 << _integer(n, "scale index n", 0, high=_SCALE_CAP), s, exceptional)
     return out
 
 
@@ -620,7 +634,7 @@ def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
     """nu_n sampled at j/resolution: the levels s = 0..s_max added one pass
     each into one fresh array."""
     out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    N, s_max = 1 << _integer(n, "scale index n", 0), _integer(s_max, "s_max", 0)
+    N, s_max = 1 << _integer(n, "scale index n", 0, high=_SCALE_CAP), _integer(s_max, "s_max", 0)
     _exceptional_pair(exceptional)
     for s in range(s_max + 1):
         _add_level(out, N, s, exceptional)

@@ -9,8 +9,11 @@ euler_phi, is_squarefree, divisors, all read from one memoized factorize).
 It also holds the argument rules every module checks against: DomainError,
 the integer rule (_integer, whose upper bound raises CapacityError), the
 finite rule (_finite), the real rule built on it (_real), and the shape
-rule of an entry that takes a number or an array of points (_shaped).  All
-logarithms are natural.
+rule of an entry that takes a number or an array of points (_shaped).  The
+reduction rule is kept here too: every sum of products, norm and table fit
+in the package goes through _dot, so no printed number depends on the BLAS
+kernel or on the other rows of a call; beside it sits the one Gauss-Legendre
+rule the package integrates with.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 SIEVE_CAP = 1 << 30
+FACTOR_CAP = 1 << 32
 
 
 class CapacityError(ValueError):
@@ -100,6 +104,44 @@ def _shaped(out: np.ndarray, like):
     if np.ndim(like):
         return out
     return complex(out.item()) if out.dtype.kind == "c" else float(out.item())
+
+
+# the 64-point Gauss-Legendre rule on [-1, 1] that eta's table (multipliers)
+# and the rearrangement norm (orlicz) integrate with, formed once at import
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _dot(a, b):
+    """The reduction rule of every sum of products, norm and table fit: the
+    sum over the last axis of a * b, an axis of one length in both, the
+    other axes broadcast against each other.
+
+    Each output is numpy's pairwise sum (add.reduce) of its own products,
+    laid out C-contiguous first, so it depends on its terms alone: not on
+    the other rows of the call, nor on the BLAS kernel, which rounds a row
+    of a matrix product by its place in the block, nor on the memory order
+    (add.reduce down a strided axis sums in another order).  A complex sum
+    is summed from real products, since numpy's complex multiply rounds by
+    the SIMD level it runs at: with one real operand, the real and the
+    imaginary part each from n products; with two complex ones, from 2n
+    interleaved products, (ar, ai) against (br, -bi) and against (bi, br),
+    so that swapping two complex operands can move the imaginary part's
+    last bit (every caller passes its table of roots of unity first).  The
+    answer has the broadcast shape less its last axis."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind != "c":
+        a, b = b, a
+    if a.dtype.kind != "c":
+        return np.add.reduce(np.ascontiguousarray(a * b), axis=-1)
+    if b.dtype.kind == "c":
+        pairs = np.ascontiguousarray(a).view(np.float64)
+        re, im = (_dot(pairs, np.stack(w, axis=-1).reshape(b.shape[:-1] + (-1,)))
+                  for w in ((b.real, -b.imag), (b.imag, b.real)))
+    else:
+        re, im = _dot(a.real, b), _dot(a.imag, b)
+    out = np.empty(re.shape, np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 @dataclass
@@ -190,13 +232,13 @@ class Factorization:
 
 @lru_cache(maxsize=1024, typed=True)
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization; capped at n <= 2^32.
+    """Trial-division factorization; capped at n <= FACTOR_CAP = 2^32.
 
     Memoized per value and argument type (Factorization is frozen, so callers
     share the cached objects); mobius, euler_phi, is_squarefree and divisors
     all read it.
     """
-    n = _integer(n, "n", 1, high=1 << 32)
+    n = _integer(n, "n", 1, high=FACTOR_CAP)
     m = n
     out: list[tuple[int, int]] = []
     for p in _small_primes():

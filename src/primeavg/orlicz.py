@@ -23,11 +23,10 @@ call evaluates them in one phi_weight call on a (P, 64) node block.  Away
 from t = 0 a step's first bisection is accepted at once.  At t = 0 phi(1/t)
 is singular: the rule halves the first step's panel [0, e] down to its
 depth cap, and accepts the bisection of each right half [e/2, e] at once.
-That chain's edges are exact halvings of e, so it is listed ahead.  Each
-row of the block is summed by its own dot product, which gives a panel the
-bits it would have in a block of its own; a matrix-vector product over the
-block would round differently.  A pair outside the plan is evaluated on
-its own.
+That chain's edges are exact halvings of e, so it is listed ahead.  The
+block is summed against the weights in one ntheory._dot, which gives each
+panel the bits it would have in a block of its own, on any BLAS kernel.  A
+pair outside the plan is evaluated on its own.
 
 dyadic_layers reads off a_j = f*(2^-j), the layer heights of the dyadic
 decomposition A_j = {f*(2^-j+1) < |f| <= f*(2^-j)} of nominal measure 2^-j,
@@ -46,11 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .ntheory import CapacityError, DomainError, _finite, _integer, _real, _shaped
-
-_GL_NODES, _GL_WEIGHTS = leggauss(64)
+from .ntheory import (_GL_NODES, _GL_WEIGHTS, CapacityError, DomainError, _dot, _finite, _integer,
+                      _real, _shaped)
 
 _MEASURE_SLACK = 1e-12
 
@@ -180,17 +177,16 @@ def _gauss_panels(lo: np.ndarray, hi: np.ndarray) -> list[float]:
     """64-point Gauss estimates of integral phi(1/t) dt over the panels
     [lo[i], hi[i]], from one phi_weight call on their (P, 64) node block.
 
-    Each row is summed by its own dot product, so an estimate does not
-    depend on the rows around it (a matrix-vector product rounds rows by
-    their place in the block).  A node t = 0, or one whose 1/t overflows,
-    gives a non-finite estimate without a warning: a planned panel may
-    never be read."""
+    The rows are summed against the weights in one ntheory._dot, so an
+    estimate depends neither on the rows around it nor on the BLAS kernel
+    (a matrix-vector product rounds a row by its place in the block).  A
+    node t = 0, or one whose 1/t overflows, gives a non-finite estimate
+    without a warning: a planned panel may never be read."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = phi_weight(1.0 / (mid[:, None] + half[:, None] * _GL_NODES))
-        dots = np.fromiter(map(_GL_WEIGHTS.dot, vals), np.float64, len(vals))
-        return (half * dots).tolist()
+        return (half * _dot(vals, _GL_WEIGHTS)).tolist()
 
 
 def _planned_pairs(steps: list[tuple]) -> tuple[list[float], dict]:

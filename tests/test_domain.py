@@ -35,7 +35,9 @@ exponent list given as one number or as an array with a raw TypeError
 or ValueError; the tests after the table check that each now equals the
 same call with a list.  A beta outside [1/2, 1] reached
 residue_equidistribution's DomainError only once its first M^beta grid
-was drawn, after the signal was transformed and filtered.
+was drawn, after the signal was transformed and filtered.  A scale index,
+level or signal length past its cap died with a raw OverflowError or
+ValueError before the capacity rule bounded it at entry.
 """
 
 import math
@@ -269,6 +271,35 @@ def test_scale_index_past_the_table_fails_before_any_scale(call, n_max, table_sm
     monkeypatch.setattr(nt.PrimeTable, "_rank", read)
     with pytest.raises(nt.CapacityError):
         call(n_max, table_small)
+
+
+# scale indices, levels and lengths past their caps: at 10^30 each died with
+# a raw OverflowError (forming 1 << 10^30) or, for random_signal, a raw
+# ValueError; a scale index of 31 to 1023 returned a number from 2^n far past
+# any prime table (nu_n_grid a nan at 1023)
+_INDEX_CASES = {
+    "nu-n-s-n-1e30": lambda t: mp.nu_n_s(10**30, 1, 0.3),
+    "nu-n-s-n-past-the-sieve-scale": lambda t: mp.nu_n_s(31, 1, 0.3),
+    "nu-n-n-1e30": lambda t: mp.nu_n(10**30, 0.3, s_max=1),
+    "nu-n-s-grid-n-1e30": lambda t: mp.nu_n_s_grid(10**30, 1, 64),
+    "nu-n-grid-n-past-the-sieve-scale": lambda t: mp.nu_n_grid(1023, 64, 1),
+    "pi-n-t-n-1e30": lambda t: mp.pi_n_t(10**30, 1.0, 0.3),
+    "pi-n-t-grid-n-1e30": lambda t: mp.pi_n_t_grid(10**30, 1.0, 64),
+    "enumerate-arcs-1e30": lambda t: mp.enumerate_arcs(10**30),
+    "enumerate-arcs-past-the-factorization-cap": lambda t: mp.enumerate_arcs(32),
+    "b-part-n-max-1e30": lambda t: mx.b_part_maximal_l2(1.0, _F, 10**30, t),
+    "ab-split-n-1e30": lambda t: mx.ab_split_apply(1.0, 10**30, _F, t),
+    "ab-split-n-past-the-table": lambda t: mx.ab_split_apply(1.0, 17, _F, t),
+    "l2-arc-n-max-1e30": lambda t: mx.l2_arc_maximal_decay(1, _F, 10**30, 64),
+    "residue-n-max-1e30": lambda t: mx.residue_equidistribution(_F, 4, 1, 1, 0.9, 10**30, 64),
+    "random-signal-length-1e30": lambda t: mx.random_signal(np.random.default_rng(0), 10**30),
+}
+
+
+@pytest.mark.parametrize("call", _INDEX_CASES.values(), ids=_INDEX_CASES.keys())
+def test_an_index_past_its_cap_is_a_capacity_error(call, table_small):
+    with pytest.raises(nt.CapacityError):
+        call(table_small)
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.5])

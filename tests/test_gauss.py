@@ -16,7 +16,7 @@ import primeavg.gauss as gs
 from primeavg.characters import (enumerate_characters,
                                  enumerate_quadratic_characters,
                                  principal_character)
-from primeavg.ntheory import DomainError, euler_phi, is_squarefree, mobius
+from primeavg.ntheory import DomainError, _dot, euler_phi, is_squarefree, mobius
 
 
 def test_tau_quadratic_mod_3_is_i_sqrt_3():
@@ -51,7 +51,7 @@ def test_tau_memo_returns_the_direct_sum(q):
 
 def test_gauss_bruteforce_is_the_twisted_sum_over_phi_bit_for_bit():
     # tau, and through it every gauss-verify report, reads these exact bits:
-    # the units sum chi(a) e(a x / q) as one dot product, then / phi(q)
+    # the units sum chi(a) e(a x / q) as one ntheory._dot sum, then / phi(q)
     got, want = [], []
     for q in range(1, 25):
         roots = gs.roots_of_unity(q)
@@ -59,10 +59,25 @@ def test_gauss_bruteforce_is_the_twisted_sum_over_phi_bit_for_bit():
             units = chi.unit_residues()
             for x in range(-q, 2 * q):
                 got.append(gs.gauss_sum_bruteforce(chi, x))
-                want.append(complex(chi.values[units] @ roots[(units * (x % q)) % q])
+                want.append(complex(_dot(roots[(units * (x % q)) % q], chi.values[units]))
                             / euler_phi(q))
     got, want = np.array(got), np.array(want)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_audit_sums_are_the_public_brute_routes_bit_for_bit():
+    # the audit sums every character of a modulus in one call per kind; each
+    # row must be the public route's sum for that character alone
+    for au in gs._quadratic_audit(1, 40):
+        chi, q, xs = au.chi, au.q, range(au.q)
+        g_all = gs.gauss_sum_bruteforce_all(chi)
+        assert np.array_equal(au.g_brute.view(np.uint64), g_all.view(np.uint64)), q
+        twisted = np.array([gs.twisted_character_sum_bruteforce(chi, x) for x in xs])
+        expsum = np.array([gs.gauss_exponential_sum_bruteforce(chi, x) for x in xs])
+        assert np.array_equal(au.twisted, gs._abs_err(gs.twisted_character_sum_closed(chi, xs),
+                                                      twisted)), q
+        assert np.array_equal(au.expsum, gs._abs_err(gs.gauss_exponential_sum(chi, xs),
+                                                     expsum)), q
 
 
 def test_closed_form_matches_bruteforce_sample():

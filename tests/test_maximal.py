@@ -14,7 +14,7 @@ import pytest
 import primeavg.maximal as mx
 import primeavg.multipliers as mult
 from primeavg.multipliers import kernel_M_beta, kernel_delta
-from primeavg.ntheory import DomainError
+from primeavg.ntheory import DomainError, _dot
 
 
 # --- signals ---
@@ -519,7 +519,7 @@ def test_b_part_equals_public_grids_bit_for_bit(G, complex_values, table_small):
             grid = (mult.prime_multiplier_grid(1 << n, G, table_small)
                     - mult.pi_n_t_grid(n, t, G))
             run = np.maximum(run, np.abs(np.fft.ifft(fhat * grid)))
-        want = np.linalg.norm(run) / f.lp_norm(2.0)
+        want = math.sqrt(_dot(run, run)) / f.lp_norm(2.0)
         assert mx.b_part_maximal_l2(t, f, n_max, table_small, resolution=G) == want, t
 
 

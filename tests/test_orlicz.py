@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 import primeavg.orlicz as oz
-from primeavg.ntheory import DomainError
+from primeavg.ntheory import DomainError, _dot
 
 
 def _phi(t: float) -> float:
@@ -211,7 +211,7 @@ def _recursive_panels(edges):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     vals = oz.phi_weight(1.0 / (mid[:, None] + half[:, None] * _NODES))
-    return [h * float(np.dot(_WEIGHTS, v)) for h, v in zip(half.tolist(), vals)]
+    return [h * float(_dot(v, _WEIGHTS)) for h, v in zip(half.tolist(), vals)]
 
 
 def _recursive_adaptive(lo, hi, tol, whole, depth=0):
