@@ -26,10 +26,12 @@ realizes the operator on a circle of that circumference: the given
 power-of-two resolution (the residue-class and arc-level maxima always
 take one), else the next power of two above support + 2^n_max.
 _multiplier_sup transforms the signal once, in place, and keeps the running
-sup over the grids, each taken as the work buffer of its own step.  The
-B-part and the A/B split take their grids from multipliers' one remainder
-route, which builds the window plans before any grid-sized array and then
-runs every scale through two grid buffers allocated once per call.
+sup over the grids, each taken as the work buffer of its own step, its
+modulus folded in a chunk at a time.  The B-part takes its grids from
+multipliers' one remainder route, which builds the window plans before any
+grid-sized array, then runs every scale through one grid buffer allocated
+once per call and forms nu_n a window at a time; the A/B split takes B
+from that route and A from pi_n_t_grid.
 
 weak_type_sweep measures lambda * |{sup_n A_{2^n} 1_F > lambda}| normalized
 by log^2(e/lambda) |F| on a lambda grid.  Since A_N 1_F = k/pi(N) with an
@@ -377,15 +379,21 @@ def _multiplier_sup(arr: np.ndarray, grids) -> np.ndarray:
     len(arr), arr transformed once (_spectrum, which uses it up); zeros if
     there are no grids.  Each grid is the work buffer of its own step: the
     product, and for a complex arr its inverse transform, are written over
-    it, so one buffer may serve every scale."""
+    it, so one buffer may serve every scale.  The modulus is taken and
+    folded into the running sup mult._CHUNK points at a time, so a complex
+    arr needs no other array the size of the circle than the sup; a real
+    one needs one for irfft's output."""
     Z, real_in = arr.size, not np.iscomplexobj(arr)
     fhat, inverse = _spectrum(arr)
     run = np.zeros(Z)
-    mag = np.empty(Z)
+    out = np.empty(Z) if real_in else None
+    mag = np.empty(min(Z, mult._CHUNK))
     for grid in grids:
         prod = np.multiply(fhat, grid[: fhat.size], out=grid[: fhat.size])
-        np.abs(inverse(prod, Z, out=mag if real_in else prod), out=mag)
-        np.maximum(run, mag, out=run)
+        y = inverse(prod, Z, out=out if real_in else prod)
+        for j in range(0, Z, mag.size):
+            np.maximum(run[j:j + mag.size], np.abs(y[j:j + mag.size], out=mag),
+                       out=run[j:j + mag.size])
     return run
 
 
@@ -545,8 +553,9 @@ def ab_split_apply(t: float, n: int, f: Signal,
     one circle, the next power of two above support + 2^n points.  For
     n < t: A = M_{2^n} f and B = 0.  A + B reconstructs M_{2^n} f exactly.
     Needs an integer n >= 1 (2^0 = 1 has no prime), at most log2 of the
-    table's limit (_scale_count), and t >= 0.  The grids
-    (m_{2^n} - Pi_n^t, Pi_n^t) of mult._remainder_grids turn into B and A.
+    table's limit (_scale_count), and t >= 0.  A is taken from the grid of
+    mult.pi_n_t_grid and B from mult._remainder_grids' m_{2^n} - Pi_n^t,
+    each turned into its part in place: the bits of the two public grids.
     """
     n = _scale_count(n, table, "n")
     if _real(t, "t") < 0:
@@ -555,7 +564,8 @@ def ab_split_apply(t: float, n: int, f: Signal,
         a = average_primes_weighted(1 << n, f, table)
         return a, Signal(offset=a.offset, values=np.zeros_like(a.values))
     Z = _circle_size(f, n, None)
-    b_vals, a_vals = next(mult._remainder_grids([n], Z, table, mult._levels_for_t(t)))
+    a_vals = mult.pi_n_t_grid(n, t, Z)
+    b_vals = next(mult._remainder_grids([n], Z, table, mult._levels_for_t(t)))
     fhat, inverse = _spectrum(_circle(f, n, Z, np.complex128))
     for vals in (a_vals, b_vals):  # each multiplier becomes its part, in place
         inverse(np.multiply(fhat, vals, out=vals), Z, out=vals)
@@ -570,16 +580,17 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     2^n_max, B_n^t = m_{2^n} - Pi_n^t.  Needs 0 < t <= n_max: the scales run
     from ceil(t), and m_N needs N >= 2.
 
-    The remainder grids are the first of each pair of mult._remainder_grids,
-    which builds the window plans of the levels s <= sqrt(t) before anything
-    the size of the circle and then hands every scale the same buffers; f
-    is transformed once."""
+    The remainder grids come from mult._remainder_grids, which builds the
+    window plans of the levels s <= sqrt(t) before anything the size of the
+    circle, hands every scale the same buffer and forms nu_n a window at a
+    time; f is transformed once, and the sup folds each modulus in a window
+    at a time (_multiplier_sup)."""
     if not 0 < _real(t, "t") <= _scale_count(n_max, table):
         raise DomainError(f"b_part_maximal_l2 needs 0 < t <= n_max, got t = {t}")
     Z = _circle_size(f, n_max, resolution)
-    pairs = mult._remainder_grids(range(math.ceil(t), n_max + 1), Z, table,
+    grids = mult._remainder_grids(range(math.ceil(t), n_max + 1), Z, table,
                                   mult._levels_for_t(t))
-    sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128), (b for b, _ in pairs))
+    sup = _multiplier_sup(_circle(f, n_max, Z, np.complex128), grids)
     return math.sqrt(_dot(sup, sup)) / f.lp_norm(2.0)
 
 

@@ -35,10 +35,12 @@ stays as the table's oracle.
 
 Grid evaluation samples xi = j/G on a power-of-two grid; a grid of any
 other size is a DomainError.  The windows of a level's arcs on the supports
-of eta_s form one flat plan, cached per (s, G); each level is added into the
-caller's array in one vectorized pass over its plan, and no sampled grid is
-memoized.  The principal term is the closed form M_hat_N, in real
-arithmetic, from one kernel that fourier_M_beta shares.  Its factor
+of eta_s form one flat plan, cached per (s, G), in the order of a/q and so
+of grid index.  A level is added by one window routine (_add_level), a
+vectorized pass over the plan's points in a run of grid points and its
+mirror image, which the public grids call once over the whole circle; no
+sampled grid is memoized.  The principal term is the closed form M_hat_N,
+in real arithmetic, from one kernel that fourier_M_beta shares.  Its factor
 1/sin(pi theta) does not depend on the scale, so the plan holds it and a
 level pass scales it by 2^-n = 1/N, which is exact; every scale reuses the
 plan's trigonometry.  Level 0, the one arc 1/1, covers the whole circle;
@@ -46,14 +48,14 @@ on a power-of-two grid theta = j/G - 1 is exact, so its window is exactly
 antisymmetric about theta = 0 and its plan holds the centre and the right
 half only, at grid indices 0..h: no index array and no G(1_1, 1) = 1
 factor.  M_hat_N is evaluated on theta >= 0, the left half is filled by
-M_hat_N(-theta) = conj(M_hat_N(theta)) times eta reversed, and each half is
-added into the grid as one slice.  A level pass gives the same bits as
-fourier_M_beta evaluated on every window point.  m_N on a grid goes through
+M_hat_N(-theta) = conj(M_hat_N(theta)) times eta reversed, and each half
+of a window is added into the grid as one slice.  A level pass gives the
+same bits as fourier_M_beta evaluated on every window point.  m_N on a grid goes through
 one unnormalized inverse FFT of the folded log p weights, in place, into a
 buffer the caller may pass.  Every remainder m_{2^n} - nu_n takes one
 route (_remainder_grids): the window plans of its levels are built first,
-then every scale reuses two such buffers, with the bits of the two public
-grids subtracted.
+then every scale reuses one such buffer, from which nu_n is subtracted a
+window at a time, with the bits of the two public grids subtracted.
 On an exceptional arc window, M_hat^beta_N comes from one FFT of the
 weights modulated by e(-n a/q) and folded mod G; the direct sum of
 fourier_M_beta is its oracle and the route for arbitrary theta.
@@ -76,6 +78,11 @@ DEFAULT_S_MAX = 6
 # the last scale index n: nu_n models m_{2^n}, which needs the primes up to
 # 2^n, and no prime table reaches past SIEVE_CAP
 _SCALE_CAP = SIEVE_CAP.bit_length() - 1
+# Points per window of the remainder route (a run of _CHUNK / 2 grid points
+# and its mirror image, so that level 0 evaluates its closed form once for
+# both) and per chunk of a modulus folded into a max: their temporaries stay
+# a few hundred kilobytes at any resolution.
+_CHUNK = 1 << 15
 
 # --- kernels ---
 
@@ -101,11 +108,12 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
 
     beta lies in [1/2, 1]; beta = 1 gives the plain Cesaro average.  N = 0
     yields the empty kernel.  Every weight is <= 1/N and the total mass is
-    N^(beta-1)/beta.
+    N^(beta-1)/beta.  N is at most 2^_SCALE_CAP, the last scale a prime
+    table reaches; past it a CapacityError comes before any weight.
     """
     if not 0.5 <= _real(beta, "beta") <= 1.0:
         raise DomainError("beta must lie in [1/2, 1]")
-    N = _integer(N, "N", 0)
+    N = _integer(N, "N", 0, high=1 << _SCALE_CAP)
     if N == 0:
         return Kernel(sites=np.empty(0, dtype=np.int64), weights=np.empty(0))
     n = np.arange(1, N + 1, dtype=np.float64)
@@ -203,9 +211,10 @@ def fourier_M_beta(N: int, beta: float, theta: float | np.ndarray):
     conj(M_hat_N(theta)), which _add_level's mirrored level-0 pass relies
     on.  Otherwise the direct sum over the N weights of kernel_M_beta, O(N)
     per point.  The direct sum is the oracle for the folded-FFT route that
-    nu_n_s_grid takes on exceptional arc windows.
+    nu_n_s_grid takes on exceptional arc windows.  N is at most
+    2^_SCALE_CAP, as in kernel_M_beta (CapacityError).
     """
-    N, beta = _integer(N, "N", 0), _real(beta, "beta")
+    N, beta = _integer(N, "N", 0, high=1 << _SCALE_CAP), _real(beta, "beta")
     tv = np.atleast_1d(_real(theta, "theta", points=True))
     if N == 0:
         out = np.zeros(tv.shape, dtype=np.complex128)
@@ -478,7 +487,7 @@ def pi_n_t(n: int, t: float, xi: float | np.ndarray):
     return nu_n(n, xi, s_max=_levels_for_t(t, n))
 
 
-# --- grid sampling, one pass per level ---
+# --- grid sampling, one pass per level and window ---
 
 
 @dataclass(frozen=True)
@@ -488,9 +497,12 @@ class _WindowPlan:
     the part of M_hat_N that does not depend on the scale) and eta_s(theta).
 
     For s >= 1 the plan holds every point with eta_s(theta) > 0, with its grid
-    index idx and g0 = G(1_q, a).  spans lists (arc, start, stop) for each arc
-    with a nonempty window; its points are [start, stop) of every array.
-    Indices are distinct across the level, as the eta_s supports are disjoint.
+    index idx and g0 = G(1_q, a).  The arcs come in the order of a/q and no
+    window wraps (every a/q of a level s >= 1 lies in [1/q, 1 - 1/q], q <
+    2^(s+1), farther from 0 and 1 than the radius 2^(-4s-1)), so idx
+    ascends strictly: the points of any run of grid indices are one slice of
+    the plan.  spans lists (arc, start, stop) for each arc with a
+    nonempty window; its points are [start, stop) of every array.
 
     Level 0's plan, the one arc 1/1, is mirrored: on a power-of-two grid
     theta = j/G - 1 is exact and the window antisymmetric about its centre.
@@ -522,7 +534,7 @@ def _frozen_plan(spans, idx, theta, eta, g0) -> _WindowPlan:
 
 def _full_windows(s: int, resolution: int) -> _WindowPlan:
     """The plan of level s >= 1 on j/resolution, j = 0..resolution-1."""
-    arcs = enumerate_arcs(s)
+    arcs = sorted(enumerate_arcs(s), key=lambda arc: arc.value)
     radius = eta_support_radius(s)
     G = resolution
     c = np.array([arc.a / arc.q for arc in arcs])
@@ -542,7 +554,7 @@ def _full_windows(s: int, resolution: int) -> _WindowPlan:
     spans = tuple((arc, int(lo), int(hi))
                   for arc, lo, hi in zip(arcs, bounds[:-1], bounds[1:]) if hi > lo)
     g0 = np.array([gauss.ramanujan_gauss_principal(arc.q, arc.a) for arc in arcs])
-    return _frozen_plan(spans, np.mod(j[keep], G), theta[keep], ev, g0[arc_of])
+    return _frozen_plan(spans, j[keep], theta[keep], ev, g0[arc_of])
 
 
 def _mirrored_level0(resolution: int) -> _WindowPlan:
@@ -577,68 +589,104 @@ def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) ->
                              resolution)
 
 
-def _add_level(out: np.ndarray, N: int, s: int,
-               exceptional: tuple[DirichletCharacter, float] | None) -> None:
-    """Add nu_n^s at j/len(out) into out, N = 2^n, in one pass over the
-    level's plan.
+def _levels(N: int, resolution: int, plans,
+            exceptional: tuple[DirichletCharacter, float] | None):
+    """(plan, terms) for each plan at scale N = 2^n on j/resolution: terms
+    lists (start, stop, G(chi, a) M_hat^beta_N on the plan's points [start,
+    stop)) for each arc a/q of the plan whose q is the modulus of the
+    exceptional pair's chi, M_hat^beta_N from one folded FFT per arc
+    (_mbeta_arc_grid) read at the window's indices.  They are formed once
+    per scale and arc, however many windows read them."""
+    chi, beta = exceptional or (None, None)
+    return [(plan, tuple((lo, hi, gauss.gauss_sum_bruteforce(chi, arc.a)
+                          * _mbeta_arc_grid(N, beta, arc, resolution)[plan.idx[lo:hi]])
+                         for arc, lo, hi in plan.spans if chi is not None and arc.q == chi.modulus))
+            for plan in plans]
 
-    The principal term is the closed form M_hat_N (_mhat_closed) over the
-    window points, with r = inv_sin * 2^-n read from the plan: N = 2^n, so
-    N sin(pi theta) is exact and 1 / (N sin(pi theta)) = 2^-n / sin(pi theta)
-    bit for bit, the value fourier_M_beta computes.  |theta| < 1/2 on every
-    window, so theta is already reduced.  Points with theta = 0 take the
-    direct value 1 + 0j.  On level 0's mirrored plan the closed form covers
-    the centre and the right half only; the left half is the conjugate of
-    the right half reversed, as M_hat_N(-theta) = conj(M_hat_N(theta)) bit
-    for bit, times eta reversed, and each half is added into out as one
-    slice.  The exceptional pair (chi, beta), if given, adds its term on the
-    arcs a/q with q the modulus of chi (at least 3, so s >= 1), M_hat^beta_N
-    from one folded FFT per arc (_mbeta_arc_grid) read at the window's
-    indices.
+
+def _closed_form(N: int, plan: _WindowPlan, lo: int, hi: int) -> np.ndarray:
+    """M_hat_N on the plan's points [lo, hi) (_mhat_closed), with r = inv_sin
+    * 2^-n read from the plan: N = 2^n, so N sin(pi theta) is exact and 1 /
+    (N sin(pi theta)) = 2^-n / sin(pi theta) bit for bit, the value
+    fourier_M_beta computes.  |theta| < 1/2 on every window, so theta is
+    already reduced.  Points with theta = 0 take the direct value 1 + 0j."""
+    vals = np.empty(hi - lo, dtype=np.complex128)
+    theta = plan.theta[lo:hi]
+    _mhat_closed(N, theta, plan.inv_sin[lo:hi] * (1.0 / N), vals)
+    vals[theta == 0.0] = 1.0
+    return vals
+
+
+def _add_level(rows: np.ndarray, a: int, resolution: int, N: int, plan: _WindowPlan,
+               terms) -> None:
+    """Add one level of nu_n, N = 2^n, at j/G, G = resolution, into the two
+    rows of a window, a (2, w) array: rows[0] the grid points j = a..a+w-1,
+    rows[1] their mirror images j = G-a-w..G-a-1, a + w <= G/2 (at G = 1
+    rows[1] is a spare that no level reaches).
+
+    Each point takes the operations of a pass over the whole plan, in their
+    order: the closed form (_closed_form), then for s >= 1 the factor g0,
+    the exceptional terms (_levels) and eta.  The plan ascends in grid
+    index, so a row's points are one slice of it; two rows that meet at G/2
+    are one run, passed once.  On level 0's mirrored plan rows[0] holds the
+    points i = a..a+w-1 at their own indices and rows[1] the images G - i
+    of i = a+1..a+w, so the closed form is evaluated once, on i = a..a+w,
+    for both: an image is the conjugate, as M_hat_N(-theta) =
+    conj(M_hat_N(theta)) bit for bit, times eta, and each row's run is
+    added into it as one slice, the images reversed.  The whole circle is
+    the window a = 0, w = G/2.
     """
-    plan = _eta_windows(s, out.size)
-    vals = np.empty(plan.theta.size, dtype=np.complex128)
-    _mhat_closed(N, plan.theta, plan.inv_sin * (1.0 / N), vals)
-    vals[plan.theta == 0.0] = 1.0
-    if s == 0:
-        h = vals.size - 1
+    w = rows.shape[1]
+    if plan.idx is None:
+        stop = min(a + w + 1, plan.theta.size)
+        vals = _closed_form(N, plan, a, max(a, stop))
         left = np.conjugate(vals[:0:-1])
-        left *= plan.eta[:0:-1]
-        out[out.size - h:] += left
-        vals *= plan.eta
-        out[:h + 1] += vals
+        left *= plan.eta[a + 1:stop][::-1]
+        rows[1][w - left.size:] += left
+        right = vals[:w]
+        right *= plan.eta[a:a + w]
+        rows[0][:right.size] += right
         return
-    vals *= plan.g0
-    if exceptional is not None:
-        chi, beta = exceptional
-        for arc, lo, hi in plan.spans:
-            if arc.q == chi.modulus:
-                mbeta = _mbeta_arc_grid(N, beta, arc, out.size)
-                vals[lo:hi] -= gauss.gauss_sum_bruteforce(chi, arc.a) * mbeta[plan.idx[lo:hi]]
-    vals *= plan.eta
-    out[plan.idx] += vals
+    runs = ([(rows.reshape(-1), a)] if 2 * (a + w) == resolution  # rows meeting at G/2
+            else zip(rows, (a, resolution - a - w)))
+    for row, j0 in runs:
+        k0, k1 = np.searchsorted(plan.idx, (j0, j0 + row.size))
+        if k0 == k1:
+            continue
+        vals = _closed_form(N, plan, k0, k1)
+        vals *= plan.g0[k0:k1]
+        for lo, hi, term in terms:  # its overlap with [k0, k1), empty if none
+            i, j = (min(max(k, lo), hi) for k in (k0, k1))
+            vals[i - k0:j - k0] -= term[i - lo:j - lo]
+        vals *= plan.eta[k0:k1]
+        row[plan.idx[k0:k1] - j0] += vals
+
+
+def _nu_grid(n: int, resolution: int, ss, exceptional) -> np.ndarray:
+    """The levels ss of nu_n at j/resolution, added one pass each into one
+    fresh array: _add_level over the whole circle, the window a = 0 of two
+    rows of G/2 points (at G = 1 the second row is a spare point)."""
+    N = 1 << _integer(n, "scale index n", 0, high=_SCALE_CAP)
+    G = _check_resolution(resolution)
+    _exceptional_pair(exceptional)
+    out = np.zeros(max(G, 2), dtype=np.complex128)
+    for plan, terms in _levels(N, G, [_eta_windows(s, G) for s in ss], exceptional):
+        _add_level(out.reshape(2, -1), 0, G, N, plan, terms)
+    return out[:G]
 
 
 def nu_n_s_grid(n: int, s: int, resolution: int,
                 exceptional: tuple[DirichletCharacter, float] | None = None) -> np.ndarray:
     """nu_n^s sampled at j/resolution: one pass over the level's window plan
     (_eta_windows, cached per (s, resolution)) into a fresh array."""
-    out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    _exceptional_pair(exceptional)
-    _add_level(out, 1 << _integer(n, "scale index n", 0, high=_SCALE_CAP), s, exceptional)
-    return out
+    return _nu_grid(n, resolution, (s,), exceptional)
 
 
 def nu_n_grid(n: int, resolution: int, s_max: int = DEFAULT_S_MAX,
               exceptional: tuple[DirichletCharacter, float] | None = None) -> np.ndarray:
     """nu_n sampled at j/resolution: the levels s = 0..s_max added one pass
     each into one fresh array."""
-    out = np.zeros(_check_resolution(resolution), dtype=np.complex128)
-    N, s_max = 1 << _integer(n, "scale index n", 0, high=_SCALE_CAP), _integer(s_max, "s_max", 0)
-    _exceptional_pair(exceptional)
-    for s in range(s_max + 1):
-        _add_level(out, N, s, exceptional)
-    return out
+    return _nu_grid(n, resolution, range(_integer(s_max, "s_max", 0) + 1), exceptional)
 
 
 def pi_n_t_grid(n: int, t: float, resolution: int) -> np.ndarray:
@@ -647,31 +695,39 @@ def pi_n_t_grid(n: int, t: float, resolution: int) -> np.ndarray:
 
 def _remainder_grids(ns, resolution: int, table: PrimeTable, s_max: int,
                      exceptional: tuple[DirichletCharacter, float] | None = None):
-    """(m_{2^n} - nu_n, nu_n) at j/resolution for each n in ns: the bits of
-    prime_multiplier_grid(2^n, ...) - nu_n_grid(n, ..., s_max, exceptional)
-    and of that nu_n_grid, whose arguments the caller checks.  With s_max =
-    floor(sqrt(t)) and each n >= t, nu_n is Pi_n^t.
+    """m_{2^n} - nu_n at j/resolution for each n in ns: the bits of
+    prime_multiplier_grid(2^n, ...) - nu_n_grid(n, ..., s_max, exceptional),
+    whose arguments the caller checks; the resolution is at least 2, as
+    m_{2^n} needs n >= 1.  With s_max = floor(sqrt(t)) and each n >= t,
+    nu_n is Pi_n^t.
 
-    The window plans are built at the call, then two grid buffers serve
-    every scale: m_{2^n} is folded and transformed in place in one, nu_n is
-    added level by level into the other, and m - nu is written over the
-    first.  A scale's pair holds until the next is drawn, and the consumer
-    may write over both.
+    The window plans are built at the call, then one grid buffer serves
+    every scale: m_{2^n} is folded and transformed in place in it, and the
+    circle is walked in windows of _CHUNK points, a run of _CHUNK / 2 (or
+    G / 2) points and its mirror image.  Each window's nu_n is summed level
+    by level (_add_level) into one window-sized accumulator, which is
+    subtracted from m's two runs, so no other array the size of the circle
+    is formed.  A scale's grid holds until the next is drawn, and the
+    consumer may write over it.
     """
     G = _check_resolution(resolution)
-    for s in range(s_max + 1):
-        _eta_windows(s, G)
+    plans = [_eta_windows(s, G) for s in range(s_max + 1)]
     m = np.empty(G, dtype=np.complex128)
-    nu = np.empty(G, dtype=np.complex128)
+    w = min(_CHUNK, G) // 2
+    acc = np.empty((2, w), dtype=np.complex128)
 
     def grids():
         for n in ns:
             k = prime_kernel(1 << n, table, weighted=True)
             _folded_transform(k.sites, k.weights, G, out=m)
-            nu.fill(0.0)
-            for s in range(s_max + 1):
-                _add_level(nu, 1 << n, s, exceptional)
-            yield np.subtract(m, nu, out=m), nu
+            levels = _levels(1 << n, G, plans, exceptional)
+            for a in range(0, G // 2, w):
+                acc.fill(0.0)
+                for plan, terms in levels:
+                    _add_level(acc, a, G, 1 << n, plan, terms)
+                for row, b in zip(acc, (a, G - a - w)):
+                    np.subtract(m[b:b + w], row, out=m[b:b + w])
+            yield m
 
     return grids()
 
@@ -682,7 +738,8 @@ def _remainder_grids(ns, resolution: int, table: PrimeTable, s_max: int,
 def approximation_error(n: int, resolution: int, table: PrimeTable,
                         s_max: int = DEFAULT_S_MAX,
                         exceptional: tuple[DirichletCharacter, float] | None = None) -> float:
-    """E(n) = max over the grid of |m_{2^n} - nu_n|, from _remainder_grids.
+    """E(n) = max over the grid of |m_{2^n} - nu_n|, from _remainder_grids,
+    the modulus taken and folded into the max _CHUNK points at a time.
 
     The resolution must be a power of two, at least 2^(n/2); the theory makes
     E(n) decay like exp(-c sqrt(n)), which the acceptance suite checks as a
@@ -692,8 +749,9 @@ def approximation_error(n: int, resolution: int, table: PrimeTable,
     _exceptional_pair(exceptional)
     if 2 * (_check_resolution(resolution).bit_length() - 1) < n:  # G < 2^(n/2)
         raise DomainError("grid resolution must be at least 2^(n/2)")
-    remainder, _ = next(_remainder_grids([n], resolution, table, s_max, exceptional))
-    return float(np.max(np.abs(remainder)))
+    remainder = next(_remainder_grids([n], resolution, table, s_max, exceptional))
+    return float(np.max([np.max(np.abs(remainder[j:j + _CHUNK]))
+                         for j in range(0, remainder.size, _CHUNK)]))
 
 
 def partial_summation_bracket(N: int, table: PrimeTable) -> float:

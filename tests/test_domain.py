@@ -293,6 +293,8 @@ _INDEX_CASES = {
     "l2-arc-n-max-1e30": lambda t: mx.l2_arc_maximal_decay(1, _F, 10**30, 64),
     "residue-n-max-1e30": lambda t: mx.residue_equidistribution(_F, 4, 1, 1, 0.9, 10**30, 64),
     "random-signal-length-1e30": lambda t: mx.random_signal(np.random.default_rng(0), 10**30),
+    "kernel-m-beta-n-1e30": lambda t: mp.kernel_M_beta(10**30, 0.75),
+    "fourier-m-beta-n-2^40": lambda t: mp.fourier_M_beta(2**40, 0.75, 0.1),
 }
 
 

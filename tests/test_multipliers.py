@@ -7,6 +7,7 @@ computations for the small-N kernel weights.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ def test_nu_is_hermitian_for_real_output():
     assert np.allclose(vals[1:], np.conj(vals[1:][::-1]), atol=1e-12)
 
 
-@pytest.mark.parametrize("G", [2, 16, 1 << 11, 1 << 16])
+@pytest.mark.parametrize("G", [1, 2, 16, 1 << 11, 1 << 16])
 def test_level0_grid_equals_pointwise_bit_for_bit(G):
     # the grid mirrors the level-0 window; the pointwise route evaluates all
     xi = np.arange(G) / G
@@ -316,6 +317,18 @@ def test_level_pass_equals_public_closed_form_bit_for_bit(s, G):
         want[idx] += g0 * mp.fourier_M_beta(1 << n, 1.0, theta) * ev
         got = mp.nu_n_s_grid(n, s, G)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("G", [1 << 10, 1 << 14, 1 << 18])
+def test_level_plans_ascend_in_grid_index(G):
+    # the arcs come in the order of a/q and no window wraps, so the points
+    # of any run of grid indices are one slice of the plan; spans tile it
+    for s in range(1, 6):
+        plan = mp._eta_windows(s, G)
+        assert np.all(np.diff(plan.idx) > 0) and np.all((plan.idx > 0) & (plan.idx < G)), s
+        assert [a.value for a, _, _ in plan.spans] == sorted(a.value for a, _, _ in plan.spans)
+        bounds = [0] + [b for _, lo, hi in plan.spans for b in (lo, hi)] + [plan.idx.size]
+        assert bounds[::2] == bounds[1::2], s  # each span starts where the last stopped
 
 
 def test_only_an_exactly_antisymmetric_plan_is_mirrored():
@@ -501,6 +514,42 @@ def test_approximation_error_equals_public_grids_bit_for_bit(table_small):
             want = np.max(np.abs(mp.prime_multiplier_grid(1 << n, G, table_small)
                                  - mp.nu_n_grid(n, G, 3, pair)))
             assert mp.approximation_error(n, G, table_small, 3, pair) == want, (pair, n)
+
+
+@pytest.mark.parametrize("G", [mp._CHUNK // 2, mp._CHUNK, 4 * mp._CHUNK])
+def test_remainder_route_is_the_public_difference_across_window_edges(G, table_small):
+    # the route forms nu_n in windows of two runs of w grid points each,
+    # starting at multiples of w; at 4 _CHUNK the arcs a/8 of the pair's
+    # modulus sit on those edges, so their windows straddle two runs
+    w = min(mp._CHUNK, G) // 2
+    chi = enumerate_quadratic_characters(8)[0]
+    plan = mp._eta_windows(3, G)
+    straddling = [arc for arc, lo, hi in plan.spans if arc.q == 8
+                  and plan.idx[lo] // w != plan.idx[hi - 1] // w]
+    assert len(straddling) == (4 if G > mp._CHUNK else 0)
+    for pair in [None, (chi, 0.8)]:
+        for n in [9, 16]:
+            want = (mp.prime_multiplier_grid(1 << n, G, table_small)
+                    - mp.nu_n_grid(n, G, 3, pair))
+            got = next(mp._remainder_grids([n], G, table_small, 3, pair))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (pair, n)
+            assert mp.approximation_error(n, G, table_small, 3, pair) == np.max(np.abs(want))
+
+
+def test_approximation_error_peak_stays_within_its_working_set(table_small):
+    # warm (the window plans built by a first call): the one grid buffer of
+    # the remainder route and its window temporaries, 1.36 grids; the route
+    # that formed nu_n and |m - nu| over the whole circle read 3.5 grids
+    G = 1 << 18
+    grid = 16 * G
+    mp.approximation_error(16, G, table_small)
+    tracemalloc.start()
+    try:
+        mp.approximation_error(16, G, table_small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * grid, peak / grid
 
 
 def test_approximation_error_domain(table_small):
