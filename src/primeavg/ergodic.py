@@ -196,22 +196,29 @@ def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
                            table: PrimeTable, reference=None) -> OrbitAverageTrace:
     """Trace of A_{2^n} f(x0) for n = 1..n_max (n_max <= 24).
 
-    One orbit enumeration serves every scale: cumulative sums are cut at
-    the prime-counting boundaries pi(2^n).  The values of f must be finite.
+    One orbit enumeration serves every scale: the sums are read at the
+    prime-counting boundaries pi(2^n).  The values of f must be finite.
     A real f is summed in float64, whose running sums are bit for bit the
     real parts of complex128 ones; the n_max sums at pi(2^n) are divided as
     complex128 either way, since numpy's complex division multiplies by the
-    reciprocal and a real division can differ in the last bit.
+    reciprocal and a real division can differ in the last bit.  A 0/1-valued
+    f is summed between the cuts and the n_max block sums accumulated: every
+    partial sum is an integer below 2^53, exact in any order, so these are
+    the running sums' bits.  Any other f keeps the sequential running sum.
     """
     if _integer(n_max, "n_max", 1) > 24:
         raise DomainError("n_max must lie in [1, 24]")
     ps = table.primes_upto(1 << n_max)
     vals = _finite(f(system.orbit_positions(x0, ps)), "observable values")
     real_obs = not np.iscomplexobj(vals)
-    csum = np.cumsum(vals.astype(np.float64 if real_obs else np.complex128, copy=False))
+    vals = vals.astype(np.float64 if real_obs else np.complex128, copy=False)
     scales = np.asarray([1 << n for n in range(1, n_max + 1)], dtype=np.int64)
     counts = np.asarray([table.count(int(N)) for N in scales], dtype=np.int64)
-    averages = csum[counts - 1].astype(np.complex128) / counts
+    if real_obs and np.all((vals == 0) | (vals == 1)):
+        sums = np.cumsum(np.add.reduceat(vals, np.r_[0, counts[:-1]]))
+    else:
+        sums = np.cumsum(vals)[counts - 1]
+    averages = sums.astype(np.complex128) / counts
     if real_obs:
         averages = averages.real
     diffs = np.abs(np.diff(averages, prepend=averages[:1]))

@@ -37,10 +37,12 @@ weak_type_sweep measures lambda * |{sup_n A_{2^n} 1_F > lambda}| normalized
 by log^2(e/lambda) |F| on a lambda grid.  Since A_N 1_F = k/pi(N) with an
 integer count k, the counts are computed as integers and compared exactly.
 prime_scale_counts adds the primes band by band, (2^(n-1), 2^n] at scale n,
-into one int64 accumulator: a band of a few primes as shifted copies of F,
-a larger one split into blocks of B >= |F| primes, each block a row of one
-batched FFT correlation with F on a 2B-point circle, rounded to integers and
-overlap-added.  No transform spans the whole window of the top scale.
+into one int32 accumulator and yields a read-only view of it per scale: a
+band of a few primes as shifted copies of F, a larger one split into blocks
+of B >= |F| primes, each block a row of one batched FFT correlation with F
+on a 2B-point circle, rounded to integers and overlap-added in buffers
+allocated once per band.  No transform spans the whole window of the top
+scale.
 weak_norm implements the discrete weak-ell^1 norm max_k k * v_(k) over the
 sorted magnitudes.
 """
@@ -72,18 +74,22 @@ class Signal:
 
     @classmethod
     def interval(cls, start: int, length: int) -> "Signal":
+        """1 on [start, start + length), 0 <= length <= SIEVE_CAP (as for
+        random_signal); past it a CapacityError comes before any array."""
         return cls(offset=_integer(start, "start"),
-                   values=np.ones(_integer(length, "length", 0)))
+                   values=np.ones(_integer(length, "length", 0, high=SIEVE_CAP)))
 
     @classmethod
     def indicator(cls, points: np.ndarray | list) -> "Signal":
         """1_F for the integer points of F (repeats allowed); the empty set
-        gives a single zero."""
+        gives a single zero.  The span from the least point to the largest
+        is at most SIEVE_CAP, else a CapacityError before the window."""
         pts = np.asarray(points)
         if pts.size == 0:
             return cls(offset=0, values=np.zeros(1))
         pts = np.unique(_integer(pts, "points", points=True)).astype(np.int64)
-        vals = np.zeros(int(pts[-1] - pts[0]) + 1)
+        vals = np.zeros(_integer(int(pts[-1]) - int(pts[0]) + 1, "indicator span",
+                                 high=SIEVE_CAP))
         vals[pts - pts[0]] = 1.0
         return cls(offset=int(pts[0]), values=vals)
 
@@ -244,10 +250,15 @@ def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
     n_max past the table is a CapacityError (_scale_count).
 
     The primes arrive band by band, (2^(n-1), 2^n] at scale n, and each band
-    is added into one int64 accumulator, so scale n yields the counts of the
-    bands up to n.  A band of at most _DIRECT_BAND primes adds one shifted copy
-    of F per prime; a larger one is correlated with F block by block
-    (_add_band), its float counts rounded to integers before they are added.
+    is added into one int32 accumulator, so scale n yields the counts of the
+    bands up to n.  int32 is exact: a count is at most pi(2^n_max) <=
+    2^n_max <= table.limit <= SIEVE_CAP = 2^30 < 2^31.  A band of at most
+    _DIRECT_BAND primes adds one shifted copy of F per prime; a larger one is
+    correlated with F block by block (_add_band), its float counts rounded to
+    integers before they are added.
+
+    counts is a read-only view of the accumulator, valid until the next item
+    is drawn: a caller that keeps it past that takes a copy.
     """
     n_max = _scale_count(n_max, table)
     ones = F.values == 1
@@ -256,7 +267,7 @@ def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
     L = ones.size
     B = max(_next_pow2(L), _MIN_BLOCK)
     top = 1 << n_max
-    counts = np.zeros(top + 2 * B, dtype=np.int64)  # at j = -top - B, ..., B - 1
+    counts = np.zeros(top + 2 * B, dtype=np.int32)  # at j = -top - B, ..., B - 1
     zero = top + B  # the index of j = x - F.offset = 0
     primes = table.primes_upto(top)
     fhat = None
@@ -272,7 +283,9 @@ def prime_scale_counts(F: Signal, n_max: int, table: PrimeTable):
                 fhat = np.fft.rfft(ones, 2 * B)
             _add_band(counts, zero, band, fhat, B)
         lo = hi
-        yield hi, counts[zero - (1 << n): zero + L].copy()
+        view = counts[zero - (1 << n): zero + L]
+        view.flags.writeable = False
+        yield hi, view
 
 
 def _add_band(counts: np.ndarray, zero: int, band: np.ndarray, fhat: np.ndarray,
@@ -286,34 +299,42 @@ def _add_band(counts: np.ndarray, zero: int, band: np.ndarray, fhat: np.ndarray,
     k < 0, its first k >= 0, and that count lands at j = k - bB.  With the
     rows taken from the top block down, row u spans two blocks of B counts
     from start + uB, so consecutive rows overlap by one block; a batch of c
-    rows is overlap-added into c + 1 blocks, rounded, and added in int64.  A
-    rounding residual of 1/4 or more means roundoff could have changed a
-    count, and raises ArithmeticError.
+    rows is overlap-added into c + 1 blocks, rounded, and added to the int32
+    counts.  The rows, spectra, overlap-add blocks and rounded blocks are
+    allocated once per band at the largest batch, and each batch works in
+    their leading slices.  A rounding residual of 1/4 or more means roundoff
+    could have changed a count, and raises ArithmeticError.
     """
     rev = band[::-1]
     top_block = int(rev[0]) // B
     row = top_block - rev // B  # nondecreasing
     col = rev % B
     start = zero - (top_block + 1) * B
-    per = max(1, _BATCH_POINTS // (2 * B))
     m = int(row[-1]) + 1
+    per = min(m, max(1, _BATCH_POINTS // (2 * B)))
+    rows = np.empty((per, 2 * B))
+    spec = np.empty((per, B + 1), dtype=np.complex128)
+    seg = np.empty((per + 1, B))
+    exact = np.empty_like(seg)
     for u0 in range(0, m, per):
         c = min(per, m - u0)
         i, k = np.searchsorted(row, [u0, u0 + c])
-        rows = np.zeros((c, 2 * B))
-        rows[row[i:k] - u0, col[i:k]] = 1.0
-        spec = np.fft.rfft(rows, axis=1)
-        np.conjugate(spec, out=spec)
-        spec *= fhat
-        h = np.fft.irfft(spec, 2 * B, axis=1, out=rows)
-        seg = np.zeros((c + 1, B))
-        seg[:c] = h[:, B:]
-        seg[1:] += h[:, :B]
-        exact = np.rint(seg)
-        if np.max(np.abs(np.subtract(seg, exact, out=seg))) >= 0.25:
+        r = rows[:c]
+        r.fill(0.0)
+        r[row[i:k] - u0, col[i:k]] = 1.0
+        sp = np.fft.rfft(r, axis=1, out=spec[:c])
+        np.conjugate(sp, out=sp)
+        sp *= fhat
+        h = np.fft.irfft(sp, 2 * B, axis=1, out=r)
+        g = seg[:c + 1]
+        g[:c] = h[:, B:]
+        g[c] = 0.0
+        g[1:] += h[:, :B]
+        e = np.rint(g, out=exact[:c + 1])
+        if np.max(np.abs(np.subtract(g, e, out=g), out=g)) >= 0.25:
             raise ArithmeticError("FFT roundoff too large to round to exact counts")
         out = counts[start + u0 * B: start + (u0 + c + 1) * B]
-        np.add(out, exact.ravel(), out=out, casting="unsafe")
+        np.add(out, e.ravel(), out=out, casting="unsafe")
 
 
 def maximal_dyadic(f: Signal, family: str, n_max: int, table: PrimeTable) -> Signal:
@@ -421,8 +442,10 @@ def weak_norm(g: Signal | np.ndarray) -> float:
 
 def default_lambda_grid(j_max: int) -> np.ndarray:
     """Geometric lambda grid 2^-1, ..., 2^-j_max (decreasing), for an
-    integer j_max >= 1."""
-    return 0.5 ** np.arange(1, _integer(j_max, "j_max", 1) + 1)
+    integer 1 <= j_max <= 1074: 2^-1074 is the least positive double, and
+    0.5 ** 1075 rounds to 0.0, outside the (0, 1) that the sweep takes, so a
+    larger j_max is a CapacityError before the grid is formed."""
+    return 0.5 ** np.arange(1, _integer(j_max, "j_max", 1, high=1074) + 1)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ or ValueError; the tests after the table check that each now equals the
 same call with a list.  A beta outside [1/2, 1] reached
 residue_equidistribution's DomainError only once its first M^beta grid
 was drawn, after the signal was transformed and filtered.  A scale index,
-level or signal length past its cap died with a raw OverflowError or
-ValueError before the capacity rule bounded it at entry.
+level or signal length past its cap died with a raw OverflowError,
+ValueError or MemoryError before the capacity rule bounded it at entry.
 """
 
 import math
@@ -295,6 +295,12 @@ _INDEX_CASES = {
     "random-signal-length-1e30": lambda t: mx.random_signal(np.random.default_rng(0), 10**30),
     "kernel-m-beta-n-1e30": lambda t: mp.kernel_M_beta(10**30, 0.75),
     "fourier-m-beta-n-2^40": lambda t: mp.fourier_M_beta(2**40, 0.75, 0.1),
+    # a raw ValueError at 10^30 and a raw MemoryError at 2^34 and 2^40; a
+    # j_max of 10^30 a raw ValueError, and 0.5 ** 1075 is 0.0, off the grid
+    "interval-length-1e30": lambda t: mx.Signal.interval(0, 10**30),
+    "interval-length-2^34": lambda t: mx.Signal.interval(0, 2**34),
+    "indicator-span-2^40": lambda t: mx.Signal.indicator([0, 2**40]),
+    "lambda-grid-j-max-1e30": lambda t: mx.default_lambda_grid(10**30),
 }
 
 

@@ -204,10 +204,29 @@ def test_convergence_diagnostic_real_sum_is_the_complex_sums_real_part(observabl
         assert np.array_equal(real.values.view(np.int64), cplx.values.real.view(np.int64))
 
 
+@pytest.mark.parametrize("observable", ["indicator", "bool", "cosine"])
+def test_convergence_diagnostic_values_are_the_running_sums_bits(observable, table_big):
+    # a 0/1 observable is summed between the cuts: its values must be the
+    # bits of the sequential running sum read at pi(2^n), as a non-integer
+    # observable's are
+    f = {"indicator": er.interval_indicator(0.0, 0.5),
+         "bool": lambda x: np.asarray(x) < 0.3,
+         "cosine": lambda x: np.cos(2 * np.pi * np.asarray(x))}[observable]
+    sys = er.DynamicalSystem.rotation("golden")
+    n_max = 20
+    counts = np.asarray([table_big.count(1 << n) for n in range(1, n_max + 1)])
+    for x0 in (0.1, 0.37):
+        vals = np.asarray(f(sys.orbit_positions(x0, table_big.primes_upto(1 << n_max))),
+                          dtype=np.float64)
+        want = (np.cumsum(vals)[counts - 1].astype(np.complex128) / counts).real
+        got = er.convergence_diagnostic(sys, f, x0, n_max, table_big).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_convergence_diagnostic_peak_at_n_max_20(table_big):
-    # the orbit, the observable's values and their float64 running sums: about
-    # 2.1 arrays of pi(2^20) doubles, against 5.0 with a complex128 running
-    # sum and a float mod 1
+    # the orbit and the observable's values, whose 0/1 values are summed
+    # between the cuts with no running sum: about 2.1 arrays of pi(2^20)
+    # doubles, against 5.0 with a complex128 running sum and a float mod 1
     sys = er.DynamicalSystem.rotation("golden")
     f = er.interval_indicator(0.0, 0.5)
     er.convergence_diagnostic(sys, f, 0.1, 20, table_big, reference=0.5)  # warm

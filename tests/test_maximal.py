@@ -14,7 +14,7 @@ import pytest
 import primeavg.maximal as mx
 import primeavg.multipliers as mult
 from primeavg.multipliers import kernel_M_beta, kernel_delta
-from primeavg.ntheory import DomainError, _dot
+from primeavg.ntheory import SIEVE_CAP, DomainError, _dot
 
 
 # --- signals ---
@@ -223,8 +223,8 @@ def test_interval_counts_match_closed_form(table_big):
     # F = [0, L): the count at x is #{p <= N : -x <= p <= L - 1 - x}
     L, n_max = 1000, 14
     primes = table_big.prime_list
-    scale_counts = list(mx.prime_scale_counts(mx.Signal.interval(0, L), n_max,
-                                              table_big))
+    scale_counts = [(pi_N, k.copy()) for pi_N, k in
+                    mx.prime_scale_counts(mx.Signal.interval(0, L), n_max, table_big)]
     oracle = []
     for n, (pi_N, k) in enumerate(scale_counts, start=1):
         N = 1 << n
@@ -233,7 +233,7 @@ def test_interval_counts_match_closed_form(table_big):
         lo = np.searchsorted(primes, np.maximum(0, -x - 1), side="right")
         want = np.maximum(hi - lo, 0)
         assert pi_N == table_big.count(N)
-        assert k.dtype == np.int64 and np.array_equal(k, want), n
+        assert k.dtype == np.int32 and np.array_equal(k, want), n
         oracle.append((pi_N, want))
     lam = mx.default_lambda_grid(10)
     rep = mx.weak_type_sweep(mx.Signal.interval(0, L), lam, n_max, table_big)
@@ -303,12 +303,12 @@ def _set_of_length(length: int, offset: int) -> mx.Signal:
 
 
 def _assert_scale_counts_match_oracle(F: mx.Signal, n_max: int, table):
-    got = list(mx.prime_scale_counts(F, n_max, table))
+    got = [(pi_N, k.copy()) for pi_N, k in mx.prime_scale_counts(F, n_max, table)]
     oracle = _oracle_scale_counts(F, n_max, table)
     assert len(got) == n_max
     for n, ((pi_N, k), (pi_want, want)) in enumerate(zip(got, oracle), start=1):
         cut = want.size - k.size  # the oracle's window starts 2^n_max left of F
-        assert pi_N == pi_want and k.dtype == np.int64 and cut == (1 << n_max) - (1 << n)
+        assert pi_N == pi_want and k.dtype == np.int32 and cut == (1 << n_max) - (1 << n)
         assert np.array_equal(k, want[cut:]) and not want[:cut].any(), n
 
 
@@ -343,7 +343,7 @@ def test_superlevel_counts_past_255_levels_match_a_direct_count(table_big):
     # k / pi_N > lambda is k * 512 > j * pi_N in integers
     F = _random_set(700)
     n_max = 12
-    scale_counts = list(mx.prime_scale_counts(F, n_max, table_big))
+    scale_counts = [(pi_N, k.copy()) for pi_N, k in mx.prime_scale_counts(F, n_max, table_big)]
     width = (1 << n_max) + F.values.size
     js = np.random.default_rng(5).permutation(np.arange(1, 301))
     lam = js / 512
@@ -356,11 +356,23 @@ def test_superlevel_counts_past_255_levels_match_a_direct_count(table_big):
     assert len(set(got.tolist())) > 100  # the levels are told apart
 
 
+def test_scale_counts_are_read_only_views_in_int32(table_big):
+    # every count is at most pi(2^n_max) <= SIEVE_CAP, so int32 holds it
+    # exactly; each scale is a view of the one accumulator, not a copy
+    assert SIEVE_CAP <= np.iinfo(np.int32).max
+    F = mx.Signal.interval(0, 100)
+    for _, k in mx.prime_scale_counts(F, 12, table_big):
+        assert k.dtype == np.int32 and not k.flags.writeable and k.base is not None
+        with pytest.raises(ValueError):
+            k[0] = 0
+
+
 def test_weak_type_sweep_peak_at_n_max_18(table_big):
-    # one int64 accumulator over the window, one scale's counts, and the
-    # superlevel levels and one scale's gathered levels in uint8: about 6.2
-    # MiB, against 8.2 MiB with int64 levels and 23.3 MiB for a full-circle
-    # FFT pair per scale
+    # one int32 accumulator over the window, viewed (not copied) at each
+    # scale, one band's batch buffers, and the superlevel levels and one
+    # scale's gathered levels in uint8: about 3.8 MiB, against 6.2 MiB with
+    # an int64 accumulator, a copy per scale and fresh batch buffers, 8.2 MiB
+    # with int64 levels too, and 23.3 MiB for a full-circle FFT pair per scale
     F = mx.Signal.interval(0, 1024)
     lam = mx.default_lambda_grid(10)
     mx.weak_type_sweep(F, lam, 18, table_big)  # warm
@@ -370,7 +382,7 @@ def test_weak_type_sweep_peak_at_n_max_18(table_big):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 << 20, peak
+    assert peak <= 4.1 * (1 << 20), peak
 
 
 # --- residue sampling, arc decay, A/B split ---
