@@ -544,12 +544,12 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, default=1024)
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--lambda-grid", type=_float_list,
-                   default=list(maximal.default_lambda_grid(10)))
+                   default=tuple(maximal.default_lambda_grid(10)))
     p.set_defaults(fn=_cmd_weak_type)
 
     p = sub.add_parser("lp-sweep", parents=[common],
                        help="maximal-operator norm ratios on random signals")
-    p.add_argument("--p-list", type=_float_list, default=[1.25, 1.5, 2.0])
+    p.add_argument("--p-list", type=_float_list, default=(1.25, 1.5, 2.0))
     p.add_argument("--seeds", type=int, default=8)
     p.add_argument("--support", type=int, default=256)
     p.add_argument("--n-max", type=int, default=10)
@@ -589,8 +589,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+# run's parser, built by its first call and kept for the process
+_PARSER = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  The parser is built once per process, on the first run, and
+    reused by every later one: parsing does not change it, and its list
+    defaults are tuples, so no run can change what the next one parses.
+    Pool threads do not call run; two runs that start together at most
+    build it twice, and the one assignment keeps one of them."""
+    global _PARSER
+    parser = _PARSER
+    if parser is None:
+        parser = _PARSER = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -132,6 +132,12 @@ class DynamicalSystem:
         if self.kind == "shift":
             return np.mod(_shift_start(x0) % self.modulus + ks, self.modulus)
         s = _real(x0, "starting point x0") % 1.0
+        rot = self._phases(ks)
+        return _rotate(rot, s, out=rot)
+
+    def _phases(self, ks: np.ndarray) -> np.ndarray:
+        """r = (k * num mod den) / den for each k in ks (int64, 0 <= k <
+        2^25): the part of a rotation's orbit that does not depend on x0."""
         # k * alpha mod 1 in exact integer arithmetic, the remainder taken as
         # rot - (rot // den) * den: numpy divides an int64 array by one
         # integer with multiply-and-shift (libdivide), about three times
@@ -144,8 +150,14 @@ class DynamicalSystem:
         del quot
         rot = rot.astype(np.float64)
         rot /= self.den
-        rot += s
-        return np.subtract(rot, rot >= 1.0, out=rot)
+        return rot
+
+
+def _rotate(phases: np.ndarray, s: float, out: np.ndarray | None = None) -> np.ndarray:
+    """T^k x0 = phases + s wrapped back to [0, 1) by one subtraction of 1.0
+    (orbit_positions), into out, else into a new array."""
+    rot = np.add(phases, s, out=out)
+    return np.subtract(rot, rot >= 1.0, out=rot)
 
 
 def _shift_start(x0) -> int:
@@ -192,6 +204,11 @@ class OrbitAverageTrace:
     distances: np.ndarray | None
 
 
+# convergence_diagnostic's one entry for rotations: (key, table, phases,
+# cut counts), replaced whole
+_ORBIT_HELD = None
+
+
 def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
                            table: PrimeTable, reference=None) -> OrbitAverageTrace:
     """Trace of A_{2^n} f(x0) for n = 1..n_max (n_max <= 24).
@@ -205,15 +222,30 @@ def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
     f is summed between the cuts and the n_max block sums accumulated: every
     partial sum is an integer below 2^53, exact in any order, so these are
     the running sums' bits.  Any other f keeps the sequential running sum.
+
+    On a rotation, the part of the orbit that does not depend on x0, the
+    phases (p * num mod den) / den at the primes p <= 2^n_max and the cut
+    counts pi(2^n), is kept in one entry keyed by (num, den), n_max and the
+    table by identity (_rotation_orbit); each call adds x0 mod 1 and wraps
+    once, the float operations of orbit_positions, so the positions keep
+    their bits.  The held arrays are read-only, a miss drops the entry
+    before the new one is formed, and the new entry replaces it in one
+    assignment: pool threads (cli._parallel) that miss together only form
+    the same entry twice.  A shift takes orbit_positions and table.count.
     """
-    if _integer(n_max, "n_max", 1) > 24:
+    n_max = _integer(n_max, "n_max", 1)
+    if n_max > 24:
         raise DomainError("n_max must lie in [1, 24]")
-    ps = table.primes_upto(1 << n_max)
-    vals = _finite(f(system.orbit_positions(x0, ps)), "observable values")
+    if system.kind == "rotation":  # the positions live only while f reads them
+        phases, counts = _rotation_orbit(system, n_max, table)
+        vals = f(_rotate(phases, _real(x0, "starting point x0") % 1.0))
+    else:
+        vals = f(system.orbit_positions(x0, table.primes_upto(1 << n_max)))
+        counts = _cut_counts(n_max, table)
+    vals = _finite(vals, "observable values")
     real_obs = not np.iscomplexobj(vals)
     vals = vals.astype(np.float64 if real_obs else np.complex128, copy=False)
     scales = np.asarray([1 << n for n in range(1, n_max + 1)], dtype=np.int64)
-    counts = np.asarray([table.count(int(N)) for N in scales], dtype=np.int64)
     if real_obs and np.all((vals == 0) | (vals == 1)):
         sums = np.cumsum(np.add.reduceat(vals, np.r_[0, counts[:-1]]))
     else:
@@ -226,6 +258,29 @@ def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
     dist = np.abs(averages - reference) if reference is not None else None
     return OrbitAverageTrace(scales=scales, values=averages, diffs=diffs,
                              reference=reference, distances=dist)
+
+
+def _cut_counts(n_max: int, table: PrimeTable) -> np.ndarray:
+    """pi(2^n) for n = 1..n_max, as int64."""
+    return np.asarray([table.count(1 << n) for n in range(1, n_max + 1)], dtype=np.int64)
+
+
+def _rotation_orbit(system: DynamicalSystem, n_max: int,
+                    table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, cut counts) of a rotation at the primes p <= 2^n_max: the
+    held entry when its key matches, else a new one that replaces it."""
+    global _ORBIT_HELD
+    key = (system.num, system.den, n_max)
+    held = _ORBIT_HELD
+    if held is not None and held[1] is table and held[0] == key:
+        return held[2], held[3]
+    _ORBIT_HELD = held = None  # the local reference would keep it alive too
+    ps = table.primes_upto(1 << n_max)
+    phases = system._phases(ps)
+    counts = _cut_counts(n_max, table)
+    phases.flags.writeable = counts.flags.writeable = False
+    _ORBIT_HELD = (key, table, phases, counts)
+    return phases, counts
 
 
 @dataclass(frozen=True)

@@ -49,14 +49,17 @@ import numpy as np
 
 from .characters import (ENUM_CAP, DirichletCharacter, conductor,
                          enumerate_quadratic_characters, principal_character)
-from .ntheory import (DomainError, _dot, _integer, _shaped, divisors, euler_phi, is_squarefree,
-                      mobius)
+from .ntheory import (FACTOR_CAP, DomainError, _dot, _integer, _shaped, divisors, euler_phi,
+                      is_squarefree, mobius)
 
 
 @lru_cache(maxsize=1024, typed=True)
 def roots_of_unity(q: int) -> np.ndarray:
-    """exp(2 pi i k / q) for k in [0, q), read-only: the memo shares it."""
-    q = _integer(q, "q", 1)
+    """exp(2 pi i k / q) for k in [0, q), read-only: the memo shares it.
+    1 <= q <= FACTOR_CAP: the roots serve the sums of characters mod q, and
+    forming a character factorizes q, which is capped there; past it a
+    CapacityError comes before the table."""
+    q = _integer(q, "q", 1, high=FACTOR_CAP)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     roots.flags.writeable = False
     return roots
@@ -236,8 +239,10 @@ def gauss_exponential_sum(chi: DirichletCharacter,
 
 def ramanujan_gauss_principal(q: int, a: int | np.ndarray) -> float | np.ndarray:
     """G(1_q, a) = c_q(a)/phi(q) = mu(q/g)/phi(q/g), g = gcd(q, a), for an
-    integer a or an integer array."""
-    q = _integer(q, "q", 1)
+    integer a or an integer array.  1 <= q <= FACTOR_CAP, the cap of the
+    factorization that lists q's divisors (the arcs' moduli reach it); past
+    it a CapacityError comes before the table over the divisors."""
+    q = _integer(q, "q", 1, high=FACTOR_CAP)
     a = _points(a, q)
     by_gcd = np.zeros(q + 1)
     for g in divisors(q):

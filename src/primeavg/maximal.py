@@ -617,19 +617,45 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     return math.sqrt(_dot(sup, sup)) / f.lp_norm(2.0)
 
 
+# lp_maximal_ratios' one entry: (key, table, maximal function), replaced whole
+_LP_HELD = None
+
+
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:
     """|| sup_n |M_{2^n} f| ||_p / ||f||_p for each p in ps, each in (1, 2],
     all taken from one maximal function.  f must be nonzero, and finite, which
-    maximal_dyadic checks."""
+    maximal_dyadic checks.
+
+    The last maximal_dyadic(f, 'weighted', n_max, table) is kept in one
+    entry, keyed by f.offset, the dtype and shape of f.values, a private
+    copy of its bytes (a Signal is mutable, so an in-place write is a
+    miss), n_max, and the table by identity; so one f asked for p after p
+    forms its maximal function once.  The held values are read-only and
+    never leave the module.  A miss drops the held entry before the new
+    maximal function is formed, so no two are alive at once, and the new
+    entry replaces it in one assignment: pool threads (cli._parallel) that
+    miss together only form the same maximal function twice."""
+    global _LP_HELD
     ps = np.ravel(_real(ps, "exponents p", points=True)).tolist()
     if not ps or not all(1.0 < p <= 2.0 for p in ps):
         raise DomainError("need at least one p, each in (1, 2]")
     if not np.any(f.values):
         raise DomainError("ell^p ratios need a nonzero signal")
-    g = maximal_dyadic(f, "weighted", n_max, table)
+    vals = np.asarray(f.values)
+    key = (f.offset, vals.dtype, vals.shape, vals.tobytes(), _scale_count(n_max, table))
+    held = _LP_HELD
+    if held is not None and held[1] is table and held[0] == key:
+        g = held[2]
+    else:
+        _LP_HELD = held = None  # the local reference would keep it alive too
+        g = maximal_dyadic(f, "weighted", n_max, table)
+        g.values.flags.writeable = False
+        _LP_HELD = (key, table, g)
     return [float(g.lp_norm(p) / f.lp_norm(p)) for p in ps]
 
 
 def lp_maximal_ratio(f: Signal, p: float, n_max: int, table: PrimeTable) -> float:
-    """|| sup_n |M_{2^n} f| ||_p / ||f||_p for p in (1, 2]."""
+    """|| sup_n |M_{2^n} f| ||_p / ||f||_p for p in (1, 2], from
+    lp_maximal_ratios' one held maximal function: a run of calls on one f
+    for several p forms it once."""
     return lp_maximal_ratios(f, [p], n_max, table)[0]

@@ -122,8 +122,11 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
 
 
 def kernel_delta(n: int) -> Kernel:
-    """The point mass at the integer site n."""
-    return Kernel(sites=np.array([_integer(n, "site n")], dtype=np.int64),
+    """The point mass at the integer site n <= 2^_SCALE_CAP: a kernel reaches
+    no further than the last scale a prime table reaches (as kernel_M_beta's
+    N), and past it a CapacityError comes before the int64 site array."""
+    return Kernel(sites=np.array([_integer(n, "site n", high=1 << _SCALE_CAP)],
+                                 dtype=np.int64),
                   weights=np.array([1.0]))
 
 
@@ -758,8 +761,10 @@ def partial_summation_bracket(N: int, table: PrimeTable) -> float:
     """theta(N)/log N + sum_{n=2}^{N-1} theta(n) (1/log n - 1/log(n+1)).
 
     Equals pi(N) exactly; the float evaluation is an identity check.
+    2 <= N <= table.limit, since theta reads the primes up to N; past the
+    table a CapacityError comes before the arrays over [2, N).
     """
-    N = _integer(N, "N", 2)
+    N = _integer(N, "N", 2, high=table.limit)
     n = np.arange(2, N, dtype=np.float64)
     p = table.primes_upto(N)
     logp = np.log(p.astype(np.float64))

@@ -11,8 +11,11 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,17 +132,23 @@ _THREAD_CASES = {
                  "--support", "64", "--n-max", "6"],
     "gauss-verify": ["gauss-verify", "--q-max", "30"],
     "orlicz-norm": ["orlicz-norm", "--input", "{steps}", "--j-max", "8"],
+    # the starts share the rotation's held phases, which the pool's threads
+    # race to form on the cold run
+    "ergodic-demo": ["ergodic-demo", "--seeds", "4"],
 }
 
 
 @pytest.mark.parametrize("case", list(_THREAD_CASES))
-def test_reports_byte_identical_across_threads(tmp_path, case):
+def test_reports_byte_identical_across_threads(tmp_path, case, monkeypatch):
     steps = tmp_path / "steps.csv"
     steps.write_text("value,measure\n3.0,0.25\n1.0,0.5\n0.25,0.125\n")
     args = [a.format(steps=steps) for a in _THREAD_CASES[case]]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert _run(*args, "--format", "json", "--threads", "1", "--out", str(a)) == 0
-    assert _run(*args, "--format", "json", "--threads", "4", "--out", str(b)) == 0
+    for threads, out in (("1", a), ("4", b)):
+        # each run starts with the lp and orbit memos empty
+        monkeypatch.setattr(cli.maximal, "_LP_HELD", None)
+        monkeypatch.setattr(cli.ergodic, "_ORBIT_HELD", None)
+        assert _run(*args, "--format", "json", "--threads", threads, "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
     if case != "lp-sweep":
         return
@@ -151,6 +160,54 @@ def test_reports_byte_identical_across_threads(tmp_path, case):
         want = cli.maximal.lp_maximal_ratios(f, [1.5, 2.0], 6, table)
         got = [float(r[2]) for r in rows if int(r[0]) == seed]
         assert got == want
+
+
+# --- one parser per process ---
+
+
+def test_run_builds_its_parser_once(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert _run("gauss-verify", "--q-max", "3", "--out", os.devnull) == 0
+    assert _run("lp-sweep", "--seeds", "1", "--support", "8", "--n-max", "3",
+                "--out", os.devnull) == 0
+    assert len(built) == 1 and cli._PARSER is built[0]
+    assert real() is not real()  # build_parser stays a fresh builder
+
+
+def test_successive_runs_give_the_bytes_of_separate_processes(tmp_path):
+    # a run with a non-default p list and one of another subcommand come
+    # first, so a default the first run could change would show in the last
+    runs = {"lp-first": ["lp-sweep", "--p-list", "1.5", "--seeds", "2", "--support", "16",
+                         "--n-max", "5"],
+            "ergodic": ["ergodic-demo", "--seeds", "2", "--n-max", "8"],
+            "lp-default": ["lp-sweep", "--seeds", "2", "--support", "16", "--n-max", "5"],
+            "weak": ["weak-type-sweep", "--size", "16", "--n-max", "6"]}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    for name, argv in runs.items():
+        here, alone = tmp_path / f"{name}-here.csv", tmp_path / f"{name}-alone.csv"
+        assert _run(*argv, "--out", str(here)) == 0
+        subprocess.run([sys.executable, "-m", "primeavg.cli", *argv, "--out", str(alone)],
+                       env=env, check=True, timeout=120)
+        assert here.read_bytes() == alone.read_bytes(), name
+
+
+def test_usage_error_after_a_run_is_still_one_line(capsys):
+    assert _run("gauss-verify", "--q-max", "3", "--out", os.devnull) == 0
+    capsys.readouterr()
+    assert _run("gauss-verify", "--q-max", "not-a-number") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("primeavg gauss-verify: error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_fmt_per_type_table_matches_the_isinstance_chain():

@@ -37,7 +37,9 @@ same call with a list.  A beta outside [1/2, 1] reached
 residue_equidistribution's DomainError only once its first M^beta grid
 was drawn, after the signal was transformed and filtered.  A scale index,
 level or signal length past its cap died with a raw OverflowError,
-ValueError or MemoryError before the capacity rule bounded it at entry.
+ValueError or MemoryError before the capacity rule bounded it at entry, as
+did a point-mass site, a Ramanujan-sum or roots-of-unity modulus, and a
+partial-summation bound past the prime table.
 """
 
 import math
@@ -301,6 +303,13 @@ _INDEX_CASES = {
     "interval-length-2^34": lambda t: mx.Signal.interval(0, 2**34),
     "indicator-span-2^40": lambda t: mx.Signal.indicator([0, 2**40]),
     "lambda-grid-j-max-1e30": lambda t: mx.default_lambda_grid(10**30),
+    # a raw OverflowError (the int64 site) and raw ValueErrors (an array of
+    # 10^30 entries) at 10^30; a bracket past the table formed its arrays
+    # over [2, N) before primes_upto's CapacityError
+    "kernel-delta-site-1e30": lambda t: mp.kernel_delta(10**30),
+    "partial-summation-N-1e30": lambda t: mp.partial_summation_bracket(10**30, t),
+    "ramanujan-gauss-q-1e30": lambda t: ga.ramanujan_gauss_principal(10**30, 1),
+    "roots-of-unity-q-1e30": lambda t: ga.roots_of_unity(10**30),
 }
 
 
@@ -308,6 +317,15 @@ _INDEX_CASES = {
 def test_an_index_past_its_cap_is_a_capacity_error(call, table_small):
     with pytest.raises(nt.CapacityError):
         call(table_small)
+
+
+def test_partial_summation_past_the_table_fails_before_any_array(table_small, monkeypatch):
+    def arange(*args, **kwargs):
+        raise AssertionError("array formed")
+
+    monkeypatch.setattr(mp.np, "arange", arange)
+    with pytest.raises(nt.CapacityError):
+        mp.partial_summation_bracket(table_small.limit + 1, table_small)
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.5])

@@ -224,9 +224,10 @@ def test_convergence_diagnostic_values_are_the_running_sums_bits(observable, tab
 
 
 def test_convergence_diagnostic_peak_at_n_max_20(table_big):
-    # the orbit and the observable's values, whose 0/1 values are summed
-    # between the cuts with no running sum: about 2.1 arrays of pi(2^20)
-    # doubles, against 5.0 with a complex128 running sum and a float mod 1
+    # warm, the held phases serve the orbit, so only the orbit and the
+    # observable's values are formed, whose 0/1 values are summed between
+    # the cuts with no running sum: about 2.1 arrays of pi(2^20) doubles,
+    # against 5.0 with a complex128 running sum and a float mod 1
     sys = er.DynamicalSystem.rotation("golden")
     f = er.interval_indicator(0.0, 0.5)
     er.convergence_diagnostic(sys, f, 0.1, 20, table_big, reference=0.5)  # warm
@@ -237,6 +238,68 @@ def test_convergence_diagnostic_peak_at_n_max_20(table_big):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * table_big.count(1 << 20), peak
+
+
+def _direct_trace(system, f, x0, n_max, table):
+    """The values of a trace from orbit_positions and table.count, with the
+    sequential running sum: the route the held phases must reproduce."""
+    counts = np.asarray([table.count(1 << n) for n in range(1, n_max + 1)])
+    vals = np.asarray(f(system.orbit_positions(x0, table.primes_upto(1 << n_max))),
+                      dtype=np.float64)
+    return (np.cumsum(vals)[counts - 1].astype(np.complex128) / counts).real
+
+
+_SYSTEMS = {"golden": er.DynamicalSystem.rotation("golden"),
+            "rational": er.DynamicalSystem.rotation(0.375),
+            "shift": er.DynamicalSystem.shift(97)}
+
+
+@pytest.mark.parametrize("name", list(_SYSTEMS))
+def test_held_phases_give_the_bits_of_the_direct_route(name, table_small):
+    system = _SYSTEMS[name]
+    if system.kind == "shift":
+        starts = (0, 5, 96, -3)
+        fs = (lambda x: np.asarray(x) < 40, lambda x: np.cos(2 * np.pi * np.asarray(x) / 97))
+    else:
+        starts = (0.0, 0.37, 0.625, -1e-20, 1e15)
+        fs = (er.interval_indicator(0.9, 0.2), lambda x: np.cos(2 * np.pi * np.asarray(x)))
+    for f in fs:
+        for x0 in starts:
+            got = er.convergence_diagnostic(system, f, x0, 16, table_small).values
+            want = _direct_trace(system, f, x0, 16, table_small)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (f, x0)
+
+
+def test_held_phases_are_replaced_on_any_change_of_their_key(table_small, monkeypatch):
+    # a twin table holds the same primes but is another object: the key
+    # takes the table by identity
+    formed = []
+    real = er.DynamicalSystem._phases
+
+    def counted(self, ks):
+        formed.append((self.num, self.den, ks.size))
+        return real(self, ks)
+
+    monkeypatch.setattr(er.DynamicalSystem, "_phases", counted)
+    twin = type(table_small)(limit=table_small.limit, prime_list=table_small.prime_list)
+    f = er.interval_indicator(0.0, 0.5)
+
+    def misses(system, n_max, table):
+        before = len(formed)
+        got = er.convergence_diagnostic(system, f, 0.3, n_max, table).values
+        runs = len(formed) - before
+        assert np.array_equal(got, _direct_trace(system, f, 0.3, n_max, table))
+        return runs
+
+    golden, silver = er.DynamicalSystem.rotation("golden"), er.DynamicalSystem.rotation("silver")
+    assert misses(golden, 12, table_small) == 1
+    assert misses(golden, 12, table_small) == 0
+    assert misses(silver, 12, table_small) == 1  # another system
+    assert misses(silver, 10, table_small) == 1  # another n_max
+    assert misses(silver, 10, twin) == 1  # another table
+    assert misses(silver, 10, twin) == 0
+    key, table, phases, counts = er._ORBIT_HELD
+    assert table is twin and not (phases.flags.writeable or counts.flags.writeable)
 
 
 # --- transference ---

@@ -641,8 +641,80 @@ def test_b_part_entry_points_reject_scale_one(call, named, table_small, rng):
         call(mx.random_signal(rng, 16, complex_values=True), table_small)
 
 
-def test_lp_maximal_ratios_share_one_maximal_function(table_small, rng):
+# --- lp_maximal_ratios' one held maximal function ---
+
+
+@pytest.fixture()
+def scale_runs(monkeypatch):
+    """The n_max of every _prime_scales run, i.e. of every maximal function
+    formed, while the test runs."""
+    runs = []
+    real = mx._prime_scales
+
+    def counted(f, n_max, table, weighted):
+        runs.append(n_max)
+        return real(f, n_max, table, weighted)
+
+    monkeypatch.setattr(mx, "_prime_scales", counted)
+    return runs
+
+
+def _lp_direct(f, ps, n_max, table):
+    g = mx.maximal_dyadic(f, "weighted", n_max, table)
+    return [float(g.lp_norm(p) / f.lp_norm(p)) for p in ps]
+
+
+def test_lp_maximal_ratios_share_one_maximal_function(table_small, rng, scale_runs):
+    # single-p calls on one f form its maximal function once, with the bits
+    # of one call for every p and of the direct route
     f = mx.random_signal(rng, 40, complex_values=True)
     ps = [1.25, 1.5, 2.0]
-    ratios = mx.lp_maximal_ratios(f, ps, 7, table_small)
-    assert ratios == [mx.lp_maximal_ratio(f, p, 7, table_small) for p in ps]
+    got = [mx.lp_maximal_ratio(f, p, 7, table_small) for p in ps]
+    assert scale_runs == [7]
+    assert got == mx.lp_maximal_ratios(f, ps, 7, table_small)
+    assert scale_runs == [7]
+    assert got == _lp_direct(f, ps, 7, table_small)
+    assert not mx._LP_HELD[2].values.flags.writeable
+
+
+def test_lp_memo_misses_on_any_change_of_its_key(table_small, scale_runs):
+    # a twin table holds the same primes but is another object: the key
+    # takes the table by identity
+    f = mx.random_signal(np.random.default_rng(32), 48)
+    twin = type(table_small)(limit=table_small.limit, prime_list=table_small.prime_list)
+    moved = mx.Signal(offset=f.offset + 1, values=f.values)
+    ps = [1.5, 2.0]
+
+    def formed(g, n_max, table):
+        before = len(scale_runs)
+        got = mx.lp_maximal_ratios(g, ps, n_max, table)
+        runs = len(scale_runs) - before
+        assert got == _lp_direct(g, ps, n_max, table)
+        return runs
+
+    assert formed(f, 8, table_small) == 1
+    assert formed(f, 8, table_small) == 0
+    assert formed(f, 7, table_small) == 1  # another n_max
+    assert formed(f, 7, twin) == 1  # another table
+    assert formed(moved, 7, twin) == 1  # another offset
+    moved.values[5] = 2.0  # written in place, through both signals
+    assert formed(moved, 7, twin) == 1
+    assert formed(moved, 7, twin) == 0
+
+
+def test_an_lp_miss_frees_the_held_maximal_function_first(table_small):
+    # at n_max 14 the held maximal function is 2^14 + 64 doubles (128.5 KiB)
+    # of the 2.2 MB one call peaks at; two misses in a row peak as one does,
+    # within the key's copy of a signal (1 KiB) and a little allocator slack
+    f, g, h = (mx.random_signal(np.random.default_rng(s), 64) for s in (33, 34, 35))
+    mx.lp_maximal_ratios(f, [1.5], 14, table_small)
+    peaks = []
+    for signals in ([g], [h, f]):
+        tracemalloc.start()
+        try:
+            for s in signals:
+                mx.lp_maximal_ratios(s, [1.5], 14, table_small)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16 * 1024, (peaks, 8 * ((1 << 14) + 64))
