@@ -51,7 +51,7 @@ from . import ergodic, maximal, orlicz
 from .characters import synthetic_exceptional
 from .gauss import verify_quadratic_rows
 from .multipliers import DEFAULT_S_MAX, approximation_error
-from .ntheory import CapacityError, DomainError, sieve_primes
+from .ntheory import CapacityError, DomainError, _held, sieve_primes
 
 FLOAT_FMT = "%.17g"
 DRIFT_TOLERANCE = 0.25
@@ -388,14 +388,11 @@ def _cmd_residue(args) -> int:
     _require_min(args, "--n-max", 0)
     rng = np.random.default_rng(args.seed)
     f = maximal.random_signal(rng, args.support)
-
-    def unit(r: int):
-        out = maximal.residue_equidistribution(
-            f, args.q, r, args.s, args.beta, args.n_max,
-            resolution=args.resolution)
-        return [out["r"], out["weak_norm"], out["l1_norm"], out["ratio"]]
-
-    rows = list(_parallel(unit, range(1, args.q + 1), args.threads))
+    # the classes share one held filtered signal and sup, so they run in order
+    outs = [maximal.residue_equidistribution(f, args.q, r, args.s, args.beta, args.n_max,
+                                             resolution=args.resolution)
+            for r in range(1, args.q + 1)]
+    rows = [[o["r"], o["weak_norm"], o["l1_norm"], o["ratio"]] for o in outs]
     ratios = [row[3] for row in rows]
     summary = {"max_ratio": max(ratios), "min_ratio": min(ratios),
                "spread": max(ratios) / min(ratios) if min(ratios) > 0 else np.inf}
@@ -589,21 +586,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-# run's parser, built by its first call and kept for the process
-_PARSER = None
-
-
 def run(argv=None) -> int:
     """Run one command line (sys.argv[1:] when argv is None) and return its
-    exit code.  The parser is built once per process, on the first run, and
-    reused by every later one: parsing does not change it, and its list
-    defaults are tuples, so no run can change what the next one parses.
-    Pool threads do not call run; two runs that start together at most
-    build it twice, and the one assignment keeps one of them."""
-    global _PARSER
-    parser = _PARSER
-    if parser is None:
-        parser = _PARSER = build_parser()
+    exit code.  The parser is the held entry 'parser' (ntheory._held), built
+    by the first run and reused by every later one: parsing does not change
+    it, and its list defaults are tuples, so no run can change what the next
+    one parses."""
+    parser = _held("parser", None, None, build_parser)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

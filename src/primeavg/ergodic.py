@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .maximal import Signal, _superlevel_counts, prime_scale_counts
-from .ntheory import DomainError, PrimeTable, _finite, _integer, _real
+from .ntheory import DomainError, PrimeTable, _finite, _held, _integer, _real
 
 _DEN_MIN = 1 << 33
 _DEN_MAX = 1 << 38
@@ -204,11 +204,6 @@ class OrbitAverageTrace:
     distances: np.ndarray | None
 
 
-# convergence_diagnostic's one entry for rotations: (key, table, phases,
-# cut counts), replaced whole
-_ORBIT_HELD = None
-
-
 def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
                            table: PrimeTable, reference=None) -> OrbitAverageTrace:
     """Trace of A_{2^n} f(x0) for n = 1..n_max (n_max <= 24).
@@ -225,19 +220,19 @@ def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
 
     On a rotation, the part of the orbit that does not depend on x0, the
     phases (p * num mod den) / den at the primes p <= 2^n_max and the cut
-    counts pi(2^n), is kept in one entry keyed by (num, den), n_max and the
-    table by identity (_rotation_orbit); each call adds x0 mod 1 and wraps
-    once, the float operations of orbit_positions, so the positions keep
-    their bits.  The held arrays are read-only, a miss drops the entry
-    before the new one is formed, and the new entry replaces it in one
-    assignment: pool threads (cli._parallel) that miss together only form
-    the same entry twice.  A shift takes orbit_positions and table.count.
+    counts pi(2^n), is the held entry 'orbit' (ntheory._held), keyed by
+    (num, den) and n_max, with the table by identity; each call adds x0 mod 1
+    and wraps once, the float operations of orbit_positions, so the
+    positions keep their bits.  A shift takes orbit_positions and
+    table.count.
     """
     n_max = _integer(n_max, "n_max", 1)
     if n_max > 24:
         raise DomainError("n_max must lie in [1, 24]")
     if system.kind == "rotation":  # the positions live only while f reads them
-        phases, counts = _rotation_orbit(system, n_max, table)
+        phases, counts = _held("orbit", (system.num, system.den, n_max), table,
+                               lambda: (system._phases(table.primes_upto(1 << n_max)),
+                                        _cut_counts(n_max, table)))
         vals = f(_rotate(phases, _real(x0, "starting point x0") % 1.0))
     else:
         vals = f(system.orbit_positions(x0, table.primes_upto(1 << n_max)))
@@ -263,24 +258,6 @@ def convergence_diagnostic(system: DynamicalSystem, f, x0, n_max: int,
 def _cut_counts(n_max: int, table: PrimeTable) -> np.ndarray:
     """pi(2^n) for n = 1..n_max, as int64."""
     return np.asarray([table.count(1 << n) for n in range(1, n_max + 1)], dtype=np.int64)
-
-
-def _rotation_orbit(system: DynamicalSystem, n_max: int,
-                    table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, cut counts) of a rotation at the primes p <= 2^n_max: the
-    held entry when its key matches, else a new one that replaces it."""
-    global _ORBIT_HELD
-    key = (system.num, system.den, n_max)
-    held = _ORBIT_HELD
-    if held is not None and held[1] is table and held[0] == key:
-        return held[2], held[3]
-    _ORBIT_HELD = held = None  # the local reference would keep it alive too
-    ps = table.primes_upto(1 << n_max)
-    phases = system._phases(ps)
-    counts = _cut_counts(n_max, table)
-    phases.flags.writeable = counts.flags.writeable = False
-    _ORBIT_HELD = (key, table, phases, counts)
-    return phases, counts
 
 
 @dataclass(frozen=True)

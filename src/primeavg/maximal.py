@@ -56,7 +56,8 @@ import numpy as np
 
 from . import multipliers as mult
 from .multipliers import Kernel, prime_kernel
-from .ntheory import SIEVE_CAP, DomainError, PrimeTable, _dot, _finite, _integer, _real, _shaped
+from .ntheory import (SIEVE_CAP, DomainError, PrimeTable, _dot, _finite, _held, _integer,
+                      _real, _shaped)
 
 # --- signals ---
 
@@ -137,10 +138,14 @@ def apply_kernel(kernel: Kernel, f: Signal) -> Signal:
 
     Output support is [f.offset - max_site, f.offset + len - 1].  This is
     the oracle that the FFT correlation of the dyadic maximal functions
-    (_prime_scales) is checked against.
+    (_prime_scales) is checked against.  Every site is >= 0, else a
+    DomainError before the dense kernel is formed, in which a negative site
+    would index from the top.
     """
     if kernel.sites.size == 0:
         return Signal(offset=f.offset, values=np.zeros_like(f.values))
+    if kernel.sites.min() < 0:
+        raise DomainError(f"apply_kernel needs sites >= 0, got {kernel.sites.min()}")
     smax = kernel.max_site
     dense = np.zeros(smax + 1)
     dense[kernel.sites] = kernel.weights
@@ -532,6 +537,11 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
     filtered signal on the same residue class, and their ratio; the
     equidistribution bound predicts the ratio stays of size ~1/Q uniformly
     in r.
+
+    The filtered signal and the sup do not depend on Q or r: they are the
+    held entry 'residue' (ntheory._held, _residue_entry), keyed by f
+    (_signal_key), s, beta, n_max and the circle, so the classes of one f
+    form them once, and each class reads its mask off them.
     """
     s = _integer(s, "level s", 0)
     if (_integer(Q, "Q", 1) - 1).bit_length() > 2 * s:  # Q > 4^s, in integers
@@ -542,18 +552,28 @@ def residue_equidistribution(f: Signal, Q: int, r: int, s: int, beta: float,
     if not 0.5 <= beta <= 1.0:
         raise DomainError("beta must lie in [1/2, 1]")
     Z = _circle_size(f, n_max, resolution)
-    fhat, inverse = _spectrum(_circle(f, n_max, Z))
-    eta_grid = mult.eta_s(s, mult._circular(np.arange(Z, dtype=np.float64) / Z))
-    eta_grid = eta_grid.astype(np.complex128)
-    filtered = inverse(fhat * eta_grid[: fhat.size], Z)
+    filtered, sup = _held("residue", (*_signal_key(f), s, beta, n_max, Z), None,
+                          lambda: _residue_entry(f, s, beta, n_max, Z))
     cls = np.mod(f.offset - (1 << n_max) + np.arange(Z) - r, Q) == 0
     l1 = float(np.sum(np.abs(filtered[cls])))
-    sup = _multiplier_sup(filtered, (_mbeta_multiplier_grid(1 << n, beta, Z)
-                                     for n in range(n_max + 1)))
     weak = weak_norm(sup[cls])
     return {"Q": Q, "r": r, "s": s, "beta": beta,
             "weak_norm": weak, "l1_norm": l1,
             "ratio": weak / l1 if l1 > 0 else math.inf}
+
+
+def _residue_entry(f: Signal, s: int, beta: float, n_max: int,
+                   Z: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eta_s-filtered f, sup_{0 <= n <= n_max} |M^beta_{2^n} of it|) on the
+    circle of Z points; the sup transforms a copy, since _multiplier_sup uses
+    a complex signal up."""
+    fhat, inverse = _spectrum(_circle(f, n_max, Z))
+    eta_grid = mult.eta_s(s, mult._circular(np.arange(Z, dtype=np.float64) / Z))
+    filtered = inverse(fhat * eta_grid.astype(np.complex128)[: fhat.size], Z)
+    del fhat, eta_grid
+    sup = _multiplier_sup(filtered.copy(), (_mbeta_multiplier_grid(1 << n, beta, Z)
+                                            for n in range(n_max + 1)))
+    return filtered, sup
 
 
 def l2_arc_maximal_decay(s: int, f: Signal, n_max: int, resolution: int) -> float:
@@ -617,8 +637,12 @@ def b_part_maximal_l2(t: float, f: Signal, n_max: int, table: PrimeTable,
     return math.sqrt(_dot(sup, sup)) / f.lp_norm(2.0)
 
 
-# lp_maximal_ratios' one entry: (key, table, maximal function), replaced whole
-_LP_HELD = None
+def _signal_key(f: Signal) -> tuple:
+    """What a held entry built from f depends on: its offset, the dtype and
+    shape of its values and a private copy of their bytes (a Signal is
+    mutable, so an in-place write is a miss)."""
+    vals = np.asarray(f.values)
+    return f.offset, vals.dtype, vals.shape, vals.tobytes()
 
 
 def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[float]:
@@ -626,31 +650,19 @@ def lp_maximal_ratios(f: Signal, ps, n_max: int, table: PrimeTable) -> list[floa
     all taken from one maximal function.  f must be nonzero, and finite, which
     maximal_dyadic checks.
 
-    The last maximal_dyadic(f, 'weighted', n_max, table) is kept in one
-    entry, keyed by f.offset, the dtype and shape of f.values, a private
-    copy of its bytes (a Signal is mutable, so an in-place write is a
-    miss), n_max, and the table by identity; so one f asked for p after p
-    forms its maximal function once.  The held values are read-only and
-    never leave the module.  A miss drops the held entry before the new
-    maximal function is formed, so no two are alive at once, and the new
-    entry replaces it in one assignment: pool threads (cli._parallel) that
-    miss together only form the same maximal function twice."""
-    global _LP_HELD
+    The values of the last maximal_dyadic(f, 'weighted', n_max, table) are
+    the held entry 'lp' (ntheory._held), keyed by f (_signal_key) and n_max,
+    with the table by identity; so one f asked for p after p forms its
+    maximal function once."""
     ps = np.ravel(_real(ps, "exponents p", points=True)).tolist()
     if not ps or not all(1.0 < p <= 2.0 for p in ps):
         raise DomainError("need at least one p, each in (1, 2]")
     if not np.any(f.values):
         raise DomainError("ell^p ratios need a nonzero signal")
-    vals = np.asarray(f.values)
-    key = (f.offset, vals.dtype, vals.shape, vals.tobytes(), _scale_count(n_max, table))
-    held = _LP_HELD
-    if held is not None and held[1] is table and held[0] == key:
-        g = held[2]
-    else:
-        _LP_HELD = held = None  # the local reference would keep it alive too
-        g = maximal_dyadic(f, "weighted", n_max, table)
-        g.values.flags.writeable = False
-        _LP_HELD = (key, table, g)
+    key = (*_signal_key(f), _scale_count(n_max, table))
+    # the norms read the values alone, so the offset is not held
+    g = Signal(offset=0, values=_held("lp", key, table,
+                                      lambda: maximal_dyadic(f, "weighted", n_max, table).values))
     return [float(g.lp_norm(p) / f.lp_norm(p)) for p in ps]
 
 

@@ -122,10 +122,11 @@ def kernel_M_beta(N: int, beta: float) -> Kernel:
 
 
 def kernel_delta(n: int) -> Kernel:
-    """The point mass at the integer site n <= 2^_SCALE_CAP: a kernel reaches
-    no further than the last scale a prime table reaches (as kernel_M_beta's
-    N), and past it a CapacityError comes before the int64 site array."""
-    return Kernel(sites=np.array([_integer(n, "site n", high=1 << _SCALE_CAP)],
+    """The point mass at the integer site 0 <= n <= 2^_SCALE_CAP: sites are
+    not negative (apply_kernel), and a kernel reaches no further than the
+    last scale a prime table reaches (as kernel_M_beta's N); past it a
+    CapacityError comes before the int64 site array."""
+    return Kernel(sites=np.array([_integer(n, "site n", 0, high=1 << _SCALE_CAP)],
                                  dtype=np.int64),
                   weights=np.array([1.0]))
 
@@ -556,8 +557,10 @@ def _full_windows(s: int, resolution: int) -> _WindowPlan:
     bounds = np.searchsorted(arc_of, np.arange(len(arcs) + 1))
     spans = tuple((arc, int(lo), int(hi))
                   for arc, lo, hi in zip(arcs, bounds[:-1], bounds[1:]) if hi > lo)
-    g0 = np.array([gauss.ramanujan_gauss_principal(arc.q, arc.a) for arc in arcs])
-    return _frozen_plan(spans, j[keep], theta[keep], ev, g0[arc_of])
+    # G(1_q, a) only for the arcs that keep a point: at a fine level most keep none
+    g0 = np.repeat([gauss.ramanujan_gauss_principal(arc.q, arc.a) for arc, _, _ in spans],
+                   [hi - lo for _, lo, hi in spans])
+    return _frozen_plan(spans, j[keep], theta[keep], ev, g0)
 
 
 def _mirrored_level0(resolution: int) -> _WindowPlan:
@@ -578,15 +581,15 @@ def _eta_windows(s: int, resolution: int) -> _WindowPlan:
     return _full_windows(s, resolution) if s else _mirrored_level0(resolution)
 
 
-def _mbeta_arc_grid(N: int, beta: float, arc: RationalPoint, resolution: int) -> np.ndarray:
-    """M_hat^beta_N(j/G - a/q) for j = 0..G-1, from one folded FFT.
+def _mbeta_arc_grid(k: Kernel, arc: RationalPoint, resolution: int) -> np.ndarray:
+    """M_hat^beta_N(j/G - a/q) for j = 0..G-1, from one folded FFT, for k =
+    kernel_M_beta(N, beta).
 
-    The weights of kernel_M_beta are modulated by e(-n a/q), the phase read
-    off the integer (n a) mod q so that the arc centre is exactly a/q, then
-    folded mod G: O(N + G log G) per arc, against O(N * window) for the
-    direct sum of fourier_M_beta.
+    The weights of k are modulated by e(-n a/q), the phase read off the
+    integer (n a) mod q so that the arc centre is exactly a/q, then folded
+    mod G: O(N + G log G) per arc, against O(N * window) for the direct sum
+    of fourier_M_beta.
     """
-    k = kernel_M_beta(N, beta)
     roots = np.exp(-2j * np.pi * np.arange(arc.q) / arc.q)
     return _folded_transform(k.sites, k.weights * roots[(k.sites * arc.a) % arc.q],
                              resolution)
@@ -599,12 +602,15 @@ def _levels(N: int, resolution: int, plans,
     stop)) for each arc a/q of the plan whose q is the modulus of the
     exceptional pair's chi, M_hat^beta_N from one folded FFT per arc
     (_mbeta_arc_grid) read at the window's indices.  They are formed once
-    per scale and arc, however many windows read them."""
+    per scale and arc, however many windows read them, from one
+    kernel_M_beta(N, beta) per scale."""
     chi, beta = exceptional or (None, None)
+    spans = [[sp for sp in plan.spans if chi and sp[0].q == chi.modulus] for plan in plans]
+    k = kernel_M_beta(N, beta) if any(spans) else None
     return [(plan, tuple((lo, hi, gauss.gauss_sum_bruteforce(chi, arc.a)
-                          * _mbeta_arc_grid(N, beta, arc, resolution)[plan.idx[lo:hi]])
-                         for arc, lo, hi in plan.spans if chi is not None and arc.q == chi.modulus))
-            for plan in plans]
+                          * _mbeta_arc_grid(k, arc, resolution)[plan.idx[lo:hi]])
+                         for arc, lo, hi in arcs))
+            for plan, arcs in zip(plans, spans)]
 
 
 def _closed_form(N: int, plan: _WindowPlan, lo: int, hi: int) -> np.ndarray:

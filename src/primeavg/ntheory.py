@@ -13,7 +13,9 @@ rule of an entry that takes a number or an array of points (_shaped).  The
 reduction rule is kept here too: every sum of products, norm and table fit
 in the package goes through _dot, so no printed number depends on the BLAS
 kernel or on the other rows of a call; beside it sits the one Gauss-Legendre
-rule the package integrates with.  All logarithms are natural.
+rule the package integrates with.  So is the held-entry rule (_held): the one
+entry per name that a run of calls on one input reuses.  All logarithms are
+natural.
 """
 
 from __future__ import annotations
@@ -142,6 +144,33 @@ def _dot(a, b):
     out = np.empty(re.shape, np.complex128)
     out.real, out.imag = re, im
     return out
+
+
+# _held's one entry per name: (key, table, value), replaced whole; None while
+# a miss builds its value
+_HELD: dict[str, tuple | None] = {}
+
+
+def _held(name: str, key, table, build):
+    """The held-entry rule of every run of calls that repeats work on one
+    input: the value of build() for (key, table), kept in the one entry
+    under `name`.  A hit compares the key with == and the table by identity,
+    and returns the held value.  A miss drops the held entry before build()
+    runs, so no two values of one name are alive at once; it makes the value
+    read-only (an array, or each array of a tuple) and stores it in one
+    assignment, so threads that miss together only build the same value
+    twice.  A caller checks its arguments before it calls, so a hit raises
+    whatever a miss would."""
+    held = _HELD.get(name)
+    if held is not None and held[1] is table and held[0] == key:
+        return held[2]
+    _HELD[name] = held = None  # nothing keeps the old entry alive while build() runs
+    value = build()
+    for a in value if isinstance(value, tuple) else [value]:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    _HELD[name] = (key, table, value)
+    return value
 
 
 @dataclass

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import primeavg.cli as cli
+import primeavg.ntheory as ntheory
 import primeavg.gauss as gs
 import primeavg.orlicz as oz
 
@@ -146,8 +147,8 @@ def test_reports_byte_identical_across_threads(tmp_path, case, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for threads, out in (("1", a), ("4", b)):
         # each run starts with the lp and orbit memos empty
-        monkeypatch.setattr(cli.maximal, "_LP_HELD", None)
-        monkeypatch.setattr(cli.ergodic, "_ORBIT_HELD", None)
+        monkeypatch.delitem(ntheory._HELD, "lp", raising=False)
+        monkeypatch.delitem(ntheory._HELD, "orbit", raising=False)
         assert _run(*args, "--format", "json", "--threads", threads, "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
     if case != "lp-sweep":
@@ -174,11 +175,11 @@ def test_run_builds_its_parser_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_parser", counted)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.delitem(ntheory._HELD, "parser", raising=False)
     assert _run("gauss-verify", "--q-max", "3", "--out", os.devnull) == 0
     assert _run("lp-sweep", "--seeds", "1", "--support", "8", "--n-max", "3",
                 "--out", os.devnull) == 0
-    assert len(built) == 1 and cli._PARSER is built[0]
+    assert len(built) == 1 and ntheory._HELD["parser"][2] is built[0]
     assert real() is not real()  # build_parser stays a fresh builder
 
 

@@ -203,6 +203,15 @@ _CASES = {
     "rearrangement-bool-magnitude": lambda t: decreasing_rearrangement([(True, 0.5)]),
     "rearrangement-numpy-bool-magnitude": lambda t: decreasing_rearrangement(
         [(np.True_, 0.5)]),
+    # a raw OverflowError (the int64 site) at -10^30, a raw ValueError (a
+    # dense kernel of negative size) at -2, and a wrong correlation for
+    # sites [-1, 3], whose -1 indexed the top site
+    "kernel-delta-site-minus-1e30": lambda t: mp.kernel_delta(-10**30),
+    "kernel-delta-negative-site": lambda t: mp.kernel_delta(-2),
+    "apply-kernel-negative-site": lambda t: mx.apply_kernel(
+        mp.Kernel(sites=np.array([-2]), weights=np.array([1.0])), _F),
+    "apply-kernel-site-aliasing-the-top": lambda t: mx.apply_kernel(
+        mp.Kernel(sites=np.array([-1, 3]), weights=np.array([0.5, 0.5])), _F),
 }
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import primeavg.ergodic as er
+import primeavg.ntheory as nt
 from primeavg.ntheory import CapacityError, DomainError
 
 
@@ -298,7 +299,7 @@ def test_held_phases_are_replaced_on_any_change_of_their_key(table_small, monkey
     assert misses(silver, 10, table_small) == 1  # another n_max
     assert misses(silver, 10, twin) == 1  # another table
     assert misses(silver, 10, twin) == 0
-    key, table, phases, counts = er._ORBIT_HELD
+    key, table, (phases, counts) = nt._HELD["orbit"]
     assert table is twin and not (phases.flags.writeable or counts.flags.writeable)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import primeavg.maximal as mx
 import primeavg.multipliers as mult
+import primeavg.ntheory as nt
 from primeavg.multipliers import kernel_M_beta, kernel_delta
 from primeavg.ntheory import SIEVE_CAP, DomainError, _dot
 
@@ -64,6 +65,24 @@ def test_apply_kernel_empty_and_delta():
     # correlation by delta at site 4 shifts the support left by 4
     assert shifted.offset == -2
     assert shifted.at(np.array([-2, -1, 0])).tolist() == [1.0, -1.0, 2.0]
+
+
+def test_apply_kernel_refuses_a_negative_site_before_its_dense_kernel(monkeypatch):
+    # sites [-1, 3] returned a wrong correlation: dense[-1] is the top site,
+    # so the weight of -1 was read at 3
+    f = mx.Signal(offset=0, values=np.array([1.0, 2.0, 4.0]))
+    right = mx.apply_kernel(mx.Kernel(sites=np.array([0, 3]), weights=np.array([0.5, 0.25])), f)
+    assert right.offset == -3
+    assert right.values.tolist() == [0.25, 0.5, 1.0, 0.5, 1.0, 2.0]
+
+    def zeros(*args, **kwargs):
+        raise AssertionError("dense kernel formed")
+
+    monkeypatch.setattr(mx.np, "zeros", zeros)
+    for sites in ([-1, 3], [-2], [3, -1]):
+        kernel = mx.Kernel(sites=np.array(sites), weights=np.full(len(sites), 0.5))
+        with pytest.raises(DomainError, match="sites >= 0"):
+            mx.apply_kernel(kernel, f)
 
 
 def test_all_scales_matrix_matches_single_calls(table_small, rng):
@@ -460,6 +479,130 @@ def test_residue_rows_follow_a_shift_of_f(rng, complex_values):
         assert moved["l1_norm"] == row["l1_norm"]
 
 
+# --- residue_equidistribution's one held filtered signal and sup ---
+
+
+@pytest.fixture()
+def residue_builds(monkeypatch):
+    """The f of every held entry residue_equidistribution builds while the
+    test runs, starting from an empty store."""
+    builds = []
+    real = mx._residue_entry
+
+    def counted(f, *args):
+        builds.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(mx, "_residue_entry", counted)
+    monkeypatch.delitem(nt._HELD, "residue", raising=False)
+    return builds
+
+
+def _residue_per_class(f, Q, r, s, beta, n_max, Z):
+    """(weak norm, l1 norm) of one class, filtered signal and sup formed for
+    that class alone, the l1 norm read before the sup uses the signal up."""
+    fhat, inverse = mx._spectrum(mx._circle(f, n_max, Z))
+    eta_grid = mult.eta_s(s, mult._circular(np.arange(Z, dtype=np.float64) / Z))
+    filtered = inverse(fhat * eta_grid.astype(np.complex128)[: fhat.size], Z)
+    cls = np.mod(f.offset - (1 << n_max) + np.arange(Z) - r, Q) == 0
+    l1 = float(np.sum(np.abs(filtered[cls])))
+    sup = mx._multiplier_sup(filtered, (mx._mbeta_multiplier_grid(1 << n, beta, Z)
+                                        for n in range(n_max + 1)))
+    return mx.weak_norm(sup[cls]), l1
+
+
+def _bits(row):
+    return np.array([row["weak_norm"], row["l1_norm"], row["ratio"]]).view(np.uint64)
+
+
+@pytest.mark.parametrize("Q,s", [(4, 1), (4, 2), (16, 2)])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_residue_classes_share_one_entry_with_the_bits_of_each_alone(
+        Q, s, complex_values, residue_builds, monkeypatch):
+    # every class of one f reads the one held entry, and gets the bits of
+    # the per-class route and of the same call on an empty store
+    f = mx.random_signal(np.random.default_rng(Q + s), 48, complex_values=complex_values,
+                         offset=-5)
+    rows = [mx.residue_equidistribution(f, Q, r, s, 0.9, 7, 1 << 12) for r in range(1, Q + 1)]
+    assert len(residue_builds) == 1
+    for r, row in enumerate(rows, 1):
+        weak, l1 = _residue_per_class(f, Q, r, s, 0.9, 7, 1 << 12)
+        want = {**row, "weak_norm": weak, "l1_norm": l1, "ratio": weak / l1}
+        assert np.array_equal(_bits(row), _bits(want)), r
+        monkeypatch.delitem(nt._HELD, "residue")
+        alone = mx.residue_equidistribution(f, Q, r, s, 0.9, 7, 1 << 12)
+        assert np.array_equal(_bits(row), _bits(alone)), r
+        assert row == alone
+    filtered, sup = nt._HELD["residue"][2]
+    assert not (filtered.flags.writeable or sup.flags.writeable)
+
+
+def test_residue_entry_misses_on_any_change_of_its_key(residue_builds):
+    f = mx.random_signal(np.random.default_rng(33), 40, complex_values=False)
+    args = dict(Q=4, s=1, beta=0.75, n_max=6, resolution=1 << 10)
+
+    def misses(g, **changed):
+        before = len(residue_builds)
+        for r in (1, 2):
+            mx.residue_equidistribution(g, **{**args, "r": r, **changed})
+        return len(residue_builds) - before
+
+    assert misses(f) == 1
+    assert misses(f) == 0
+    assert misses(f, Q=2) == 0  # Q and r are read off the entry
+    assert misses(mx.Signal(offset=f.offset + 1, values=f.values)) == 1  # offset
+    assert misses(f) == 1
+    assert misses(mx.Signal(offset=f.offset, values=f.values.astype(np.complex128))) == 1
+    assert misses(mx.Signal(offset=f.offset, values=np.append(f.values, 0.0))) == 1  # shape
+    assert misses(f) == 1
+    assert misses(f, s=2) == 1
+    assert misses(f, beta=0.8) == 1
+    assert misses(f, n_max=5) == 1
+    assert misses(f, resolution=1 << 11) == 1
+    assert misses(f) == 1
+    f.values[7] = 2.0  # written in place
+    assert misses(f) == 1
+    assert misses(f) == 0
+
+
+def test_residue_hit_still_checks_its_arguments(residue_builds):
+    # every argument check comes before the held entry is read
+    f = mx.random_signal(np.random.default_rng(34), 40)
+    mx.residue_equidistribution(f, 4, 1, 1, 0.75, 6, 1 << 10)
+    for bad in [(5, 1, 1, 0.75), (4, 0, 1, 0.75), (4, 5, 1, 0.75), (4, 1, 1, 0.3),
+                (4, 1, 1.5, 0.75), (4.0, 1, 1, 0.75)]:
+        with pytest.raises(DomainError):
+            mx.residue_equidistribution(f, *bad, 6, 1 << 10)
+    with pytest.raises(nt.CapacityError):
+        mx.residue_equidistribution(f, 4, 1, 1, 0.75, 10**30, 1 << 10)
+    with pytest.raises(DomainError):
+        mx.residue_equidistribution(f, 4, 1, 1, 0.75, 6, 64)  # the circle wraps
+    assert len(residue_builds) == 1
+
+
+def test_residue_miss_drops_the_held_entry_before_it_builds(residue_builds):
+    # a miss peaks at one cold call, which already counts the entry it
+    # builds: keeping the old entry through the build would add its bytes
+    rng = np.random.default_rng(35)
+    f, g = (mx.random_signal(rng, 200) for _ in range(2))
+    args = (4, 1, 1, 0.75, 10, 1 << 14)
+    mx.residue_equidistribution(f, *args)  # warm the eta tables
+    nt._HELD.pop("residue")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mx.residue_equidistribution(f, *args)
+        cold = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        mx.residue_equidistribution(g, *args)
+        miss = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    entry = sum(a.nbytes for a in nt._HELD["residue"][2])
+    assert entry == 24 << 14  # complex filtered signal and float sup
+    assert miss <= cold + (16 << 10), (miss, cold, entry)
+
+
 def test_l2_arc_decay_decreases_in_s(rng):
     f = mx.random_signal(rng, 128, complex_values=True)
     vals = [mx.l2_arc_maximal_decay(s, f, 8, resolution=1 << 12)
@@ -674,7 +817,7 @@ def test_lp_maximal_ratios_share_one_maximal_function(table_small, rng, scale_ru
     assert got == mx.lp_maximal_ratios(f, ps, 7, table_small)
     assert scale_runs == [7]
     assert got == _lp_direct(f, ps, 7, table_small)
-    assert not mx._LP_HELD[2].values.flags.writeable
+    assert not nt._HELD["lp"][2].flags.writeable
 
 
 def test_lp_memo_misses_on_any_change_of_its_key(table_small, scale_runs):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import primeavg.gauss as gauss
 import primeavg.multipliers as mp
 from primeavg.characters import enumerate_quadratic_characters, synthetic_exceptional
 from primeavg.ntheory import DomainError, sieve_primes
@@ -444,11 +445,46 @@ def test_folded_mbeta_matches_direct_sum_at_exact_window_points():
                 idx, theta = plan.idx[lo:hi], plan.theta[lo:hi]
             for n in [0, 1, 5, 10]:
                 for beta in [0.5, 0.75, 0.95]:
-                    folded = mp._mbeta_arc_grid(1 << n, beta, arc, G)[idx]
+                    folded = mp._mbeta_arc_grid(mp.kernel_M_beta(1 << n, beta), arc, G)[idx]
                     direct = mp.fourier_M_beta(1 << n, beta, theta)
                     assert np.max(np.abs(folded - direct)) <= 1e-13
                     checked += 1
     assert checked == 4 * 3 * (1 + 1 + 2 + 4)  # q = 1, 2, 4, 8
+
+
+@pytest.mark.parametrize("G", [1 << 14, 1 << 18])
+def test_plan_gauss_factors_are_the_per_arc_values(G):
+    # g0 is formed only for the arcs that keep a point, with the bits of
+    # G(1_q, a) called arc by arc; the spans tile the plan in order
+    for s in range(1, 7):
+        plan = mp._full_windows(s, G)
+        ends = [0] + [hi for _, _, hi in plan.spans]
+        assert [lo for _, lo, _ in plan.spans] == ends[:-1]
+        assert ends[-1] == plan.g0.size == plan.idx.size  # none at 2^14 past level 4
+        for arc, lo, hi in plan.spans:
+            want = np.full(hi - lo, gauss.ramanujan_gauss_principal(arc.q, arc.a))
+            assert np.array_equal(plan.g0[lo:hi].view(np.uint64), want.view(np.uint64)), (s, arc)
+
+
+def test_exceptional_arcs_of_a_scale_share_one_kernel(monkeypatch):
+    # the four arcs a/8 of level 3 read one kernel_M_beta(N, beta) per scale
+    formed = []
+    real = mp.kernel_M_beta
+
+    def counted(N, beta):
+        formed.append(N)
+        return real(N, beta)
+
+    chi = enumerate_quadratic_characters(8)[0]
+    want = mp.nu_n_grid(10, 1 << 16, 3, (chi, 0.8))
+    monkeypatch.setattr(mp, "kernel_M_beta", counted)
+    got = mp.nu_n_grid(10, 1 << 16, 3, (chi, 0.8))
+    assert sum(arc.q == 8 for arc, _, _ in mp._eta_windows(3, 1 << 16).spans) == 4
+    assert formed == [1 << 10]
+    assert np.array_equal(got, want)
+    formed.clear()
+    mp.nu_n_grid(10, 1 << 16, 2, (chi, 0.8))  # no arc of levels <= 2 has q = 8
+    assert formed == []
 
 
 @pytest.mark.parametrize("q", [8, 12])
