@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -285,14 +284,13 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 
 _EM_K = 28          # directly summed terms
 _HEAD_BLOCK = 1 << 15  # powers (x+k)^(-s) of the Hurwitz head formed at once
-# B_2j / (2j)! for j = 1..11; the Euler-Maclaurin correction depth is their count
-_EM_COEF = [float(Fraction(b) / math.factorial(2 * j))
-            for j, b in enumerate([Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-                                   Fraction(-1, 30), Fraction(5, 66),
-                                   Fraction(-691, 2730), Fraction(7, 6),
-                                   Fraction(-3617, 510), Fraction(43867, 798),
-                                   Fraction(-174611, 330), Fraction(854513, 138)],
-                                  start=1)]
+# B_2j / (2j)! for j = 1..11, each an int true division, which rounds the exact
+# quotient once; the Euler-Maclaurin correction depth is their count
+_EM_COEF = [n / (d * math.factorial(2 * j))
+            for j, (n, d) in enumerate([(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+                                        (-691, 2730), (7, 6), (-3617, 510), (43867, 798),
+                                        (-174611, 330), (854513, 138)],
+                                       start=1)]
 
 
 def _phi1m(u: np.ndarray) -> np.ndarray:
@@ -417,7 +415,7 @@ def _lipschitz(q: int, sigma: float) -> float:
 
 
 # |B_24|/24!, the first Euler-Maclaurin coefficient past _EM_COEF
-_EM_NEXT = float(Fraction(236364091, 2730) / math.factorial(24))
+_EM_NEXT = 236364091 / (2730 * math.factorial(24))
 
 
 def _evaluation_error(q: int, s: np.ndarray, block: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ import os
 import re
 import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 from operator import countOf, itemgetter
 from pathlib import Path
@@ -168,10 +167,12 @@ def _parallel(fn, items, threads: int):
     """fn over items, yielded in order as each result is drawn: at one
     thread fn runs only when its result is drawn, and on more it runs ahead
     in a pool, by at most `threads` items beyond the one being drawn, so
-    no more than threads + 1 results are alive at once."""
+    no more than threads + 1 results are alive at once.  The pool's module
+    is imported only then, so a one-thread run never loads it."""
     if threads <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as ex:
         ahead = collections.deque()
         for item in items:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -60,9 +59,8 @@ def _convergent_in_range(cf: list[int]) -> tuple[int, int]:
     return h, k
 
 
-def _cf_of_fraction(x: Fraction) -> list[int]:
+def _cf_of_ratio(p: int, q: int) -> list[int]:
     out = []
-    p, q = x.numerator, x.denominator
     while q:
         a, r = divmod(p, q)
         out.append(a)
@@ -96,8 +94,7 @@ class DynamicalSystem:
             a = _real(alpha, "rotation angle alpha")
             if not 0.0 <= a < 1.0:
                 raise DomainError("rotation angle must lie in [0, 1)")
-            frac = Fraction(a)
-            cf = _cf_of_fraction(frac)
+            cf = _cf_of_ratio(*a.as_integer_ratio())
         if cf_depth is not None:
             cf = cf[:_integer(cf_depth, "cf_depth", 1)]
         num, den = _convergent_in_range(cf)

@@ -71,7 +71,7 @@ import numpy as np
 
 from . import gauss
 from .characters import DirichletCharacter
-from .ntheory import (_GL_NODES, _GL_WEIGHTS, FACTOR_CAP, SIEVE_CAP, DomainError, PrimeTable, _dot,
+from .ntheory import (FACTOR_CAP, SIEVE_CAP, DomainError, PrimeTable, _dot, _gl_rule,
                       _integer, _real, _shaped, is_squarefree)
 
 DEFAULT_S_MAX = 6
@@ -265,10 +265,11 @@ def _bump_raw(u: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _bump_norm() -> float:
     total = 0.0
+    nodes, weights = _gl_rule()
     edges = np.linspace(-0.125, 0.125, 17)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * float(_dot(_bump_raw(mid + half * _GL_NODES), _GL_WEIGHTS))
+        total += half * float(_dot(_bump_raw(mid + half * nodes), weights))
     return total
 
 
@@ -278,6 +279,7 @@ def _bump_integral(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     width = hi - lo
     pos = np.flatnonzero(width > 0)
     norm = _bump_norm()
+    gl_nodes, gl_weights = _gl_rule()
     for start in range(0, pos.size, 1 << 16):
         sel = pos[start:start + (1 << 16)]
         lo_p, w_p = lo[sel], width[sel]
@@ -286,8 +288,8 @@ def _bump_integral(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             a = lo_p + w_p * (p / _BUMP_PANELS)
             half = w_p / (2 * _BUMP_PANELS)
             mid = a + half
-            nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-            acc += half * _dot(_bump_raw(nodes), _GL_WEIGHTS)
+            nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
+            acc += half * _dot(_bump_raw(nodes), gl_weights)
         out[sel] = acc / norm
     return out
 

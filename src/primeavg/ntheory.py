@@ -13,9 +13,9 @@ rule of an entry that takes a number or an array of points (_shaped).  The
 reduction rule is kept here too: every sum of products, norm and table fit
 in the package goes through _dot, so no printed number depends on the BLAS
 kernel or on the other rows of a call; beside it sits the one Gauss-Legendre
-rule the package integrates with.  So is the held-entry rule (_held): the one
-entry per name that a run of calls on one input reuses.  All logarithms are
-natural.
+rule the package integrates with (_gl_rule), built on its first use.  So is
+the held-entry rule (_held): the one entry per name that a run of calls on
+one input reuses.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -108,9 +108,17 @@ def _shaped(out: np.ndarray, like):
     return complex(out.item()) if out.dtype.kind == "c" else float(out.item())
 
 
-# the 64-point Gauss-Legendre rule on [-1, 1] that eta's table (multipliers)
-# and the rearrangement norm (orlicz) integrate with, formed once at import
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@lru_cache(maxsize=1)
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Legendre rule on [-1, 1] that eta's table
+    (multipliers) and the rearrangement norm (orlicz) integrate with: its
+    nodes and weights, read-only.  It is built on first use, never at
+    import: leggauss is a LAPACK eigensolve, whose buffers a process that
+    never integrates should not map."""
+    rule = np.polynomial.legendre.leggauss(64)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _dot(a, b):
@@ -235,7 +243,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         for i in range(2, math.isqrt(limit) + 1):
             if flags[i]:
                 flags[i * i:: i] = False
-        primes = np.flatnonzero(flags).astype(np.int64)
+        primes = np.flatnonzero(flags).astype(np.int64, copy=False)
         primes.flags.writeable = False
         table = _TABLES[limit] = PrimeTable(limit=limit, prime_list=primes)
     return table

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntheory import (_GL_NODES, _GL_WEIGHTS, CapacityError, DomainError, _dot, _finite, _integer,
+from .ntheory import (CapacityError, DomainError, _dot, _finite, _gl_rule, _integer,
                       _real, _shaped)
 
 _MEASURE_SLACK = 1e-12
@@ -184,9 +184,10 @@ def _gauss_panels(lo: np.ndarray, hi: np.ndarray) -> list[float]:
     without a warning: a planned panel may never be read."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    nodes, weights = _gl_rule()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = phi_weight(1.0 / (mid[:, None] + half[:, None] * _GL_NODES))
-        return (half * _dot(vals, _GL_WEIGHTS)).tolist()
+        vals = phi_weight(1.0 / (mid[:, None] + half[:, None] * nodes))
+        return (half * _dot(vals, weights)).tolist()
 
 
 def _planned_pairs(steps: list[tuple]) -> tuple[list[float], dict]:

@@ -389,9 +389,12 @@ def test_scale_counts_are_read_only_views_in_int32(table_big):
 def test_weak_type_sweep_peak_at_n_max_18(table_big):
     # one int32 accumulator over the window, viewed (not copied) at each
     # scale, one band's batch buffers, and the superlevel levels and one
-    # scale's gathered levels in uint8: about 3.8 MiB, against 6.2 MiB with
+    # scale's gathered levels in uint8: about 3.81 MiB, against 6.2 MiB with
     # an int64 accumulator, a copy per scale and fresh batch buffers, 8.2 MiB
-    # with int64 levels too, and 23.3 MiB for a full-circle FFT pair per scale
+    # with int64 levels too, and 23.3 MiB for a full-circle FFT pair per scale.
+    # np.take and np.bincount still cast a whole window to intp: taken
+    # 2^15 points at a time the peak is 3.13 MiB, but no 2 MiB block is then
+    # freed to lift glibc's mmap threshold, and the later sweeps fault 3x more
     F = mx.Signal.interval(0, 1024)
     lam = mx.default_lambda_grid(10)
     mx.weak_type_sweep(F, lam, 18, table_big)  # warm
@@ -401,7 +404,7 @@ def test_weak_type_sweep_peak_at_n_max_18(table_big):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.1 * (1 << 20), peak
+    assert peak <= 3.9 * (1 << 20), peak
 
 
 # --- residue sampling, arc decay, A/B split ---
@@ -704,6 +707,7 @@ def test_b_part_peak_stays_within_its_working_set(table_small):
     grid = 16 * G
     f = mx.random_signal(np.random.default_rng(16), 512, complex_values=True)
     mult._eta_windows.cache_clear()
+    nt._gl_rule()  # importing numpy.polynomial is no part of the call's working set
     for bound in (6.25, 4.5):
         tracemalloc.start()
         try:
